@@ -75,22 +75,21 @@ def plv_trial_matrices(epochs: EpochSet) -> np.ndarray:
     PLV(i, j) = |mean_t e^{i (phi_i(t) - phi_j(t))}| within each trial.
     """
     z = phase_factors(epochs)
-    t = epochs.n_samples
-    out = np.empty((epochs.n_trials, epochs.n_channels, epochs.n_channels))
-    for k in range(epochs.n_trials):
-        r = z[k] @ z[k].conj().T / t
-        out[k] = np.abs(r)
-    return out
+    return np.abs(z @ z.conj().swapaxes(-1, -2) / epochs.n_samples)
+
+
+def _mean_plv(trial_plv: np.ndarray, montage: Montage) -> ConnectivityMatrix:
+    m = trial_plv.mean(axis=0)
+    m = np.clip((m + m.T) / 2.0, 0.0, 1.0)
+    np.fill_diagonal(m, 1.0)
+    return ConnectivityMatrix(m, montage=montage)
 
 
 def plv_matrix(epochs: EpochSet) -> ConnectivityMatrix:
     """Trial-averaged PLV connectivity over the analysis window."""
     if epochs.n_trials < 1:
         raise RangeError("PLV needs at least one trial")
-    m = plv_trial_matrices(epochs).mean(axis=0)
-    m = np.clip((m + m.T) / 2.0, 0.0, 1.0)
-    np.fill_diagonal(m, 1.0)
-    return ConnectivityMatrix(m, montage=epochs.montage)
+    return _mean_plv(plv_trial_matrices(epochs), epochs.montage)
 
 
 def strong_edges(conn: ConnectivityMatrix, threshold: float = 0.9) -> list:
@@ -146,10 +145,11 @@ def per_class_plv(epochs: EpochSet, classes=None) -> dict:
     """One trial-averaged PLV matrix per class label."""
     if classes is None:
         classes = sorted(set(int(l) for l in epochs.labels))
+    trial_plv = plv_trial_matrices(epochs)
     out = {}
     for c in classes:
         idx = np.nonzero(epochs.labels == c)[0]
         if idx.size == 0:
             raise ShapeError(f"class {c} has no trials")
-        out[c] = plv_matrix(epochs.select(trial_idx=idx))
+        out[c] = _mean_plv(trial_plv[idx], epochs.montage)
     return out

@@ -1,9 +1,10 @@
 """Numeric kernels: FFT, analytic signal, zero-phase band-pass, decimation,
 Welch PSD and ERSP time-frequency maps.
 
-The FFT is hand-rolled: iterative radix-2 for power-of-two lengths and
-Bluestein's chirp-z for everything else (the pipeline's natural lengths,
-1000/500/1250, are not powers of two). Filtering uses scipy-designed
+The FFT is numpy's (pocketfft); ``fft``/``ifft`` keep the package's
+empty-input guard and complex128 output, and the tests still check them
+against a naive DFT and Parseval. Real-input stages (analytic signal, Welch,
+ERSP) take the one-sided ``rfft``. Filtering uses scipy-designed
 Butterworth biquads with our own reflect-padded forward-backward pass.
 """
 
@@ -18,78 +19,12 @@ from .errors import EmptyInputError, RangeError
 # ---------------------------------------------------------------------------
 # FFT
 
-_BITREV_CACHE = {}
-_BLUESTEIN_CACHE = {}
-
-
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    idx = _BITREV_CACHE.get(n)
-    if idx is None:
-        bits = n.bit_length() - 1
-        idx = np.zeros(n, dtype=np.intp)
-        for b in range(bits):
-            idx |= ((np.arange(n) >> b) & 1) << (bits - 1 - b)
-        _BITREV_CACHE[n] = idx
-    return idx
-
-
-def _fft_pow2(x: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 FFT along the last axis; len must be a power of two."""
-    n = x.shape[-1]
-    y = np.ascontiguousarray(x[..., _bit_reverse_indices(n)],
-                             dtype=np.complex128)
-    m = 2
-    while m <= n:
-        half = m // 2
-        w = np.exp(-2j * np.pi * np.arange(half) / m)
-        v = y.reshape(x.shape[:-1] + (n // m, m))
-        odd = v[..., half:] * w
-        v[..., half:] = v[..., :half] - odd
-        v[..., :half] += odd
-        m *= 2
-    return y
-
-
-def _bluestein_setup(n: int):
-    cached = _BLUESTEIN_CACHE.get(n)
-    if cached is None:
-        m = 1
-        while m < 2 * n - 1:
-            m *= 2
-        k = np.arange(n)
-        # k^2 mod 2n keeps the chirp argument small for large n
-        chirp = np.exp(-1j * np.pi * ((k * k) % (2 * n)) / n)
-        b = np.zeros(m, dtype=np.complex128)
-        b[:n] = np.conj(chirp)
-        b[m - n + 1:] = np.conj(chirp[1:][::-1])
-        cached = (m, chirp, _fft_pow2(b))
-        _BLUESTEIN_CACHE[n] = cached
-    return cached
-
-
-def _fft_bluestein(x: np.ndarray) -> np.ndarray:
-    n = x.shape[-1]
-    m, chirp, b_hat = _bluestein_setup(n)
-    a = np.zeros(x.shape[:-1] + (m,), dtype=np.complex128)
-    a[..., :n] = x * chirp
-    conv = _ifft_pow2(_fft_pow2(a) * b_hat)
-    return conv[..., :n] * chirp
-
-
-def _ifft_pow2(x: np.ndarray) -> np.ndarray:
-    return np.conj(_fft_pow2(np.conj(x))) / x.shape[-1]
-
-
 def fft(x) -> np.ndarray:
     """Discrete Fourier transform along the last axis, any length >= 1."""
     x = np.asarray(x)
     if x.size == 0 or x.shape[-1] == 0:
         raise EmptyInputError("fft of empty input")
-    x = x.astype(np.complex128)
-    n = x.shape[-1]
-    if n & (n - 1) == 0:
-        return _fft_pow2(x)
-    return _fft_bluestein(x)
+    return np.fft.fft(x.astype(np.complex128))
 
 
 def ifft(x) -> np.ndarray:
@@ -97,7 +32,7 @@ def ifft(x) -> np.ndarray:
     x = np.asarray(x)
     if x.size == 0 or x.shape[-1] == 0:
         raise EmptyInputError("ifft of empty input")
-    return np.conj(fft(np.conj(x))) / x.shape[-1]
+    return np.fft.ifft(x.astype(np.complex128))
 
 
 def analytic_signal(x) -> np.ndarray:
@@ -110,15 +45,11 @@ def analytic_signal(x) -> np.ndarray:
     n = x.shape[-1]
     if n < 4:
         raise RangeError("analytic_signal needs length >= 4")
-    spec = fft(x)
-    h = np.zeros(n)
-    h[0] = 1.0
-    if n % 2 == 0:
-        h[n // 2] = 1.0
-        h[1:n // 2] = 2.0
-    else:
-        h[1:(n + 1) // 2] = 2.0
-    return ifft(spec * h)
+    # keep DC (and Nyquist, for even n), double the positive bins; ifft's
+    # zero-padding to n leaves the negative frequencies at zero
+    spec = np.fft.rfft(x)
+    spec[..., 1:(n + 1) // 2] *= 2.0
+    return np.fft.ifft(spec, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +171,7 @@ def _welch_batch(x: np.ndarray, fs: float, seg_len: int, overlap: float):
     u = (win ** 2).sum()
     segs = np.lib.stride_tricks.sliding_window_view(x, seg_len, axis=-1)
     segs = segs[..., ::hop, :] * win
-    spec = fft(segs)[..., : seg_len // 2 + 1]
+    spec = np.fft.rfft(segs)
     pxx = (np.abs(spec) ** 2).mean(axis=-2) / (fs * u)
     pxx[..., 1:] *= 2.0
     if seg_len % 2 == 0:
@@ -322,7 +253,7 @@ def ersp(epochs: EpochSet, baseline_ms=(-500.0, 0.0), f_range=(3.0, 50.0),
         x = np.asarray(epochs.tensor[:, ch, :], dtype=np.float64)
         frames = np.lib.stride_tricks.sliding_window_view(x, win, axis=-1)
         frames = frames[:, ::hop, :] * window
-        power = np.abs(fft(frames)[..., : win // 2 + 1]) ** 2
+        power = np.abs(np.fft.rfft(frames)) ** 2
         mean_power = power.mean(axis=0)[:, f_keep]          # frames x freqs
         baseline = mean_power[base_mask].mean(axis=0)       # per frequency
         db = 10.0 * np.log10(mean_power / baseline)

@@ -8,6 +8,7 @@ conv + average-pool stages, ending in a 4-way softmax. All stochasticity
 (init, dropout masks, shuffling) derives from a single seed.
 """
 
+import functools
 import json
 from dataclasses import dataclass, field, asdict
 
@@ -349,10 +350,10 @@ class Network:
             elif ls.kind == "activation":
                 layer = Elu()
             elif ls.kind == "dropout":
-                layer = Dropout(
-                    ls.rate,
-                    (lambda li=li: lambda call:
-                     child_rng(self.seed, "dropout", li, call))())
+                # bound to the seed, not to self: a closure over the network
+                # would form a cycle that only the cyclic GC can free
+                layer = Dropout(ls.rate, functools.partial(
+                    child_rng, seed, "dropout", li))
             elif ls.kind == "flatten":
                 layer = Flatten()
                 flat = int(np.prod(shape))

@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import EpochSet, Montage
 from .dsp import _welch_batch
-from .errors import RangeError, ShapeError
+from .errors import DegenerateInputError, RangeError, ShapeError
 from .seeding import child_rng
 
 
@@ -36,6 +36,22 @@ def band_power(epochs: EpochSet, band_hz, seg_len: int = None) -> np.ndarray:
     return pxx[..., mask].sum(axis=-1) * df
 
 
+def _finite_pair(a, b, what: str):
+    """Both samples as float64 arrays of one shape, all values finite.
+
+    A NaN difference makes every ``t_perm >= t_obs`` comparison false, so the
+    add-one estimator would report its minimum p as if the effect were
+    strong; non-finite input is refused instead.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ShapeError(f"{what} inputs must have equal length")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DegenerateInputError(f"{what} input contains NaN or Inf")
+    return a, b
+
+
 def _t_from_diffs(d: np.ndarray) -> np.ndarray:
     """Paired t along the last axis; +/-inf when the sd is zero but mean is not."""
     n = d.shape[-1]
@@ -51,11 +67,11 @@ def _t_from_diffs(d: np.ndarray) -> np.ndarray:
 
 
 def paired_t(a, b) -> float:
-    """Paired-sample t statistic: mean(a-b) / (sd(a-b) / sqrt(n)), ddof=1."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError("paired_t inputs must have equal length")
+    """Paired-sample t statistic: mean(a-b) / (sd(a-b) / sqrt(n)), ddof=1.
+
+    NaN or Inf input raises DegenerateInputError.
+    """
+    a, b = _finite_pair(a, b, "paired_t")
     if a.size < 2:
         raise RangeError("paired_t needs n >= 2")
     return float(_t_from_diffs(a - b))
@@ -67,12 +83,10 @@ def permutation_test(a, b, n_perm: int = 10000, seed: int = 0,
 
     Exhaustive over all 2^n sign patterns when 2^n <= n_perm (p is the exact
     exceedance fraction, identity flip included); Monte Carlo with the
-    add-one estimator otherwise.
+    add-one estimator otherwise. NaN or Inf input raises
+    DegenerateInputError.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError("permutation_test inputs must have equal length")
+    a, b = _finite_pair(a, b, "permutation_test")
     if n_perm < 1:
         raise RangeError("n_perm must be >= 1")
     d = a - b

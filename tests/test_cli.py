@@ -62,6 +62,24 @@ def test_corrupt_recording_is_data_error(tmp_path):
     assert run("--config", TINY, "--out", tmp_path, "preprocess") == 3
 
 
+def test_stats_on_nan_recording_is_data_error(tmp_path):
+    # one NaN sample in one channel used to come out as t=nan, significant=1
+    from vmidecode import EegRecording, io
+    assert run("--config", TINY, "--out", tmp_path, "synth") == 0
+    rec = io.load_recording(tmp_path / "recording.eegb")
+    data = rec.data.copy()
+    data[3, 1000] = float("nan")
+    io.save_recording(EegRecording(rec.montage, rec.fs, data, rec.events),
+                      tmp_path / "nan.eegb")
+    cfg = tmp_path / "nan.json"
+    cfg.write_text(json.dumps({**json.loads(TINY.read_text()),
+                               "input": str(tmp_path / "nan.eegb")}))
+    assert run("--config", cfg, "--out", tmp_path, "preprocess") == 0
+    assert run("--config", cfg, "--out", tmp_path, "stats") == 3
+    stat_map = tmp_path / "stat_map.csv"
+    assert not stat_map.exists() or ",1\n" not in stat_map.read_text()
+
+
 # ---------------------------------------------------------------------------
 # Subcommand artifacts
 

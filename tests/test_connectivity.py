@@ -6,7 +6,8 @@ import pytest
 from vmidecode import (ChannelRanking, ConnectivityMatrix, EpochSet, Montage,
                        per_class_plv, plv_matrix, rank_channels,
                        select_channels, strong_edges)
-from vmidecode.connectivity import edges_to_csv
+from vmidecode.connectivity import (edges_to_csv, phase_factors,
+                                    plv_trial_matrices)
 from vmidecode.errors import RangeError, ShapeError
 
 from conftest import SMALL_CHANNELS, small_spec
@@ -70,6 +71,15 @@ def test_plv_trial_permutation_invariance():
     m1 = plv_matrix(_epochs(tensor)).values
     m2 = plv_matrix(_epochs(tensor[[4, 2, 6, 0, 1, 5, 3]])).values
     np.testing.assert_allclose(m1, m2, atol=1e-12)
+
+
+def test_plv_trial_matrices_batched_matches_per_trial_loop():
+    rng = np.random.default_rng(6)
+    ep = _epochs(rng.standard_normal((5, 4, 301)))
+    z = phase_factors(ep)
+    want = np.stack([np.abs(zk @ zk.conj().T / ep.n_samples) for zk in z])
+    np.testing.assert_allclose(plv_trial_matrices(ep), want, rtol=0,
+                               atol=1e-12)
 
 
 def test_plv_needs_samples():

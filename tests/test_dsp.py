@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.signal as sps
 
 from vmidecode import (EpochSet, analytic_signal, bandpass, bandpass_response,
                        downsample, ersp, fft, ifft, welch_psd)
-from vmidecode.dsp import butter_bandpass_sos, preprocess_recording
+from vmidecode.dsp import (_welch_batch, butter_bandpass_sos,
+                           preprocess_recording)
 from vmidecode.errors import EmptyInputError, RangeError
 
 
@@ -111,6 +113,13 @@ def test_analytic_signal_hilbert_pair():
     a = analytic_signal(np.sin(w * t))
     np.testing.assert_allclose(a.imag[50:-50], -np.cos(w * t)[50:-50],
                                atol=0.02)
+
+
+@pytest.mark.parametrize("n", [5, 250, 1000, 1001])
+def test_analytic_signal_matches_scipy_hilbert(n):
+    x = np.random.default_rng(n).standard_normal((3, n))
+    np.testing.assert_allclose(analytic_signal(x), sps.hilbert(x),
+                               rtol=0, atol=1e-12)
 
 
 def test_analytic_signal_too_short():
@@ -260,6 +269,19 @@ def test_welch_two_tones_two_maxima():
               and spec.power[i] > 0.01 * spec.power.max()]
     assert any(abs(f - 6.0) <= 0.5 for f in peaked)
     assert any(abs(f - 11.0) <= 0.5 for f in peaked)
+
+
+@pytest.mark.parametrize("seg", [250, 1000])
+def test_welch_batch_matches_scipy_welch(seg):
+    # the pipeline's lengths: 1000-sample epochs, 250-sample (1 s) segments
+    x = np.random.default_rng(seg).standard_normal((2, 3, 1000))
+    freqs, pxx = _welch_batch(x, 250.0, seg, 0.5)
+    hop = seg // 2
+    want_f, want = sps.welch(x, fs=250.0, window=np.hanning(seg),
+                             noverlap=seg - hop, detrend=False,
+                             scaling="density")
+    np.testing.assert_allclose(freqs, want_f, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pxx, want, rtol=1e-12, atol=0)
 
 
 def test_welch_rejects_long_segment():

@@ -81,6 +81,22 @@ def test_eval_forward_is_deterministic():
                                   net.forward(x, train=False))
 
 
+def test_network_is_freed_without_cyclic_gc():
+    # dropout's RNG factory must not refer back to the network: a cycle
+    # would keep every dead network and its activations alive until gc runs
+    import gc
+    import weakref
+    gc.disable()
+    try:
+        net = Network(reduced_model_spec(dropout=0.5), seed=0)
+        net.forward(np.zeros((2, 1, 2, 40)), train=True)
+        ref = weakref.ref(net)
+        del net
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_forward_rejects_bad_shape():
     net = Network(reduced_model_spec(), seed=0)
     with pytest.raises(ShapeError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vmidecode import EpochSet, band_power, paired_t, permutation_test, stat_map
-from vmidecode.errors import RangeError, ShapeError
+from vmidecode.errors import DegenerateInputError, RangeError, ShapeError
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +148,20 @@ def test_permutation_validation():
         permutation_test([1, 2], [3, 4], n_perm=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_paired_tests_refuse_non_finite_input(bad):
+    # a NaN difference fails every t_perm >= t_obs comparison, which would
+    # give the add-one estimator's minimum p: a false positive
+    a, b = np.random.default_rng(7).standard_normal((2, 20))
+    a[3] = bad
+    with pytest.raises(DegenerateInputError):
+        permutation_test(a, b, n_perm=1000, seed=0)
+    with pytest.raises(DegenerateInputError):
+        permutation_test(b, a, n_perm=1000, seed=0)
+    with pytest.raises(DegenerateInputError):
+        paired_t(a, b)
+
+
 def test_permutation_deterministic_for_seed():
     rng = np.random.default_rng(6)
     a, b = rng.standard_normal((2, 30))
@@ -185,6 +199,13 @@ def test_stat_map_identical_inputs_not_significant():
     sm = stat_map(imagery, imagery, n_perm=1000, seed=0)
     assert not sm.significant.any()
     np.testing.assert_array_equal(sm.t_values, 0.0)
+
+
+def test_stat_map_refuses_nan_channel():
+    imagery, rest = _paired_sets()
+    imagery.tensor[4, 2, 100] = np.nan
+    with pytest.raises(DegenerateInputError):
+        stat_map(imagery, rest, n_perm=1000, seed=0)
 
 
 def test_stat_map_channel_reorder_permutes():

@@ -1,22 +1,18 @@
 """Command-line interface.
 
-Subcommands: synth, preprocess, connect, select, stats, ersp, psd,
-train-cnn, train-csp, sweep, report. Global flags: --config (JSON),
---seed, --out, --threads. Exit codes: 0 ok, 2 config error, 3 data error,
-4 numeric divergence.
+Each subcommand loads its inputs from the output directory, runs one stage
+of harness and writes manifest.json; report runs harness.run_pipeline, the
+in-memory chain synth, preprocess, connect, stats, psd, sweep (ersp, select
+and train-* are not part of it). Global flags: --config (JSON), --seed,
+--out. Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric divergence.
 """
 
 import argparse
 import os
 import sys
 
-import numpy as np
-
-from . import connectivity as conn_mod
-from . import dsp, harness, io, stats
-from .core import epoch_recording, synth_dataset
+from . import harness, io
 from .errors import ConfigError, DataError, DivergenceError, PipelineError
-from .neural import CnnClassifier, TrainConfig, save_network, slide_windows
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -31,9 +27,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--seed", type=int, help="override the config root seed")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads (accepted for compatibility; "
-                        "results are independent of it)")
     sub = p.add_subparsers(dest="command", required=True)
     for name in ("synth", "preprocess", "connect", "select", "stats",
                  "ersp", "psd", "train-cnn", "train-csp", "sweep", "report"):
@@ -65,132 +58,44 @@ def _out_dir(args, cfg) -> str:
     return out
 
 
-def _load_preprocessed(out):
-    path = os.path.join(out, "preprocessed.eegb")
-    if not os.path.exists(path):
-        raise DataError(f"{path} not found; run `preprocess` first")
-    return io.load_recording(path)
-
-
-def _imagery_epochs(cfg, out):
-    rec = _load_preprocessed(out)
-    return epoch_recording(rec, "imagery",
-                           tuple(cfg["epoch"]["imagery_window_ms"]))
-
-
 def _run(args) -> int:
     cfg = _load_cfg(args)
     out = _out_dir(args, cfg)
-    artifacts = []
-
-    def emit(name):
-        artifacts.append(name)
-        return os.path.join(out, name)
-
     cmd = args.command
-    if cmd == "synth":
-        rec = synth_dataset(harness.synth_from_config(cfg))
-        io.save_recording(rec, emit("recording.eegb"))
-    elif cmd == "preprocess":
-        src = cfg.get("input") or os.path.join(out, "recording.eegb")
-        if not os.path.exists(src):
-            raise DataError(f"input recording {src} not found")
-        rec = io.load_recording(src)
-        pp = cfg["preprocess"]
-        factor = pp["downsample_factor"] or max(1, rec.fs // 250)
-        rec = dsp.preprocess_recording(rec, band=tuple(pp["band"]),
-                                       factor=factor)
-        io.save_recording(rec, emit("preprocessed.eegb"))
-    elif cmd == "connect":
-        imagery = _imagery_epochs(cfg, out)
-        per_class = conn_mod.per_class_plv(imagery)
-        for c, cm in per_class.items():
-            cm.to_csv(emit(f"plv_class{c}.csv"))
-            conn_mod.edges_to_csv(
-                conn_mod.strong_edges(cm, cfg["connectivity"]["threshold"]),
-                emit(f"edges_class{c}.csv"), montage=cm.montage)
-    elif cmd == "select":
-        imagery = _imagery_epochs(cfg, out)
-        per_class = conn_mod.per_class_plv(imagery)
-        ranking = conn_mod.rank_channels(per_class.values())
-        ranking.to_csv(emit("channel_ranking.csv"))
-        sel = conn_mod.select_channels(ranking, args.k)
-        with open(emit(f"selected_{args.k}ch.txt"), "w") as f:
-            names = imagery.montage.channel_names
-            f.write("\n".join(names[i] for i in sel) + "\n")
-    elif cmd == "stats":
-        rec = _load_preprocessed(out)
-        imagery = epoch_recording(rec, "imagery",
-                                  tuple(cfg["epoch"]["imagery_window_ms"]))
-        rest = epoch_recording(rec, "rest",
-                               tuple(cfg["epoch"]["rest_window_ms"]))
-        st = cfg["stats"]
-        smap = stats.stat_map(imagery, rest, band=tuple(st["band"]),
-                              n_perm=st["n_perm"], seed=cfg["seed"],
-                              alpha=st["alpha"])
-        smap.to_csv(emit("stat_map.csv"))
-    elif cmd == "ersp":
-        rec = _load_preprocessed(out)
-        er = cfg["ersp"]
-        baseline = tuple(er["baseline_ms"])
-        span = _epoch_span(rec, baseline[0], 4500)
-        name = args.channel or er["channel"]
-        ch = rec.montage.index(name)
-        tf = dsp.ersp(span, baseline_ms=baseline,
-                      f_range=tuple(er["f_range"]), channels=[ch])[0]
-        tf.to_csv(emit(f"ersp_{name}.csv"))
-    elif cmd == "psd":
-        imagery = _imagery_epochs(cfg, out)
-        for c in sorted(set(int(l) for l in imagery.labels)):
-            idx = np.nonzero(imagery.labels == c)[0]
-            x = np.asarray(imagery.tensor[idx],
-                           dtype=np.float64).mean(axis=(0, 1))
-            dsp.welch_psd(x, imagery.fs).to_csv(emit(f"psd_class{c}.csv"))
-    elif cmd in ("train-cnn", "train-csp"):
-        imagery = _imagery_epochs(cfg, out)
-        windows = slide_windows(imagery)
-        if cmd == "train-cnn":
-            tc = TrainConfig(seed=cfg["seed"], **cfg["cnn"])
-            clf = CnnClassifier(tc).fit(windows)
-            save_network(clf.net, emit("cnn_model.eegb"), config=tc)
-        else:
-            from .csp import CspLdaClassifier, save_csp_lda
-            clf = CspLdaClassifier(m=cfg["csp"]["m"]).fit(windows)
-            save_csp_lda(clf, emit("csp_model.eegb"))
-    elif cmd == "sweep":
-        imagery = _imagery_epochs(cfg, out)
-        cv = cfg["cv"]
-        sw = cfg["sweep"]
-        tc = TrainConfig(seed=cfg["seed"], **cfg["cnn"])
-        report = harness.sweep(
-            imagery, methods=tuple(sw["methods"]),
-            channel_counts=tuple(sw["channel_counts"]),
-            folds=cv["folds"], seeds=tuple(cv["seeds"]),
-            csp_m=cfg["csp"]["m"], train_config=tc)
-        report.to_csv(emit("sweep.csv"),
-                      channel_counts=tuple(sw["channel_counts"]))
-        report.to_json(emit("report.json"))
-    elif cmd == "report":
+    if cmd == "report":
         harness.run_pipeline(cfg, out)
         return EXIT_OK
+    artifacts = []
+    emit = harness.emitter(out, artifacts)
+    if cmd == "synth":
+        harness.synth_stage(cfg, emit)
+    elif cmd == "preprocess":
+        src = cfg.get("input") or os.path.join(out, "recording.eegb")
+        harness.preprocess_stage(cfg, io.load_recording(src), emit)
+    else:
+        # a missing input file is an OSError: exit 3 like any data error
+        rec = io.load_recording(os.path.join(out, "preprocessed.eegb"))
+        if cmd == "ersp":
+            channel = args.channel or cfg["ersp"]["channel"]
+            harness.ersp_stage(cfg, rec, channel, emit)
+        else:
+            imagery, rest = harness.epoch_stage(cfg, rec)
+            if cmd == "connect":
+                harness.connect_stage(cfg, imagery, emit)
+            elif cmd == "select":
+                harness.select_stage(imagery, args.k, emit)
+            elif cmd == "stats":
+                harness.stats_stage(cfg, imagery, rest, emit)
+            elif cmd == "psd":
+                harness.psd_stage(imagery, emit)
+            elif cmd == "sweep":
+                harness.sweep_stage(cfg, imagery, emit)
+            else:
+                harness.train_stage(
+                    cfg, imagery, "cnn" if cmd == "train-cnn" else "csp_lda",
+                    emit)
     harness.write_manifest(out, cfg, artifacts)
     return EXIT_OK
-
-
-def _epoch_span(rec, start_ms, end_ms):
-    """Epochs running from start_ms (may be negative) to end_ms around onset."""
-    from .core import EpochSet, TrialTimeline
-    tl = TrialTimeline()
-    fs = rec.fs
-    onset_off = round(tl.imagery_offset_s * fs)
-    s0 = round(start_ms * fs / 1000.0)
-    s1 = round(end_ms * fs / 1000.0)
-    import numpy as _np
-    tensor = _np.stack([rec.data[:, ev + onset_off + s0: ev + onset_off + s1]
-                        for ev, _ in rec.events])
-    labels = [l for _, l in rec.events]
-    return EpochSet(_np.asarray(labels), tensor, fs, float(start_ms),
-                    montage=rec.montage)
 
 
 def main(argv=None) -> int:

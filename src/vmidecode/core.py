@@ -210,7 +210,9 @@ def epoch_recording(rec: EegRecording, phase: str, window_ms,
     window_ms is (start, end) in milliseconds relative to imagery onset,
     half-open [start, end). For phase "imagery" the window must lie inside
     [0, imagery_s*1000]; for phase "rest" inside [-rest2_s*1000, 0] (the 5 s
-    rest immediately preceding imagery).
+    rest immediately preceding imagery); for phase "onset" (a window that
+    spans imagery onset, e.g. an ERSP baseline plus the imagery) inside
+    [-rest2_s*1000, imagery_s*1000].
     """
     timeline = timeline or TrialTimeline()
     start_ms, end_ms = window_ms
@@ -220,6 +222,8 @@ def epoch_recording(rec: EegRecording, phase: str, window_ms,
         lo, hi = 0.0, timeline.imagery_s * 1000.0
     elif phase == "rest":
         lo, hi = -timeline.rest2_s * 1000.0, 0.0
+    elif phase == "onset":
+        lo, hi = -timeline.rest2_s * 1000.0, timeline.imagery_s * 1000.0
     else:
         raise RangeError(f"unknown phase {phase!r}")
     if start_ms < lo or end_ms > hi:

@@ -13,7 +13,9 @@ import numpy as np
 import scipy.linalg
 
 from .core import EpochSet
-from .errors import DegenerateInputError, RangeError, ShapeError
+from .errors import (DegenerateInputError, FormatError, RangeError,
+                     ShapeError)
+from .io import read_container, write_container
 
 RIDGE = 1e-6
 
@@ -183,46 +185,38 @@ class CspLdaClassifier:
         return scores
 
 
+_CSP_FIELDS = ("filters", "eigenvalues")
+_LDA_FIELDS = ("weights", "biases", "classes", "priors")
+
+
 def save_csp_lda(clf: CspLdaClassifier, path) -> None:
-    """Serialize an OVR CSP-LDA model to the EEGB-style container."""
-    from .io import write_container
-    arrays = []
-    layout = []
-    for csp, lda in clf.models_:
-        for arr in (csp.filters, csp.eigenvalues, lda.weights, lda.biases,
-                    lda.classes.astype(np.float64), lda.priors):
-            arrays.append(np.asarray(arr, dtype=np.float64).ravel())
-            layout.append(list(np.asarray(arr).shape))
+    """Serialize an OVR CSP-LDA model: each model's arrays by name."""
+    arrays = {}
+    for i, (csp, lda) in enumerate(clf.models_):
+        arrays.update({f"{i}.{f}": getattr(csp, f) for f in _CSP_FIELDS})
+        arrays.update({f"{i}.{f}": getattr(lda, f) for f in _LDA_FIELDS})
     header = {
         "kind": "csp-lda-checkpoint",
         "m": clf.m,
         "classes": [int(c) for c in clf.classes_],
-        "shapes": layout,
     }
-    write_container(path, header, np.concatenate(arrays).astype(np.float32))
+    write_container(path, header, arrays)
 
 
 def load_csp_lda(path) -> CspLdaClassifier:
-    from .io import read_container
-    header, payload = read_container(path)
+    header, arrays = read_container(path)
     clf = CspLdaClassifier(m=header["m"])
     clf.classes_ = np.asarray(header["classes"])
-    shapes = [tuple(s) for s in header["shapes"]]
-    arrays = []
-    offset = 0
-    for shape in shapes:
-        size = int(np.prod(shape)) if shape else 1
-        arrays.append(payload[offset:offset + size].astype(np.float64)
-                      .reshape(shape))
-        offset += size
-    clf.models_ = []
-    for i in range(0, len(arrays), 6):
-        filt, eig, w, b, cls, pri = arrays[i:i + 6]
-        csp = CspModel(filters=filt, eigenvalues=eig,
-                       n_channels=filt.shape[1], m=header["m"])
-        lda = LdaModel(weights=w, biases=b,
-                       classes=cls.astype(np.int64), priors=pri)
-        clf.models_.append((csp, lda))
+    try:
+        for i in range(clf.classes_.size):
+            csp = {f: arrays[f"{i}.{f}"] for f in _CSP_FIELDS}
+            lda = {f: arrays[f"{i}.{f}"] for f in _LDA_FIELDS}
+            clf.models_.append((
+                CspModel(**csp, n_channels=csp["filters"].shape[1],
+                         m=csp["filters"].shape[0] // 2),
+                LdaModel(**lda)))
+    except KeyError as e:
+        raise FormatError(f"{path}: checkpoint lacks array {e}") from e
     return clf
 
 

@@ -7,16 +7,19 @@ of a trial stay in the fold of their source trial.
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import connectivity as conn_mod
 from . import dsp, io, stats
-from .core import EpochSet, SynthSpec, epoch_recording, synth_dataset
-from .csp import CspLdaClassifier
+from .core import (EegRecording, EpochSet, Montage, SynthSpec,
+                   epoch_recording, synth_dataset)
+from .csp import CspLdaClassifier, save_csp_lda
 from .errors import ConfigError, RangeError, StratificationError
-from .neural import CnnClassifier, TrainConfig, predict_trial, slide_windows
+from .neural import (CnnClassifier, TrainConfig, predict_trial, save_network,
+                     slide_windows)
 from .seeding import child_rng
 
 CHANNEL_COUNTS = (2, 4, 8, 16, 20, 32, 64)
@@ -113,9 +116,7 @@ def stratified_folds(labels, n_folds: int, seed: int = 0) -> list:
 def _make_classifier(method: str, seed: int, csp_m: int,
                      train_config: TrainConfig):
     if method == "cnn":
-        cfg = train_config or TrainConfig()
-        cfg = TrainConfig(**{**cfg.__dict__, "seed": seed})
-        return CnnClassifier(cfg)
+        return CnnClassifier(replace(train_config or TrainConfig(), seed=seed))
     if method == "csp_lda":
         return CspLdaClassifier(m=csp_m)
     raise ConfigError("method", f"unknown method {method!r}")
@@ -137,52 +138,64 @@ def fold_channel_ranking(train_epochs: EpochSet):
     return conn_mod.rank_channels(per_class.values())
 
 
+def _evaluate(dataset: EpochSet, cells: list, folds: int, seeds, csp_m: int,
+              train_config: TrainConfig, win_s: float = 2.0,
+              overlap: float = 0.5) -> list:
+    """One EvalEntry per (method, k_channels) cell, all on the same folds.
+
+    k_channels None means the full montage. Each fold's channel ranking is
+    computed once, on its training trials, and shared by every cell.
+    """
+    n_ch = dataset.n_channels
+    cells = [(m, n_ch if k is None else k) for m, k in cells]
+    if any(k > n_ch for _, k in cells):
+        raise RangeError(f"k_channels {max(k for _, k in cells)} "
+                         f"exceeds montage")
+    n_classes = len(np.unique(dataset.labels))
+    accs = [[] for _ in cells]
+    confusion = [np.zeros((n_classes,) * 2, dtype=np.int64) for _ in cells]
+    for seed in seeds:
+        for test_idx in stratified_folds(dataset.labels, folds, seed=seed):
+            train_idx = np.setdiff1d(np.arange(dataset.n_trials), test_idx)
+            train_all = dataset.select(trial_idx=train_idx)
+            test_all = dataset.select(trial_idx=test_idx)
+            truth = {int(t): int(l) for t, l in
+                     zip(test_all.source_trials, test_all.labels)}
+            ranking = (fold_channel_ranking(train_all)
+                       if any(k < n_ch for _, k in cells) else None)
+            for i, (method, k) in enumerate(cells):
+                train_ep, test_ep = train_all, test_all
+                if k < n_ch:
+                    sel = conn_mod.select_channels(ranking, k)
+                    train_ep = train_ep.select(channel_idx=sel)
+                    test_ep = test_ep.select(channel_idx=sel)
+                train_w = slide_windows(train_ep, win_s=win_s, overlap=overlap)
+                test_w = slide_windows(test_ep, win_s=win_s, overlap=overlap)
+                clf = _make_classifier(method, seed, csp_m, train_config)
+                clf.fit(train_w)
+                preds = _trial_predictions(clf, test_w)
+                accs[i].append(sum(preds[t] == truth[t] for t in truth)
+                               / len(truth))
+                for t in truth:
+                    confusion[i][truth[t], preds[t]] += 1
+    config = {"folds": folds, "seeds": list(seeds), "csp_m": csp_m,
+              "win_s": win_s, "overlap": overlap}
+    return [EvalEntry(m, int(k), a, c, config=dict(config))
+            for (m, k), a, c in zip(cells, accs, confusion)]
+
+
 def cross_validate(dataset: EpochSet, method: str, k_channels: int = None,
                    folds: int = 5, seeds=(0,), csp_m: int = 2,
                    train_config: TrainConfig = None, win_s: float = 2.0,
-                   overlap: float = 0.5, precomputed_rankings=None) -> EvalEntry:
+                   overlap: float = 0.5) -> EvalEntry:
     """Stratified cross-validation with in-fold channel selection.
 
     k_channels=None (or the full montage) skips selection. seeds re-run the
     whole CV with fresh fold shuffles and model seeds; the reported spread
-    is over folds x seeds. precomputed_rankings, when given, maps
-    (seed, fold) -> ChannelRanking computed on that fold's training trials.
+    is over folds x seeds.
     """
-    n_classes = len(np.unique(dataset.labels))
-    accs = []
-    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for seed in seeds:
-        fold_idx = stratified_folds(dataset.labels, folds, seed=seed)
-        for f, test_idx in enumerate(fold_idx):
-            train_idx = np.setdiff1d(np.arange(dataset.n_trials), test_idx)
-            train_ep = dataset.select(trial_idx=train_idx)
-            test_ep = dataset.select(trial_idx=test_idx)
-            if k_channels is not None and k_channels < dataset.n_channels:
-                if precomputed_rankings is not None:
-                    ranking = precomputed_rankings[(seed, f)]
-                else:
-                    ranking = fold_channel_ranking(train_ep)
-                sel = conn_mod.select_channels(ranking, k_channels)
-                train_ep = train_ep.select(channel_idx=sel)
-                test_ep = test_ep.select(channel_idx=sel)
-            elif k_channels is not None and k_channels > dataset.n_channels:
-                raise RangeError(f"k_channels {k_channels} exceeds montage")
-            train_w = slide_windows(train_ep, win_s=win_s, overlap=overlap)
-            test_w = slide_windows(test_ep, win_s=win_s, overlap=overlap)
-            clf = _make_classifier(method, seed, csp_m, train_config)
-            clf.fit(train_w)
-            preds = _trial_predictions(clf, test_w)
-            truth = {int(t): int(l) for t, l in
-                     zip(test_ep.source_trials, test_ep.labels)}
-            correct = sum(preds[t] == truth[t] for t in truth)
-            accs.append(correct / len(truth))
-            for t in truth:
-                confusion[truth[t], preds[t]] += 1
-    k_eff = k_channels if k_channels is not None else dataset.n_channels
-    return EvalEntry(method, int(k_eff), accs, confusion,
-                     config={"folds": folds, "seeds": list(seeds),
-                             "csp_m": csp_m, "win_s": win_s,
-                             "overlap": overlap})
+    return _evaluate(dataset, [(method, k_channels)], folds, seeds, csp_m,
+                     train_config, win_s, overlap)[0]
 
 
 def sweep(dataset: EpochSet, methods=("cnn", "csp_lda"),
@@ -190,22 +203,9 @@ def sweep(dataset: EpochSet, methods=("cnn", "csp_lda"),
           csp_m: int = 2, train_config: TrainConfig = None) -> EvalReport:
     """Full method x channel-count grid; rankings are shared across cells."""
     counts = [k for k in channel_counts if k <= dataset.n_channels]
-    rankings = {}
-    if any(k < dataset.n_channels for k in counts):
-        for seed in seeds:
-            fold_idx = stratified_folds(dataset.labels, folds, seed=seed)
-            for f, test_idx in enumerate(fold_idx):
-                train_idx = np.setdiff1d(np.arange(dataset.n_trials), test_idx)
-                rankings[(seed, f)] = fold_channel_ranking(
-                    dataset.select(trial_idx=train_idx))
-    report = EvalReport()
-    for method in methods:
-        for k in counts:
-            report.entries.append(cross_validate(
-                dataset, method, k_channels=k, folds=folds, seeds=seeds,
-                csp_m=csp_m, train_config=train_config,
-                precomputed_rankings=rankings))
-    return report
+    return EvalReport(_evaluate(dataset, [(m, k) for m in methods
+                                          for k in counts],
+                                folds, seeds, csp_m, train_config))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +262,6 @@ def synth_from_config(cfg: dict) -> SynthSpec:
     s = cfg.get("synth")
     if s is None:
         raise ConfigError("synth")
-    from .core import Montage
     montage = (Montage(tuple(s["channels"])) if "channels" in s
                else Montage.default())
     try:
@@ -307,78 +306,152 @@ def write_manifest(out_dir, cfg: dict, artifacts: list) -> str:
     return path
 
 
-def run_pipeline(cfg: dict, out_dir) -> list:
-    """Synth/load -> preprocess -> connectivity -> stats -> sweep, on disk.
+# ---------------------------------------------------------------------------
+# Pipeline stages. Each takes in-memory inputs, writes its artifacts through
+# emit(name) -> path, and returns what the next stage needs. run_pipeline
+# chains them; each CLI subcommand loads its inputs and calls one.
 
-    Returns the list of artifact names written under out_dir; finishes by
-    writing manifest.json with their hashes.
-    """
-    import os
-    cfg = validate_config(cfg)
-    os.makedirs(out_dir, exist_ok=True)
-    artifacts = []
-
+def emitter(out_dir, artifacts: list):
+    """emit(name): record name in artifacts and return its path in out_dir."""
     def emit(name):
         artifacts.append(name)
         return os.path.join(str(out_dir), name)
+    return emit
 
-    # 1. data
-    if "input" in cfg:
-        rec = io.load_recording(cfg["input"])
-    else:
-        rec = synth_dataset(synth_from_config(cfg))
-        io.save_recording(rec, emit("recording.eegb"))
 
-    # 2. preprocess
-    pp = cfg["preprocess"]
-    factor = pp["downsample_factor"]
+def train_config(cfg: dict) -> TrainConfig:
+    return TrainConfig(seed=cfg["seed"], **cfg["cnn"])
+
+
+def downsample_factor(cfg: dict, fs: int) -> int:
+    """preprocess.downsample_factor; null means max(1, fs // 250)."""
+    factor = cfg["preprocess"]["downsample_factor"]
     if factor is None:
-        factor = max(1, rec.fs // 250)
-    rec = dsp.preprocess_recording(rec, band=tuple(pp["band"]), factor=factor)
+        return max(1, fs // 250)
+    if type(factor) is not int or factor < 1 or fs % factor:
+        raise ConfigError("preprocess.downsample_factor",
+                          f"preprocess.downsample_factor must be null or a "
+                          f"positive integer dividing fs={fs}, got {factor!r}")
+    return factor
+
+
+def synth_stage(cfg: dict, emit) -> EegRecording:
+    rec = synth_dataset(synth_from_config(cfg))
+    io.save_recording(rec, emit("recording.eegb"))
+    return rec
+
+
+def preprocess_stage(cfg: dict, rec: EegRecording, emit) -> EegRecording:
+    rec = dsp.preprocess_recording(
+        rec, band=tuple(cfg["preprocess"]["band"]),
+        factor=downsample_factor(cfg, rec.fs))
     io.save_recording(rec, emit("preprocessed.eegb"))
+    return rec
 
-    # 3. epochs
+
+def epoch_stage(cfg: dict, rec: EegRecording) -> tuple:
+    """(imagery, rest) epochs at the configured windows."""
     ep = cfg["epoch"]
-    imagery = epoch_recording(rec, "imagery", tuple(ep["imagery_window_ms"]))
-    rest = epoch_recording(rec, "rest", tuple(ep["rest_window_ms"]))
-    io.save_epochs(imagery, emit("imagery_epochs.eegb"))
-    io.save_epochs(rest, emit("rest_epochs.eegb"))
+    return (epoch_recording(rec, "imagery", tuple(ep["imagery_window_ms"])),
+            epoch_recording(rec, "rest", tuple(ep["rest_window_ms"])))
 
-    # 4. connectivity + channel ranking (full data; per-fold selection is
-    #    redone inside the sweep)
+
+def connect_stage(cfg: dict, imagery: EpochSet, emit) -> dict:
+    """Per-class PLV matrices and their strong edges; returns the matrices."""
     per_class = conn_mod.per_class_plv(imagery)
     for c, cm in per_class.items():
         cm.to_csv(emit(f"plv_class{c}.csv"))
         conn_mod.edges_to_csv(
             conn_mod.strong_edges(cm, cfg["connectivity"]["threshold"]),
             emit(f"edges_class{c}.csv"), montage=cm.montage)
+    return per_class
+
+
+def rank_stage(per_class: dict, emit):
+    """Full-data channel ranking (per-fold selection is redone in the sweep)."""
     ranking = conn_mod.rank_channels(per_class.values())
     ranking.to_csv(emit("channel_ranking.csv"))
+    return ranking
 
-    # 5. statistics
+
+def select_stage(imagery: EpochSet, k: int, emit) -> None:
+    """The channel ranking plus the names of its top k channels."""
+    ranking = rank_stage(conn_mod.per_class_plv(imagery), emit)
+    names = [imagery.montage.channel_names[i]
+             for i in conn_mod.select_channels(ranking, k)]
+    with open(emit(f"selected_{k}ch.txt"), "w") as f:
+        f.write("\n".join(names) + "\n")
+
+
+def stats_stage(cfg: dict, imagery: EpochSet, rest: EpochSet, emit) -> None:
     st = cfg["stats"]
     smap = stats.stat_map(imagery, rest, band=tuple(st["band"]),
                           n_perm=st["n_perm"], seed=cfg["seed"],
                           alpha=st["alpha"])
     smap.to_csv(emit("stat_map.csv"))
 
-    # 6. PSD of the imagery phase, channel-averaged per class
+
+def psd_stage(imagery: EpochSet, emit) -> None:
+    """Welch PSD of the imagery phase, channel-averaged per class."""
     for c in sorted(set(int(l) for l in imagery.labels)):
         idx = np.nonzero(imagery.labels == c)[0]
         x = np.asarray(imagery.tensor[idx], dtype=np.float64).mean(axis=(0, 1))
         dsp.welch_psd(x, imagery.fs).to_csv(emit(f"psd_class{c}.csv"))
 
-    # 7. sweep
-    cv = cfg["cv"]
-    sw = cfg["sweep"]
-    train_config = TrainConfig(seed=cfg["seed"], **cfg["cnn"])
-    report = sweep(imagery, methods=tuple(sw["methods"]),
-                   channel_counts=tuple(sw["channel_counts"]),
-                   folds=cv["folds"], seeds=tuple(cv["seeds"]),
-                   csp_m=cfg["csp"]["m"], train_config=train_config)
-    report.to_csv(emit("sweep.csv"),
-                  channel_counts=tuple(sw["channel_counts"]))
+
+def ersp_stage(cfg: dict, rec: EegRecording, channel: str, emit) -> None:
+    """ERSP map of one channel, baseline start to 4500 ms after onset."""
+    er = cfg["ersp"]
+    if channel not in rec.montage.channel_names:
+        raise ConfigError("ersp.channel", f"ersp.channel {channel!r} is not "
+                          f"in the montage")
+    baseline = tuple(er["baseline_ms"])
+    span = epoch_recording(rec, "onset", (baseline[0], 4500))
+    tf = dsp.ersp(span, baseline_ms=baseline, f_range=tuple(er["f_range"]),
+                  channels=[rec.montage.index(channel)])[0]
+    tf.to_csv(emit(f"ersp_{channel}.csv"))
+
+
+def train_stage(cfg: dict, imagery: EpochSet, method: str, emit) -> None:
+    """Fit one classifier on all imagery windows and save its checkpoint."""
+    tc = train_config(cfg) if method == "cnn" else None
+    clf = _make_classifier(method, cfg["seed"], cfg["csp"]["m"], tc)
+    clf.fit(slide_windows(imagery))
+    if method == "cnn":
+        save_network(clf.net, emit("cnn_model.eegb"), config=tc)
+    else:
+        save_csp_lda(clf, emit("csp_model.eegb"))
+
+
+def sweep_stage(cfg: dict, imagery: EpochSet, emit) -> None:
+    counts = tuple(cfg["sweep"]["channel_counts"])
+    report = sweep(imagery, methods=tuple(cfg["sweep"]["methods"]),
+                   channel_counts=counts, folds=cfg["cv"]["folds"],
+                   seeds=tuple(cfg["cv"]["seeds"]), csp_m=cfg["csp"]["m"],
+                   train_config=train_config(cfg))
+    report.to_csv(emit("sweep.csv"), channel_counts=counts)
     report.to_json(emit("report.json"))
 
+
+def run_pipeline(cfg: dict, out_dir) -> list:
+    """Synth/load -> preprocess -> connectivity -> stats -> psd -> sweep.
+
+    Returns the list of artifact names written under out_dir; finishes by
+    writing manifest.json with their hashes.
+    """
+    cfg = validate_config(cfg)
+    os.makedirs(out_dir, exist_ok=True)
+    artifacts = []
+    emit = emitter(out_dir, artifacts)
+    rec = (io.load_recording(cfg["input"]) if "input" in cfg
+           else synth_stage(cfg, emit))
+    rec = preprocess_stage(cfg, rec, emit)
+    imagery, rest = epoch_stage(cfg, rec)
+    io.save_epochs(imagery, emit("imagery_epochs.eegb"))
+    io.save_epochs(rest, emit("rest_epochs.eegb"))
+    rank_stage(connect_stage(cfg, imagery, emit), emit)
+    stats_stage(cfg, imagery, rest, emit)
+    psd_stage(imagery, emit)
+    sweep_stage(cfg, imagery, emit)
     write_manifest(out_dir, cfg, artifacts)
     return artifacts + ["manifest.json"]

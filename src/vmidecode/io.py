@@ -1,12 +1,17 @@
 """EEGB on-disk container.
 
-Layout: 4-byte magic "EEGB", 1-byte version (1), u32 little-endian length of
-a UTF-8 JSON header, the header, then a float32 little-endian payload.
-Recordings store the payload channel-major (row = channel); epoch sets store
-it trial-major. Round trips are bit-exact.
+Layout: 4-byte magic "EEGB", 1-byte version (2), u32 little-endian length of
+a UTF-8 JSON header, the header, then the payload. The header's "arrays"
+entry lists [name, dtype, shape] for each stored array; the payload is
+their raw little-endian bytes, back to back in that order. Dtypes are
+limited to float32, float64 and int64. A recording is one float32 array
+"data" (channels x samples), an epoch set one float32 array "tensor"
+(trials x channels x samples); model checkpoints store their parameters by
+name in their own dtype. Round trips are bit-exact.
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -15,23 +20,49 @@ from .core import EegRecording, EpochSet, Montage
 from .errors import CorruptionError, FormatError
 
 MAGIC = b"EEGB"
-VERSION = 1
+VERSION = 2
+DTYPES = ("<f4", "<f8", "<i8")
 
 
-def write_container(path, header: dict, payload: np.ndarray) -> None:
-    """Write a header dict + float32 payload in EEGB framing."""
+def write_container(path, header: dict, arrays: dict) -> None:
+    """Write a header dict plus named arrays in EEGB framing."""
+    arrays = {name: np.asarray(a, np.asarray(a).dtype.newbyteorder("<"))
+              for name, a in arrays.items()}
+    for name, a in arrays.items():
+        if a.dtype.str not in DTYPES:
+            raise FormatError(f"array {name!r}: dtype {a.dtype.str} "
+                              f"not one of {DTYPES}")
+    header = {**header, "arrays": [[name, a.dtype.str, list(a.shape)]
+                                   for name, a in arrays.items()]}
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    payload = np.ascontiguousarray(payload, dtype="<f4")
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(bytes([VERSION]))
         f.write(struct.pack("<I", len(raw)))
         f.write(raw)
-        f.write(payload.tobytes())
+        for a in arrays.values():
+            f.write(a.tobytes())
+
+
+def _array_specs(path, header) -> list:
+    """Validated (name, dtype, shape) triples from the header's "arrays"."""
+    try:
+        specs = [(name, dtype, tuple(shape))
+                 for name, dtype, shape in header.pop("arrays")]
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise FormatError(f"{path}: header lacks a valid \"arrays\" list") from e
+    names = [name for name, _, _ in specs]
+    for name, dtype, shape in specs:
+        if (not isinstance(name, str) or names.count(name) > 1
+                or dtype not in DTYPES
+                or not all(type(d) is int and d >= 0 for d in shape)):
+            raise FormatError(f"{path}: bad array entry "
+                              f"{[name, dtype, list(shape)]!r}")
+    return [(name, np.dtype(dtype), shape) for name, dtype, shape in specs]
 
 
 def read_container(path):
-    """Read (header, flat float32 payload) from an EEGB file."""
+    """Read (header, {name: array}) from an EEGB file."""
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < 9 or blob[:4] != MAGIC:
@@ -45,11 +76,27 @@ def read_container(path):
         header = json.loads(blob[9:9 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"{path}: unreadable header: {e}") from e
+    specs = _array_specs(path, header)
     body = blob[9 + hlen:]
-    if len(body) % 4 != 0:
-        raise CorruptionError(f"{path}: payload not a whole number of float32")
-    payload = np.frombuffer(body, dtype="<f4")
-    return header, payload
+    sizes = [dtype.itemsize * math.prod(shape) for _, dtype, shape in specs]
+    if sum(sizes) != len(body):
+        raise CorruptionError(f"{path}: header declares {sum(sizes)} payload "
+                              f"bytes, file holds {len(body)}")
+    arrays = {}
+    offset = 0
+    for (name, dtype, shape), size in zip(specs, sizes):
+        arrays[name] = np.frombuffer(body, dtype, size // dtype.itemsize,
+                                     offset).reshape(shape)
+        offset += size
+    return header, arrays
+
+
+def _array(path, arrays: dict, name: str, ndim: int) -> np.ndarray:
+    if name not in arrays:
+        raise FormatError(f"{path}: no array {name!r}")
+    if arrays[name].ndim != ndim:
+        raise FormatError(f"{path}: array {name!r} must be {ndim}-D")
+    return arrays[name]
 
 
 def save_recording(rec: EegRecording, path) -> None:
@@ -57,34 +104,23 @@ def save_recording(rec: EegRecording, path) -> None:
         "fs": int(rec.fs),
         "channel_names": list(rec.montage.channel_names),
         "unit": "uV",
-        "n_samples": int(rec.n_samples),
         "events": [{"sample": s, "label": l} for s, l in rec.events],
     }
-    write_container(path, header, rec.data)
+    write_container(path, header, {"data": np.asarray(rec.data, "<f4")})
 
 
 def load_recording(path) -> EegRecording:
-    header, payload = read_container(path)
+    header, arrays = read_container(path)
     for key in ("fs", "channel_names", "events"):
         if key not in header:
             raise FormatError(f"{path}: header missing {key!r}")
+    data = _array(path, arrays, "data", 2)
     names = header["channel_names"]
-    n_ch = len(names)
-    if "n_samples" in header:
-        n_samp = int(header["n_samples"])
-        if payload.size != n_ch * n_samp:
-            raise CorruptionError(
-                f"{path}: header claims {n_ch} x {n_samp} samples, "
-                f"payload holds {payload.size} values"
-            )
-    else:
-        if n_ch == 0 or payload.size % n_ch != 0:
-            raise CorruptionError(
-                f"{path}: payload size {payload.size} not divisible by "
-                f"{n_ch} channels"
-            )
-        n_samp = payload.size // n_ch
-    data = payload.reshape(n_ch, n_samp)
+    if data.shape[0] != len(names):
+        raise CorruptionError(
+            f"{path}: header names {len(names)} channels, "
+            f"data holds {data.shape[0]} rows"
+        )
     events = [(e["sample"], e["label"]) for e in header["events"]]
     try:
         return EegRecording(Montage(tuple(names)), int(header["fs"]), data, events)
@@ -97,33 +133,26 @@ def save_epochs(epochs: EpochSet, path) -> None:
         "fs": int(epochs.fs),
         "t0_ms": float(epochs.t0_ms),
         "labels": [int(l) for l in epochs.labels],
-        "dims": [int(d) for d in epochs.tensor.shape],
         "source_trials": [int(s) for s in epochs.source_trials],
     }
     if epochs.montage is not None:
         header["channel_names"] = list(epochs.montage.channel_names)
-    write_container(path, header, epochs.tensor)
+    write_container(path, header, {"tensor": np.asarray(epochs.tensor, "<f4")})
 
 
 def load_epochs(path) -> EpochSet:
-    header, payload = read_container(path)
-    for key in ("fs", "t0_ms", "labels", "dims"):
+    header, arrays = read_container(path)
+    for key in ("fs", "t0_ms", "labels"):
         if key not in header:
             raise FormatError(f"{path}: header missing {key!r}")
-    dims = tuple(int(d) for d in header["dims"])
-    if len(dims) != 3:
-        raise FormatError(f"{path}: dims must be [trials, channels, samples]")
-    if payload.size != int(np.prod(dims)):
-        raise CorruptionError(
-            f"{path}: header claims dims {dims}, payload holds {payload.size}"
-        )
+    tensor = _array(path, arrays, "tensor", 3)
     montage = None
     if "channel_names" in header:
         montage = Montage(tuple(header["channel_names"]))
     src = header.get("source_trials")
     try:
         return EpochSet(
-            np.asarray(header["labels"]), payload.reshape(dims),
+            np.asarray(header["labels"]), tensor,
             int(header["fs"]), float(header["t0_ms"]),
             source_trials=None if src is None else np.asarray(src),
             montage=montage,

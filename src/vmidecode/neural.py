@@ -9,7 +9,6 @@ conv + average-pool stages, ending in a 4-way softmax. All stochasticity
 """
 
 import functools
-import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -331,20 +330,14 @@ class Network:
         self.seed = seed
         self.dtype = np.dtype(dtype)
         self.layers = []
-        shape = (1, spec.n_channels, spec.input_samples)
-        flat = None
-        for li, ls in enumerate(spec.layers):
+        # the shape entering each layer
+        shapes = [(1, spec.n_channels, spec.input_samples)] + spec.shape_trace()
+        for li, (ls, shape) in enumerate(zip(spec.layers, shapes)):
             if ls.kind == "conv":
                 rng = child_rng(seed, "init", li)
                 layer = Conv(shape[0], ls.maps_out, ls.kernel, rng, self.dtype)
-                shape = (ls.maps_out,
-                         out_len(shape[1], ls.kernel[0], 1),
-                         out_len(shape[2], ls.kernel[1], 1))
             elif ls.kind == "avgpool":
                 layer = AvgPool(ls.kernel, ls.stride)
-                shape = (shape[0],
-                         out_len(shape[1], ls.kernel[0], ls.stride[0]),
-                         out_len(shape[2], ls.kernel[1], ls.stride[1]))
             elif ls.kind == "batchnorm":
                 layer = BatchNorm(shape[0], self.dtype)
             elif ls.kind == "activation":
@@ -356,11 +349,9 @@ class Network:
                     child_rng, seed, "dropout", li))
             elif ls.kind == "flatten":
                 layer = Flatten()
-                flat = int(np.prod(shape))
             elif ls.kind == "dense":
                 rng = child_rng(seed, "init", li)
-                layer = Dense(flat, ls.units, rng, self.dtype)
-                flat = ls.units
+                layer = Dense(shape, ls.units, rng, self.dtype)
             elif ls.kind == "softmax":
                 layer = Softmax()
             else:
@@ -548,11 +539,8 @@ class CnnClassifier:
 # Checkpoints
 
 def save_network(net: Network, path, config: TrainConfig = None) -> None:
-    """Model checkpoint: JSON layer specs + float32 parameter payload."""
-    arrays = [np.asarray(getattr(layer, name), dtype=np.float64).ravel()
-              for layer, name in net.state_arrays()]
-    payload = (np.concatenate(arrays) if arrays
-               else np.zeros(0)).astype(np.float32)
+    """Model checkpoint: JSON layer specs + the state arrays, each named
+    '<position in state_arrays()>.<attribute>'."""
     header = {
         "kind": "cnn-checkpoint",
         "seed": int(net.seed),
@@ -561,22 +549,21 @@ def save_network(net: Network, path, config: TrainConfig = None) -> None:
         "layers": [asdict(ls) for ls in net.spec.layers],
         "config": asdict(config) if config is not None else None,
     }
-    write_container(path, header, payload)
+    write_container(path, header, {
+        f"{i}.{name}": getattr(layer, name)
+        for i, (layer, name) in enumerate(net.state_arrays())})
 
 
 def load_network(path) -> Network:
-    header, payload = read_container(path)
+    header, arrays = read_container(path)
     layers = [LayerSpec(**{**d, "kernel": tuple(d["kernel"]),
                            "stride": tuple(d["stride"])})
               for d in header["layers"]]
     spec = ModelSpec(layers, header["n_channels"], header["input_samples"])
     net = Network(spec, seed=header["seed"])
-    offset = 0
-    for layer, name in net.state_arrays():
-        arr = getattr(layer, name)
-        chunk = payload[offset:offset + arr.size]
-        if chunk.size != arr.size:
-            raise ShapeError(f"{path}: checkpoint payload too short")
-        setattr(layer, name, chunk.reshape(arr.shape).astype(arr.dtype))
-        offset += arr.size
+    for i, (layer, name) in enumerate(net.state_arrays()):
+        key, arr = f"{i}.{name}", getattr(layer, name)
+        if key not in arrays or arrays[key].shape != arr.shape:
+            raise ShapeError(f"{path}: checkpoint lacks a {arr.shape} {key!r}")
+        setattr(layer, name, arrays[key].astype(arr.dtype))
     return net

@@ -165,3 +165,50 @@ def test_seed_override_changes_hashes(tmp_path):
     m2 = json.loads((out2 / "manifest.json").read_text())
     assert m1["artifacts"]["recording.eegb"] != m2["artifacts"]["recording.eegb"]
     assert m2["seed"] == 8
+
+
+# ---------------------------------------------------------------------------
+# One code path per stage
+
+def test_stages_one_by_one_match_report(tmp_path):
+    stages, full = tmp_path / "stages", tmp_path / "report"
+    listed = set()
+    for cmd in (["synth"], ["preprocess"], ["connect"], ["select", "-k", "8"],
+                ["stats"], ["psd"], ["sweep"]):
+        assert run("--config", TINY, "--out", stages, *cmd) == 0
+        listed |= set(json.loads(
+            (stages / "manifest.json").read_text())["artifacts"])
+    assert run("--config", TINY, "--out", full, "report") == 0
+    both = ({p.name for p in stages.iterdir()}
+            & {p.name for p in full.iterdir()}) - {"manifest.json"}
+    assert len(both) == 18
+    for name in sorted(both):
+        assert (stages / name).read_bytes() == (full / name).read_bytes(), name
+    reported = set(json.loads((full / "manifest.json").read_text())["artifacts"])
+    assert reported - listed == {"imagery_epochs.eegb", "rest_epochs.eegb"}
+
+
+@pytest.mark.parametrize("factor", [0, 3, 2.5])
+@pytest.mark.parametrize("command", ["preprocess", "report"])
+def test_bad_downsample_factor_is_config_error(tmp_path, capsys, command,
+                                               factor):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({**json.loads(TINY.read_text()),
+                               "preprocess": {"downsample_factor": factor}}))
+    if command == "preprocess":
+        assert run("--config", cfg, "--out", tmp_path, "synth") == 0
+    assert run("--config", cfg, "--out", tmp_path, command) == 2
+    assert "preprocess.downsample_factor" in capsys.readouterr().err
+    assert not (tmp_path / "preprocessed.eegb").exists()
+
+
+def test_unknown_ersp_channel_is_config_error(tiny_out, capsys):
+    assert run("--config", TINY, "--out", tiny_out, "ersp",
+               "--channel", "Xx") == 2
+    assert "ersp.channel" in capsys.readouterr().err
+    assert not (tiny_out / "ersp_Xx.csv").exists()
+
+
+def test_threads_flag_is_gone(tmp_path):
+    with pytest.raises(SystemExit):
+        run("--threads", 2, "--config", TINY, "--out", tmp_path, "synth")

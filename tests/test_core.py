@@ -95,6 +95,21 @@ def test_imagery_epoch_content_is_the_right_slice():
     np.testing.assert_array_equal(ep.tensor[0], rec.data[:, onset:onset + 1000])
 
 
+def test_onset_epoch_spans_rest_and_imagery():
+    rec = _flat_recording(n_ch=8, fs=250, n_trials=3)
+    span = epoch_recording(rec, "onset", (-500, 4500))
+    rest = epoch_recording(rec, "rest", (-500, 0))
+    imagery = epoch_recording(rec, "imagery", (0, 4500))
+    assert span.t0_ms == -500.0
+    np.testing.assert_array_equal(
+        span.tensor, np.concatenate([rest.tensor, imagery.tensor], axis=-1))
+    np.testing.assert_array_equal(span.labels, imagery.labels)
+    with pytest.raises(RangeError):
+        epoch_recording(rec, "onset", (-5500, 4500))    # before rest phase
+    with pytest.raises(RangeError):
+        epoch_recording(rec, "onset", (-500, 5500))     # past imagery end
+
+
 def test_epoch_window_errors():
     rec = _flat_recording(n_ch=8, fs=250, n_trials=1)
     with pytest.raises(RangeError):

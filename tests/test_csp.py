@@ -191,9 +191,33 @@ def test_ovr_model_round_trip(tmp_path):
     path = tmp_path / "csp.eegb"
     save_csp_lda(clf, path)
     back = load_csp_lda(path)
-    # checkpoint payload is float32, so compare relatively
-    np.testing.assert_allclose(back.predict_scores(windows),
-                               clf.predict_scores(windows), rtol=1e-5)
+    # every array is stored in its own dtype, so the reload is exact
+    np.testing.assert_array_equal(back.predict_scores(windows),
+                                  clf.predict_scores(windows))
+    for (c0, l0), (c1, l1) in zip(clf.models_, back.models_):
+        assert (c1.m, c1.n_channels) == (c0.m, c0.n_channels)
+        for a, b in ((c0.filters, c1.filters),
+                     (c0.eigenvalues, c1.eigenvalues),
+                     (l0.weights, l1.weights), (l0.biases, l1.biases),
+                     (l0.classes, l1.classes), (l0.priors, l1.priors)):
+            assert b.dtype == a.dtype
+            np.testing.assert_array_equal(b, a)
+
+
+def test_csp_and_cnn_checkpoints_share_the_container(tmp_path):
+    from vmidecode import build_model, Network, save_network
+    from vmidecode.io import read_container
+    clf = CspLdaClassifier(m=1).fit(_four_class_windows())
+    save_csp_lda(clf, tmp_path / "csp.eegb")
+    header, arrays = read_container(tmp_path / "csp.eegb")
+    assert header["kind"] == "csp-lda-checkpoint"
+    assert arrays["0.filters"].dtype == np.float64
+    assert arrays["0.classes"].dtype == np.int64
+    save_network(Network(build_model(2), seed=0),
+                 tmp_path / "cnn.eegb")
+    header, arrays = read_container(tmp_path / "cnn.eegb")
+    assert header["kind"] == "cnn-checkpoint"
+    assert arrays["0.w"].dtype == np.float32
 
 
 def test_lda_scores_shape():

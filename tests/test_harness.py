@@ -7,7 +7,7 @@ import pytest
 
 from vmidecode import (EpochSet, EvalEntry, EvalReport, TrainConfig,
                        cross_validate, format_cell, stratified_folds, sweep)
-from vmidecode.errors import ConfigError, StratificationError
+from vmidecode.errors import ConfigError, RangeError, StratificationError
 from vmidecode.harness import (DEFAULT_CONFIG, load_config, synth_from_config,
                                validate_config, write_manifest)
 
@@ -101,6 +101,25 @@ def test_cross_validate_seeds_multiply_folds():
     entry = cross_validate(ep, "csp_lda", k_channels=None, folds=2,
                            seeds=(0, 1, 2))
     assert len(entry.fold_accuracies) == 6
+
+
+def test_cross_validate_k_above_montage_is_range_error():
+    with pytest.raises(RangeError):
+        cross_validate(_variance_epochs(n_per_class=4), "csp_lda",
+                       k_channels=9, folds=2)
+
+
+def test_sweep_cells_equal_cross_validate():
+    ep = _variance_epochs(n_per_class=4)
+    report = sweep(ep, methods=("csp_lda",), channel_counts=(2, 4, 8, 16),
+                   folds=2, seeds=(0, 1), csp_m=1)
+    assert [e.k_channels for e in report.entries] == [2, 4, 8]
+    for e in report.entries:
+        alone = cross_validate(ep, "csp_lda", k_channels=e.k_channels,
+                               folds=2, seeds=(0, 1), csp_m=1)
+        assert e.fold_accuracies == alone.fold_accuracies
+        np.testing.assert_array_equal(e.confusion, alone.confusion)
+        assert e.config == alone.config
 
 
 def test_cross_validate_unknown_method():

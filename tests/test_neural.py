@@ -310,9 +310,13 @@ def test_checkpoint_round_trip(tmp_path):
     path = tmp_path / "model.eegb"
     save_network(net, path, config=cfg)
     back = load_network(path)
+    for (layer, name), (layer_b, _) in zip(net.state_arrays(),
+                                           back.state_arrays()):
+        assert getattr(layer_b, name).dtype == getattr(layer, name).dtype
+        np.testing.assert_array_equal(getattr(layer_b, name),
+                                      getattr(layer, name))
     x = windows.tensor[:5]
-    np.testing.assert_allclose(predict_proba(back, x), predict_proba(net, x),
-                               atol=1e-6)
+    np.testing.assert_array_equal(predict_proba(back, x), predict_proba(net, x))
 
 
 def test_cnn_classifier_fit_predict():

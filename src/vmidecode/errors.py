@@ -50,8 +50,27 @@ class StratificationError(DataError):
 
 
 class DivergenceError(PipelineError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or non-finite weights.
 
-    def __init__(self, epoch, message=None):
+    Carries the epoch, the last finite training loss (None when the first
+    batch diverged) and the channel count; cross-validation adds its seed and
+    fold.
+    """
+
+    def __init__(self, epoch, last_loss=None, n_channels=None, cv_seed=None,
+                 fold=None):
         self.epoch = epoch
-        super().__init__(message or f"non-finite loss at epoch {epoch}")
+        self.last_loss = last_loss
+        self.n_channels = n_channels
+        self.cv_seed = cv_seed
+        self.fold = fold
+        super().__init__(epoch)
+
+    def __str__(self):
+        where = [f"{name} {value}" for name, value in (
+            ("cv seed", self.cv_seed), ("fold", self.fold),
+            ("channels", self.n_channels)) if value is not None]
+        last = "none" if self.last_loss is None else f"{self.last_loss:.6g}"
+        return (f"training diverged at epoch {self.epoch}"
+                + (f" ({', '.join(where)})" if where else "")
+                + f"; last finite loss {last}")

@@ -17,7 +17,8 @@ from . import dsp, io, stats
 from .core import (EegRecording, EpochSet, Montage, SynthSpec,
                    epoch_recording, synth_dataset)
 from .csp import CspLdaClassifier, save_csp_lda
-from .errors import ConfigError, RangeError, StratificationError
+from .errors import (ConfigError, DivergenceError, RangeError,
+                     StratificationError)
 from .neural import (CnnClassifier, TrainConfig, predict_trial, save_network,
                      slide_windows)
 from .seeding import child_rng
@@ -155,7 +156,8 @@ def _evaluate(dataset: EpochSet, cells: list, folds: int, seeds, csp_m: int,
     accs = [[] for _ in cells]
     confusion = [np.zeros((n_classes,) * 2, dtype=np.int64) for _ in cells]
     for seed in seeds:
-        for test_idx in stratified_folds(dataset.labels, folds, seed=seed):
+        for fold, test_idx in enumerate(
+                stratified_folds(dataset.labels, folds, seed=seed)):
             train_idx = np.setdiff1d(np.arange(dataset.n_trials), test_idx)
             train_all = dataset.select(trial_idx=train_idx)
             test_all = dataset.select(trial_idx=test_idx)
@@ -172,8 +174,11 @@ def _evaluate(dataset: EpochSet, cells: list, folds: int, seeds, csp_m: int,
                 train_w = slide_windows(train_ep, win_s=win_s, overlap=overlap)
                 test_w = slide_windows(test_ep, win_s=win_s, overlap=overlap)
                 clf = _make_classifier(method, seed, csp_m, train_config)
-                clf.fit(train_w)
-                preds = _trial_predictions(clf, test_w)
+                try:
+                    preds = _trial_predictions(clf.fit(train_w), test_w)
+                except DivergenceError as e:
+                    e.cv_seed, e.fold = seed, fold
+                    raise
                 accs[i].append(sum(preds[t] == truth[t] for t in truth)
                                / len(truth))
                 for t in truth:
@@ -250,11 +255,14 @@ def validate_config(cfg: dict) -> dict:
             raise ConfigError(key, f"unknown config key {key!r}")
     merged = {}
     for key, default in DEFAULT_CONFIG.items():
+        if not isinstance(cfg.get(key, {}), dict):
+            raise ConfigError(key, f"config key {key!r} must be an object")
         merged[key] = {**default, **cfg.get(key, {})}
     merged["seed"] = cfg["seed"]
     for key in ("out", "synth", "input"):
         if key in cfg:
             merged[key] = cfg[key]
+    train_config(merged)  # a bad cnn section fails before any stage runs
     return merged
 
 
@@ -319,19 +327,45 @@ def emitter(out_dir, artifacts: list):
     return emit
 
 
+# cnn.<key> -> (value kind, validity test, what a valid value is)
+CNN_RULES = {
+    "lr": (float, lambda v: v > 0, "a number > 0"),
+    "batch_size": (int, lambda v: v >= 1, "an integer >= 1"),
+    "epochs": (int, lambda v: v >= 1, "an integer >= 1"),
+    "dropout": (float, lambda v: 0 <= v < 1, "a number in [0, 1)"),
+    "patience": (int, lambda v: v >= 1, "an integer >= 1"),
+    "min_delta": (float, lambda v: v >= 0, "a number >= 0"),
+    "optimizer": (str, lambda v: v == "adam", '"adam"'),
+}
+
+
 def train_config(cfg: dict) -> TrainConfig:
+    """The cnn section as a TrainConfig; ConfigError names a bad cnn.<key>."""
+    for key, value in cfg["cnn"].items():
+        if key not in CNN_RULES:
+            raise ConfigError(f"cnn.{key}", f"unknown config key 'cnn.{key}'")
+        kind, valid, wanted = CNN_RULES[key]
+        kinds = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, kinds) \
+                or not valid(value):
+            raise ConfigError(f"cnn.{key}",
+                              f"cnn.{key} must be {wanted}, got {value!r}")
     return TrainConfig(seed=cfg["seed"], **cfg["cnn"])
 
 
 def downsample_factor(cfg: dict, fs: int) -> int:
-    """preprocess.downsample_factor; null means max(1, fs // 250)."""
-    factor = cfg["preprocess"]["downsample_factor"]
-    if factor is None:
-        return max(1, fs // 250)
+    """preprocess.downsample_factor; null means max(1, fs // 250).
+
+    The factor, given or automatic, must divide fs: the preprocessed
+    recording states its rate as the integer fs // factor.
+    """
+    given = cfg["preprocess"]["downsample_factor"]
+    factor = max(1, fs // 250) if given is None else given
     if type(factor) is not int or factor < 1 or fs % factor:
+        got = f"auto {factor}" if given is None else repr(given)
         raise ConfigError("preprocess.downsample_factor",
                           f"preprocess.downsample_factor must be null or a "
-                          f"positive integer dividing fs={fs}, got {factor!r}")
+                          f"positive integer dividing fs={fs}, got {got}")
     return factor
 
 

@@ -1,8 +1,12 @@
 """From-scratch tensor engine and the decoding CNN.
 
-Layers operate on batch x maps x height x width arrays with explicit
-forward/backward passes; gradients are checked against central finite
-differences in the test suite. The architecture is a temporal convolution,
+Layers operate on contiguous batch x maps x height x width arrays with
+explicit forward/backward passes; gradients are checked against central
+finite differences in the test suite. Convolutions multiply each sample's
+im2col matrix by the weights; the network's first conv computes no input
+gradient. Only a train-mode forward keeps what the backward pass needs
+(im2col matrices, centred batch-norm input, ELU output, dropout masks);
+eval mode keeps nothing. The architecture is a temporal convolution,
 a spatial convolution collapsing the channel axis, and two further
 conv + average-pool stages, ending in a 4-way softmax. All stochasticity
 (init, dropout masks, shuffling) derives from a single seed.
@@ -119,6 +123,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr < 0 or self.batch_size < 1 or self.epochs < 1:
             raise RangeError("non-positive training hyperparameter")
+        if not 0.0 <= self.dropout < 1.0:
+            raise RangeError(f"dropout {self.dropout} outside [0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +141,16 @@ class _Layer:
 
 
 class Conv(_Layer):
-    """Valid 2-D convolution (correlation), stride 1, via im2col + matmul."""
+    """Valid 2-D convolution (correlation), stride 1.
 
-    def __init__(self, maps_in, maps_out, kernel, rng, dtype):
+    Each sample's im2col matrix (kernel taps x output positions) is
+    multiplied by the weights straight into a contiguous output. It is a
+    view of the input where the geometry allows (the spatial conv), else a
+    copy, and it is kept for the weight gradient only in train mode. The
+    network's first conv (input_grad=False) returns no input gradient.
+    """
+
+    def __init__(self, maps_in, maps_out, kernel, rng, dtype, input_grad=True):
         kh, kw = kernel
         fan_in = maps_in * kh * kw
         limit = np.sqrt(6.0 / (fan_in + maps_out))
@@ -145,36 +158,51 @@ class Conv(_Layer):
                              size=(maps_out, maps_in, kh, kw)).astype(dtype)
         self.b = np.zeros(maps_out, dtype=dtype)
         self.params = ("w", "b")
+        self.input_grad = input_grad
 
     def forward(self, x, train):
         mo, mi, kh, kw = self.w.shape
         b, _, h, w_in = x.shape
         ho = out_len(h, kh, 1)
         wo = out_len(w_in, kw, 1)
-        wv = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-        cols = wv.transpose(0, 2, 3, 1, 4, 5).reshape(b * ho * wo, mi * kh * kw)
-        self._cols = cols
+        # (B, maps_in, kh, kw, ho, wo): sample i's columns are wv[i] as a matrix
+        wv = np.lib.stride_tricks.sliding_window_view(
+            x, (kh, kw), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
+        w2 = self.w.reshape(mo, -1)
+        out = np.empty((b, mo, ho * wo), dtype=np.result_type(x, self.w))
+        cols = []
+        for i in range(b):
+            c = wv[i].reshape(mi * kh * kw, ho * wo)
+            np.matmul(w2, c, out=out[i])
+            out[i] += self.b[:, None]
+            if train:
+                cols.append(c)
+        self._cols = cols if train else None
         self._x_shape = x.shape
-        out = cols @ self.w.reshape(mo, -1).T + self.b
-        return out.reshape(b, ho, wo, mo).transpose(0, 3, 1, 2)
+        return out.reshape(b, mo, ho, wo)
 
     def backward(self, grad):
         mo, mi, kh, kw = self.w.shape
         b, _, ho, wo = grad.shape
-        gmat = np.ascontiguousarray(
-            grad.transpose(0, 2, 3, 1)).reshape(b * ho * wo, mo)
-        self.dw = (gmat.T @ self._cols).reshape(self.w.shape)
-        self.db = gmat.sum(axis=0)
-        # column gradients with the batch axis contiguous, so the
-        # offset-scatter below adds contiguous slabs
-        dcols = (self.w.reshape(mo, -1).T @ gmat.T).reshape(
-            mi, kh, kw, b, ho, wo)
-        dxt = np.zeros((mi,) + (b,) + self._x_shape[2:], dtype=grad.dtype)
+        g = grad.reshape(b, mo, ho * wo)
+        self.db = g.sum(axis=(0, 2))
+        self.dw = sum(gi @ ci.T for gi, ci in zip(g, self._cols)).reshape(
+            self.w.shape)
+        self._cols = None
+        if not self.input_grad:
+            return None
+        # column gradients (B, maps_in, kh, kw, ho, wo), added back tap by tap
+        dcols = np.matmul(self.w.reshape(mo, -1).T, g).reshape(
+            b, mi, kh, kw, ho, wo)
+        if (kh == 1 or ho == 1) and (kw == 1 or wo == 1):
+            # the taps tile the input without overlap (the spatial conv):
+            # each input gradient is one column gradient
+            return dcols.transpose(0, 1, 2, 4, 3, 5).reshape(self._x_shape)
+        dx = np.zeros(self._x_shape, dtype=grad.dtype)
         for i in range(kh):
             for j in range(kw):
-                dxt[:, :, i:i + ho, j:j + wo] += dcols[:, i, j]
-        self._cols = None
-        return np.ascontiguousarray(dxt.transpose(1, 0, 2, 3))
+                dx[:, :, i:i + ho, j:j + wo] += dcols[:, :, i, j]
+        return dx
 
 
 class AvgPool(_Layer):
@@ -203,7 +231,18 @@ class AvgPool(_Layer):
         return dx
 
 
+def _per_map(v):
+    """A per-map vector shaped to broadcast over (B, maps, H, W)."""
+    return v[:, None, None]
+
+
 class BatchNorm(_Layer):
+    """Batch normalisation over (batch, height, width) per map.
+
+    Train mode keeps the centred input and the inverse deviation for the
+    backward pass; eval mode uses the running statistics and keeps nothing.
+    """
+
     def __init__(self, n_maps, dtype, eps=1e-5, momentum=0.1):
         self.gamma = np.ones(n_maps, dtype=dtype)
         self.beta = np.zeros(n_maps, dtype=dtype)
@@ -215,49 +254,67 @@ class BatchNorm(_Layer):
 
     def forward(self, x, train):
         if train:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
+            n = x.size // x.shape[1]
+            mean = np.einsum("bmhw->m", x) / n
+            xc = x - _per_map(mean)
+            var = np.einsum("bmhw,bmhw->m", xc, xc) / n
             self.running_mean = ((1 - self.momentum) * self.running_mean
                                  + self.momentum * mean)
             self.running_var = ((1 - self.momentum) * self.running_var
                                 + self.momentum * var)
         else:
-            mean = self.running_mean
+            xc = x - _per_map(self.running_mean)
             var = self.running_var
-        m = mean[None, :, None, None]
-        v = var[None, :, None, None]
-        self._ivar = 1.0 / np.sqrt(v + self.eps)
-        self._xhat = (x - m) * self._ivar
-        self._train = train
-        return self.gamma[None, :, None, None] * self._xhat \
-            + self.beta[None, :, None, None]
+        ivar = 1.0 / np.sqrt(var + self.eps)
+        # eval mode keeps no xc, so it is scaled in place
+        y = np.multiply(xc, _per_map(self.gamma * ivar),
+                        out=None if train else xc)
+        y += _per_map(self.beta)
+        self._xc, self._ivar = (xc, ivar) if train else (None, None)
+        return y
 
     def backward(self, grad):
-        xhat = self._xhat
-        self.dgamma = (grad * xhat).sum(axis=(0, 2, 3))
-        self.dbeta = grad.sum(axis=(0, 2, 3))
-        g = self.gamma[None, :, None, None]
-        if not self._train:
-            return grad * g * self._ivar
-        n = grad.shape[0] * grad.shape[2] * grad.shape[3]
-        dxhat = grad * g
-        term = (dxhat
-                - dxhat.mean(axis=(0, 2, 3), keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True))
-        return term * self._ivar
+        xc, ivar = self._xc, self._ivar
+        n = grad.size // grad.shape[1]
+        self.dbeta = np.einsum("bmhw->m", grad)
+        gxc = np.einsum("bmhw,bmhw->m", grad, xc)
+        self.dgamma = gxc * ivar
+        # dx = gamma ivar (g - mean(g) - xhat mean(g xhat)), xhat = xc ivar
+        dx = xc * _per_map(ivar * ivar * gxc / n)
+        dx += _per_map(self.dbeta / n)
+        np.subtract(grad, dx, out=dx)
+        dx *= _per_map(self.gamma * ivar)
+        self._xc = None
+        return dx
 
 
 class Elu(_Layer):
     def forward(self, x, train):
-        self._y = np.where(x > 0, x, np.expm1(x))
-        return self._y
+        # expm1(min(x, 0)) >= x wherever x <= 0, so the max picks ELU's branch
+        y = np.minimum(x, 0)
+        np.expm1(y, out=y)
+        np.maximum(x, y, out=y)
+        self._y = y if train else None
+        return y
 
     def backward(self, grad):
-        return grad * np.where(self._y > 0, 1.0, self._y + 1.0)
+        # dELU/dx = 1 for y > 0, exp(x) = y + 1 otherwise
+        d = np.minimum(self._y, 0)
+        d += 1
+        d *= grad
+        self._y = None
+        return d
 
 
 class Dropout(_Layer):
-    """Inverted dropout; masks come from the network's named RNG stream."""
+    """Inverted dropout; masks come from the network's named RNG stream.
+
+    Call c draws ``rng_factory(c).random(x.shape) >= rate`` (float64
+    uniforms, drawn in chunks; the stream is the same as one draw) and keeps
+    only the boolean mask.
+    """
+
+    CHUNK = 1 << 16
 
     def __init__(self, rate, rng_factory):
         self.rate = rate
@@ -265,18 +322,29 @@ class Dropout(_Layer):
         self._calls = 0
 
     def forward(self, x, train):
+        self._keep = None
         if not train or self.rate <= 0.0:
-            self._mask = None
             return x
         rng = self._rng_factory(self._calls)
         self._calls += 1
-        self._mask = (rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
-        return x * self._mask.astype(x.dtype)
+        keep = np.empty(x.size, dtype=bool)
+        for s in range(0, x.size, self.CHUNK):
+            u = rng.random(min(self.CHUNK, x.size - s))
+            np.greater_equal(u, self.rate, out=keep[s:s + u.size])
+        self._keep = keep.reshape(x.shape)
+        return self._scaled(x)
 
     def backward(self, grad):
-        if self._mask is None:
+        if self._keep is None:
             return grad
-        return grad * self._mask.astype(grad.dtype)
+        out = self._scaled(grad)
+        self._keep = None
+        return out
+
+    def _scaled(self, x):
+        y = x * x.dtype.type(1.0 / (1.0 - self.rate))
+        y *= self._keep
+        return y
 
 
 class Flatten(_Layer):
@@ -296,7 +364,7 @@ class Dense(_Layer):
         self.params = ("w", "b")
 
     def forward(self, x, train):
-        self._x = x
+        self._x = x if train else None
         return x @ self.w.T + self.b
 
     def backward(self, grad):
@@ -335,7 +403,9 @@ class Network:
         for li, (ls, shape) in enumerate(zip(spec.layers, shapes)):
             if ls.kind == "conv":
                 rng = child_rng(seed, "init", li)
-                layer = Conv(shape[0], ls.maps_out, ls.kernel, rng, self.dtype)
+                # nothing consumes the gradient of the network's input
+                layer = Conv(shape[0], ls.maps_out, ls.kernel, rng, self.dtype,
+                             input_grad=li > 0)
             elif ls.kind == "avgpool":
                 layer = AvgPool(ls.kernel, ls.stride)
             elif ls.kind == "batchnorm":
@@ -413,6 +483,9 @@ def loss_on_batch(net: Network, x, labels, train: bool = True) -> float:
         probs[np.arange(len(labels)), labels] + eps).mean())
 
 
+# a non-finite loss raises DivergenceError with its context; numpy's
+# overflow/invalid warnings on the way there would only repeat it on stderr
+@np.errstate(all="ignore")
 def train(net: Network, windows: EpochSet, config: TrainConfig):
     """Adam training loop with early stop on a training-loss plateau.
 
@@ -431,6 +504,7 @@ def train(net: Network, windows: EpochSet, config: TrainConfig):
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     curve = []
+    last_loss = None
     best = np.inf
     stall = 0
     for epoch in range(config.epochs):
@@ -441,8 +515,10 @@ def train(net: Network, windows: EpochSet, config: TrainConfig):
             net.forward(x[idx], train=True)
             loss = net.backward(y[idx])
             if not np.isfinite(loss):
-                raise DivergenceError(epoch)
+                raise DivergenceError(epoch, last_loss,
+                                      n_channels=windows.n_channels)
             losses.append(loss)
+            last_loss = loss
             step += 1
             for layer, name, m1, m2 in slots:
                 g = getattr(layer, "d" + name).astype(np.float64)
@@ -463,6 +539,11 @@ def train(net: Network, windows: EpochSet, config: TrainConfig):
             stall += 1
             if stall >= config.patience:
                 break
+    # the last update can overflow with every loss finite; a network with
+    # non-finite weights would still predict (argmax of NaN is class 0)
+    if not all(np.isfinite(getattr(layer, name)).all()
+               for layer, name in net.parameters()):
+        raise DivergenceError(epoch, last_loss, n_channels=windows.n_channels)
     return curve
 
 
@@ -532,7 +613,15 @@ class CnnClassifier:
         return self
 
     def predict_scores(self, windows: EpochSet) -> np.ndarray:
-        return predict_proba(self.net, windows.tensor)
+        with np.errstate(all="ignore"):
+            scores = predict_proba(self.net, windows.tensor)
+        if not np.isfinite(scores).all():
+            # finite weights whose eval-mode outputs overflow: the fit
+            # diverged even though every training loss was finite
+            raise DivergenceError(len(self.loss_curve) - 1,
+                                  self.loss_curve[-1],
+                                  n_channels=windows.n_channels)
+        return scores
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes and artifact determinism."""
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -200,6 +201,45 @@ def test_bad_downsample_factor_is_config_error(tmp_path, capsys, command,
     assert run("--config", cfg, "--out", tmp_path, command) == 2
     assert "preprocess.downsample_factor" in capsys.readouterr().err
     assert not (tmp_path / "preprocessed.eegb").exists()
+
+
+@pytest.mark.parametrize("cnn", [{"epoch": 1}, {"dropout": 1.0},
+                                 {"lr": 0}, {"batch_size": 0}, {"epochs": 0}])
+def test_bad_cnn_section_is_config_error(tmp_path, capsys, cnn):
+    cfg = tmp_path / "c.json"
+    tiny = json.loads(TINY.read_text())
+    cfg.write_text(json.dumps({**tiny, "cnn": {**tiny["cnn"], **cnn}}))
+    assert run("--config", cfg, "--out", tmp_path, "report") == 2
+    err = capsys.readouterr().err
+    assert f"cnn.{next(iter(cnn))}" in err and "Traceback" not in err
+    assert not (tmp_path / "recording.eegb").exists()
+
+
+def test_auto_downsample_factor_not_dividing_fs_is_config_error(tmp_path,
+                                                                capsys):
+    cfg = tmp_path / "c.json"
+    tiny = json.loads(TINY.read_text())
+    cfg.write_text(json.dumps({**tiny, "synth": {**tiny["synth"],
+                                                 "fs": 1001}}))
+    assert run("--config", cfg, "--out", tmp_path, "synth") == 0
+    assert run("--config", cfg, "--out", tmp_path, "preprocess") == 2
+    assert "preprocess.downsample_factor" in capsys.readouterr().err
+    assert not (tmp_path / "preprocessed.eegb").exists()
+
+
+def test_divergence_exits_4_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    tiny = json.loads(TINY.read_text())
+    cfg.write_text(json.dumps({**tiny, "cnn": {**tiny["cnn"], "lr": 1e30},
+                               "sweep": {"channel_counts": [2],
+                                         "methods": ["cnn"]}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would fail here
+        assert run("--config", cfg, "--out", tmp_path, "report") == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("divergence: training diverged at epoch 0 (cv seed 0, "
+                          "fold 0, channels 2); last finite loss ")
 
 
 def test_unknown_ersp_channel_is_config_error(tiny_out, capsys):

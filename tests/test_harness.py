@@ -7,8 +7,10 @@ import pytest
 
 from vmidecode import (EpochSet, EvalEntry, EvalReport, TrainConfig,
                        cross_validate, format_cell, stratified_folds, sweep)
-from vmidecode.errors import ConfigError, RangeError, StratificationError
-from vmidecode.harness import (DEFAULT_CONFIG, load_config, synth_from_config,
+from vmidecode.errors import (ConfigError, DivergenceError, RangeError,
+                              StratificationError)
+from vmidecode.harness import (DEFAULT_CONFIG, downsample_factor, load_config,
+                               synth_from_config, train_config,
                                validate_config, write_manifest)
 
 from conftest import small_spec
@@ -204,6 +206,72 @@ def test_validate_config_merges_defaults():
     assert cfg["cnn"]["epochs"] == 2
     assert cfg["cnn"]["lr"] == DEFAULT_CONFIG["cnn"]["lr"]
     assert cfg["cv"] == DEFAULT_CONFIG["cv"]
+
+
+def _cnn_config_error(**cnn):
+    with pytest.raises(ConfigError) as err:
+        validate_config({"seed": 1, "cnn": cnn})
+    return err.value.key
+
+
+def test_cnn_config_unknown_key():
+    assert _cnn_config_error(epoch=1) == "cnn.epoch"
+    assert _cnn_config_error(seed=3) == "cnn.seed"
+
+
+def test_cnn_config_dropout_outside_unit_interval():
+    assert _cnn_config_error(dropout=1.0) == "cnn.dropout"
+    assert _cnn_config_error(dropout=-0.1) == "cnn.dropout"
+
+
+def test_cnn_config_non_positive_lr():
+    assert _cnn_config_error(lr=0.0) == "cnn.lr"
+    assert _cnn_config_error(lr=-1e-3) == "cnn.lr"
+
+
+def test_cnn_config_non_positive_batch_size():
+    assert _cnn_config_error(batch_size=0) == "cnn.batch_size"
+    assert _cnn_config_error(batch_size=8.0) == "cnn.batch_size"
+
+
+def test_cnn_config_non_positive_epochs():
+    assert _cnn_config_error(epochs=0) == "cnn.epochs"
+    assert _cnn_config_error(epochs=True) == "cnn.epochs"
+
+
+def test_cnn_config_section_must_be_an_object():
+    with pytest.raises(ConfigError) as err:
+        validate_config({"seed": 1, "cnn": 5})
+    assert err.value.key == "cnn"
+
+
+def test_train_config_takes_valid_cnn_section():
+    cfg = validate_config({"seed": 3, "cnn": {"lr": 0.01, "dropout": 0.0}})
+    tc = train_config(cfg)
+    assert (tc.seed, tc.lr, tc.dropout) == (3, 0.01, 0.0)
+
+
+def test_auto_downsample_factor_must_divide_fs():
+    cfg = {"preprocess": {"downsample_factor": None}}
+    assert downsample_factor(cfg, 250) == 1
+    assert downsample_factor(cfg, 1000) == 4
+    with pytest.raises(ConfigError) as err:
+        downsample_factor(cfg, 1001)  # auto 4: 250.25 Hz is no integer rate
+    assert err.value.key == "preprocess.downsample_factor"
+
+
+def test_cnn_divergence_names_seed_fold_and_channels():
+    import warnings
+    ep = _variance_epochs(n_per_class=4, n_ch=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would fail here
+        with pytest.raises(DivergenceError) as err:
+            cross_validate(ep, "cnn", k_channels=2, folds=2, seeds=(5,),
+                           train_config=TrainConfig(lr=1e30, epochs=2))
+    e = err.value
+    assert (e.cv_seed, e.fold, e.n_channels, e.epoch) == (5, 0, 2, 0)
+    assert np.isfinite(e.last_loss)
+    assert "cv seed 5, fold 0, channels 2" in str(e)
 
 
 def test_load_config_bad_json(tmp_path):

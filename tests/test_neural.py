@@ -145,12 +145,118 @@ def test_avgpool_preserves_mean():
 
 def test_batchnorm_train_mode_normalizes():
     from vmidecode.neural import BatchNorm
-    bn = BatchNorm(3, np.float64)
+    bn = BatchNorm(3, np.float64)  # gamma = 1, beta = 0
     x = np.random.default_rng(7).standard_normal((8, 3, 2, 50)) * 4.0 + 2.0
-    bn.forward(x, train=True)
-    xhat = bn._xhat
-    np.testing.assert_allclose(xhat.mean(axis=(0, 2, 3)), 0.0, atol=1e-6)
-    np.testing.assert_allclose(xhat.var(axis=(0, 2, 3)), 1.0, atol=1e-3)
+    y = bn.forward(x, train=True)
+    np.testing.assert_allclose(y.mean(axis=(0, 2, 3)), 0.0, atol=1e-6)
+    np.testing.assert_allclose(y.var(axis=(0, 2, 3)), 1.0, atol=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# Kernel oracles
+
+def _direct_correlation(x, w, b):
+    """Valid stride-1 correlation by an explicit loop over every output."""
+    n, _, h, wid = x.shape
+    mo, _, kh, kw = w.shape
+    out = np.empty((n, mo, h - kh + 1, wid - kw + 1))
+    for s in range(n):
+        for m in range(mo):
+            for i in range(h - kh + 1):
+                for j in range(wid - kw + 1):
+                    out[s, m, i, j] = (x[s, :, i:i + kh, j:j + kw]
+                                       * w[m]).sum() + b[m]
+    return out
+
+
+@pytest.mark.parametrize("x_shape, w_shape", [
+    ((2, 1, 3, 140), (4, 1, 1, 125)),   # temporal
+    ((2, 5, 3, 16), (4, 5, 3, 1)),      # spatial: collapses the channels
+    ((2, 5, 1, 30), (6, 5, 1, 15)),     # the later 1x15 convs
+])
+def test_conv_forward_matches_direct_correlation(x_shape, w_shape):
+    from vmidecode.neural import Conv
+    rng = np.random.default_rng(8)
+    conv = Conv(w_shape[1], w_shape[0], w_shape[2:], rng, np.float64)
+    conv.b = rng.standard_normal(w_shape[0])
+    x = rng.standard_normal(x_shape)
+    for train in (True, False):
+        out = conv.forward(x, train)
+        assert out.flags.c_contiguous
+        np.testing.assert_allclose(out, _direct_correlation(x, conv.w, conv.b),
+                                   rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("x_shape, w_shape", [
+    ((2, 1, 3, 30), (4, 1, 1, 7)),      # overlapping taps
+    ((2, 5, 3, 16), (4, 5, 3, 1)),      # taps tiling the input
+    ((2, 5, 1, 30), (6, 5, 1, 15)),
+])
+def test_conv_input_gradient_matches_finite_differences(x_shape, w_shape):
+    from vmidecode.neural import Conv
+    rng = np.random.default_rng(12)
+    conv = Conv(w_shape[1], w_shape[0], w_shape[2:], rng, np.float64)
+    x = rng.standard_normal(x_shape)
+    r = rng.standard_normal(conv.forward(x, True).shape)
+    dx = conv.backward(r)  # gradient of sum(forward(x) * r)
+    eps = 1e-6
+    for idx in zip(*(rng.integers(0, n, size=20) for n in x_shape)):
+        xp, xm = x.copy(), x.copy()
+        xp[idx] += eps
+        xm[idx] -= eps
+        fd = ((conv.forward(xp, False) - conv.forward(xm, False)) * r).sum()
+        assert abs(fd / (2 * eps) - dx[idx]) < 1e-6
+
+
+def test_dropout_masks_follow_the_named_stream():
+    from vmidecode.neural import Dropout
+    from vmidecode.seeding import child_rng
+    spec = reduced_model_spec(dropout=0.3)
+    li = next(i for i, ls in enumerate(spec.layers) if ls.kind == "dropout")
+    net = Network(spec, seed=9)
+    drop = net.layers[li]
+    assert isinstance(drop, Dropout)
+    # more elements than one chunk of uniforms, and not a multiple of it
+    x = np.random.default_rng(9).standard_normal(
+        (3, 8, 2, Dropout.CHUNK // 20)).astype(np.float32)
+    scale = np.float32(1.0 / (1.0 - 0.3))
+    for call in range(2):
+        keep = child_rng(9, "dropout", li, call).random(x.shape) >= 0.3
+        y = drop.forward(x, train=True)
+        np.testing.assert_array_equal(y, np.where(keep, x * scale, 0.0))
+        g = drop.backward(np.ones_like(x))
+        np.testing.assert_array_equal(g, np.where(keep, scale, 0.0))
+    assert drop.forward(x, train=False) is x
+
+
+def test_first_conv_returns_no_input_gradient():
+    spec = reduced_model_spec()
+    net = Network(spec, seed=0, dtype=np.float64)
+    x = np.random.default_rng(10).standard_normal((3, 1, 2, 40))
+    convs = [layer for layer, ls in zip(net.layers, spec.layers)
+             if ls.kind == "conv"]
+    assert not convs[0].input_grad
+    assert all(c.input_grad for c in convs[1:])
+    net.forward(x, train=True)
+    assert convs[0].backward(np.zeros((3,) + spec.shape_trace()[0])) is None
+    assert convs[0].dw.shape == convs[0].w.shape
+
+
+def test_eval_forward_keeps_no_training_caches():
+    net = Network(reduced_model_spec(dropout=0.5), seed=0)
+    x = np.random.default_rng(11).standard_normal((5, 1, 2, 40))
+
+    def held(layer):
+        kept = set(layer.params) | {"running_mean", "running_var", "probs"}
+        return {name for name, v in vars(layer).items()
+                if name not in kept and isinstance(v, (np.ndarray, list))}
+
+    net.forward(x, train=True)
+    cached = {i for i, layer in enumerate(net.layers) if held(layer)}
+    kinds = {ls.kind for i, ls in enumerate(net.spec.layers) if i in cached}
+    assert {"conv", "batchnorm", "activation", "dropout", "dense"} <= kinds
+    net.forward(x, train=False)
+    assert all(not held(layer) for layer in net.layers)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +374,43 @@ def test_divergence_raises_with_epoch():
     assert err.value.epoch == 0
 
 
+def test_divergence_carries_context_and_no_numpy_warning():
+    import warnings
+    windows = _train_windows()
+    net = _small_net(seed=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would fail here
+        with pytest.raises(DivergenceError) as err:
+            train(net, windows, TrainConfig(lr=1e30, epochs=2, batch_size=8,
+                                            seed=4))
+    e = err.value
+    assert e.n_channels == 2
+    assert np.isfinite(e.last_loss)
+    assert "\n" not in str(e) and f"{e.last_loss:.6g}" in str(e)
+
+
+def test_non_finite_weights_after_the_last_step_diverge():
+    # one step whose loss is finite and whose update is not
+    windows = _train_windows()
+    net = _small_net(seed=4)
+    with pytest.raises(DivergenceError) as err:
+        train(net, windows, TrainConfig(lr=np.inf, epochs=1,
+                                        batch_size=windows.n_trials, seed=4))
+    assert err.value.epoch == 0 and np.isfinite(err.value.last_loss)
+
+
+def test_overflowing_predictions_are_divergence():
+    windows = slide_windows(_epochs(n_trials=8, n_ch=2, n_samples=1000))
+    clf = CnnClassifier(TrainConfig(epochs=1, batch_size=8, seed=4))
+    clf.fit(windows)
+    from vmidecode.neural import BatchNorm
+    bn = [layer for layer in clf.net.layers if isinstance(layer, BatchNorm)]
+    bn[-1].gamma[:] = 3e38  # finite weights whose activations overflow
+    with pytest.raises(DivergenceError) as err:
+        clf.predict_scores(windows)
+    assert err.value.last_loss == clf.loss_curve[-1]
+
+
 def test_early_stop_on_plateau():
     windows = _train_windows()
     net = _small_net(seed=5)
@@ -281,6 +424,8 @@ def test_train_config_validation():
         TrainConfig(lr=-1.0)
     with pytest.raises(RangeError):
         TrainConfig(batch_size=0)
+    with pytest.raises(RangeError):
+        TrainConfig(dropout=1.0)
 
 
 # ---------------------------------------------------------------------------

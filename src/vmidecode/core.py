@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInputError, RangeError, ShapeError
+from .errors import (DegenerateInputError, EmptyInputError, RangeError,
+                     ShapeError)
 from .seeding import child_rng
 
 # 64-electrode cap, 10/20 international system, in recording order.
@@ -250,7 +251,15 @@ def epoch_recording(rec: EegRecording, phase: str, window_ms,
         a = ev + onset_off + s0
         epochs[i] = rec.data[:, a:a + n_samp]
         labels[i] = lab
+    require_finite(epochs, f"recording's {phase} epochs")
     return EpochSet(labels, epochs, fs, float(start_ms), montage=rec.montage)
+
+
+def require_finite(samples: np.ndarray, what: str) -> None:
+    """Refuse NaN/Inf samples where data enters the pipeline: downstream
+    they end as a false divergence or a traceback instead of a data error."""
+    if not np.isfinite(samples).all():
+        raise DegenerateInputError(f"{what} hold non-finite samples")
 
 
 def _pink_noise(rng: np.random.Generator, shape) -> np.ndarray:

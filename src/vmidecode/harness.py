@@ -5,17 +5,21 @@ sliding-window augmentation happens after the fold split, and all windows
 of a trial stay in the fold of their source trial.
 """
 
+import ctypes
 import hashlib
 import json
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from . import connectivity as conn_mod
 from . import dsp, io, stats
 from .core import (EegRecording, EpochSet, Montage, SynthSpec,
-                   epoch_recording, synth_dataset)
+                   epoch_recording, require_finite, synth_dataset)
 from .csp import CspLdaClassifier, save_csp_lda
 from .errors import (ConfigError, DivergenceError, RangeError,
                      StratificationError)
@@ -145,48 +149,153 @@ def _evaluate(dataset: EpochSet, cells: list, folds: int, seeds, csp_m: int,
     """One EvalEntry per (method, k_channels) cell, all on the same folds.
 
     k_channels None means the full montage. Each fold's channel ranking is
-    computed once, on its training trials, and shared by every cell.
+    computed once, on its training trials, and shared by every cell. Every
+    (seed, fold, cell) fit is one task for _run_cells; the entries are built
+    from the tasks' predictions in task order, so they do not depend on the
+    worker count.
     """
+    require_finite(dataset.tensor, "cross-validation epochs")
     n_ch = dataset.n_channels
     cells = [(m, n_ch if k is None else k) for m, k in cells]
     if any(k > n_ch for _, k in cells):
         raise RangeError(f"k_channels {max(k for _, k in cells)} "
                          f"exceeds montage")
-    n_classes = len(np.unique(dataset.labels))
-    accs = [[] for _ in cells]
-    confusion = [np.zeros((n_classes,) * 2, dtype=np.int64) for _ in cells]
+    splits, truths = [], []
     for seed in seeds:
         for fold, test_idx in enumerate(
                 stratified_folds(dataset.labels, folds, seed=seed)):
             train_idx = np.setdiff1d(np.arange(dataset.n_trials), test_idx)
-            train_all = dataset.select(trial_idx=train_idx)
-            test_all = dataset.select(trial_idx=test_idx)
-            truth = {int(t): int(l) for t, l in
-                     zip(test_all.source_trials, test_all.labels)}
-            ranking = (fold_channel_ranking(train_all)
+            ranking = (fold_channel_ranking(dataset.select(trial_idx=train_idx))
                        if any(k < n_ch for _, k in cells) else None)
-            for i, (method, k) in enumerate(cells):
-                train_ep, test_ep = train_all, test_all
-                if k < n_ch:
-                    sel = conn_mod.select_channels(ranking, k)
-                    train_ep = train_ep.select(channel_idx=sel)
-                    test_ep = test_ep.select(channel_idx=sel)
-                train_w = slide_windows(train_ep, win_s=win_s, overlap=overlap)
-                test_w = slide_windows(test_ep, win_s=win_s, overlap=overlap)
-                clf = _make_classifier(method, seed, csp_m, train_config)
-                try:
-                    preds = _trial_predictions(clf.fit(train_w), test_w)
-                except DivergenceError as e:
-                    e.cv_seed, e.fold = seed, fold
-                    raise
-                accs[i].append(sum(preds[t] == truth[t] for t in truth)
-                               / len(truth))
-                for t in truth:
-                    confusion[i][truth[t], preds[t]] += 1
+            splits.append((seed, fold, train_idx, test_idx, ranking))
+            truths.append({int(t): int(l) for t, l in zip(
+                dataset.source_trials[test_idx], dataset.labels[test_idx])})
+    plan = _CvPlan(dataset, splits, cells, csp_m, train_config, win_s, overlap)
+    tasks = [(s, c) for s in range(len(splits)) for c in range(len(cells))]
+    n_classes = len(np.unique(dataset.labels))
+    accs = [[] for _ in cells]
+    confusion = [np.zeros((n_classes,) * 2, dtype=np.int64) for _ in cells]
+    for (s, c), preds in zip(tasks, _run_cells(plan, tasks)):
+        truth = truths[s]
+        accs[c].append(sum(preds[t] == truth[t] for t in truth) / len(truth))
+        for t in truth:
+            confusion[c][truth[t], preds[t]] += 1
     config = {"folds": folds, "seeds": list(seeds), "csp_m": csp_m,
               "win_s": win_s, "overlap": overlap}
     return [EvalEntry(m, int(k), a, c, config=dict(config))
             for (m, k), a, c in zip(cells, accs, confusion)]
+
+
+# ---------------------------------------------------------------------------
+# Cross-validation tasks and the process pool that runs them
+
+@dataclass(frozen=True)
+class _CvPlan:
+    """What every task reads: the epochs, the (seed, fold, train_idx,
+    test_idx, ranking) splits, the (method, k) cells and the fit settings."""
+    dataset: EpochSet
+    splits: list
+    cells: list
+    csp_m: int
+    train_config: TrainConfig
+    win_s: float
+    overlap: float
+
+
+def _fit_cell(plan: _CvPlan, task: tuple) -> dict:
+    """Task (split, cell): fit on the split's training trials, restricted to
+    the cell's top-k channels, and return {test trial: predicted class}."""
+    s, c = task
+    seed, fold, train_idx, test_idx, ranking = plan.splits[s]
+    method, k = plan.cells[c]
+    sel = (conn_mod.select_channels(ranking, k)
+           if k < plan.dataset.n_channels else None)
+    train_w, test_w = (
+        slide_windows(plan.dataset.select(trial_idx=idx, channel_idx=sel),
+                      win_s=plan.win_s, overlap=plan.overlap)
+        for idx in (train_idx, test_idx))
+    clf = _make_classifier(method, seed, plan.csp_m, plan.train_config)
+    try:
+        return _trial_predictions(clf.fit(train_w), test_w)
+    except DivergenceError as e:
+        e.cv_seed, e.fold = seed, fold
+        raise
+
+
+def _worker_count(n_tasks: int) -> int:
+    """One worker per CPU this process may run on, and no idle ones; one,
+    so no process is forked, where os.sched_getaffinity is missing."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_tasks)
+
+
+_BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _one_blas_thread() -> None:
+    """Cap every OpenBLAS loaded in this process at one thread, so pool
+    workers do not oversubscribe the CPUs; a no-op where none is found."""
+    try:
+        with open("/proc/self/maps") as f:
+            paths = {line.split()[-1] for line in f
+                     if "openblas" in line.lower()}
+    except OSError:
+        return
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        fn = next((getattr(lib, name) for name in _BLAS_SET_THREADS
+                   if hasattr(lib, name)), None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [ctypes.c_int], None
+            fn(1)
+
+
+_plan = None  # the _CvPlan of the pool this worker process belongs to
+
+
+def _start_worker(plan: _CvPlan) -> None:
+    global _plan
+    _plan = plan
+    _one_blas_thread()
+
+
+def _pooled_cell(task: tuple) -> dict:
+    return _fit_cell(_plan, task)
+
+
+def _run_cells(plan: _CvPlan, tasks: list) -> list:
+    """_fit_cell(plan, task) for every task, in task order.
+
+    With more than one CPU and task the tasks run in a pool of forked
+    workers. Fork (not spawn) lets the workers inherit plan, with its
+    epochs and rankings, instead of re-importing the package and unpickling
+    it; only tasks and prediction dicts cross the pipes. Tasks are submitted
+    longest first (CNN before CSP-LDA, larger k first) so that no long fit
+    starts last. Results are read in task order, so the error raised is that
+    of the earliest failing task, whichever finished first; a worker that
+    dies raises BrokenProcessPool.
+    """
+    workers = _worker_count(len(tasks))
+    if workers <= 1:
+        return list(map(partial(_fit_cell, plan), tasks))
+    longest_first = sorted(tasks, key=lambda t: (plan.cells[t[1]][0] != "cnn",
+                                                 -plan.cells[t[1]][1]))
+    with ProcessPoolExecutor(workers,
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_start_worker,
+                             initargs=(plan,)) as pool:
+        futures = {t: pool.submit(_pooled_cell, t) for t in longest_first}
+        try:
+            return [futures[t].result() for t in tasks]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def cross_validate(dataset: EpochSet, method: str, k_channels: int = None,
@@ -253,11 +362,11 @@ def validate_config(cfg: dict) -> dict:
     for key in cfg:
         if key not in known:
             raise ConfigError(key, f"unknown config key {key!r}")
-    merged = {}
-    for key, default in DEFAULT_CONFIG.items():
+    for key in (*DEFAULT_CONFIG, "synth"):
         if not isinstance(cfg.get(key, {}), dict):
             raise ConfigError(key, f"config key {key!r} must be an object")
-        merged[key] = {**default, **cfg.get(key, {})}
+    merged = {key: {**default, **cfg.get(key, {})}
+              for key, default in DEFAULT_CONFIG.items()}
     merged["seed"] = cfg["seed"]
     for key in ("out", "synth", "input"):
         if key in cfg:
@@ -335,7 +444,6 @@ CNN_RULES = {
     "dropout": (float, lambda v: 0 <= v < 1, "a number in [0, 1)"),
     "patience": (int, lambda v: v >= 1, "an integer >= 1"),
     "min_delta": (float, lambda v: v >= 0, "a number >= 0"),
-    "optimizer": (str, lambda v: v == "adam", '"adam"'),
 }
 
 

@@ -16,7 +16,7 @@ import struct
 
 import numpy as np
 
-from .core import EegRecording, EpochSet, Montage
+from .core import EegRecording, EpochSet, Montage, require_finite
 from .errors import CorruptionError, FormatError
 
 MAGIC = b"EEGB"
@@ -146,6 +146,7 @@ def load_epochs(path) -> EpochSet:
         if key not in header:
             raise FormatError(f"{path}: header missing {key!r}")
     tensor = _array(path, arrays, "tensor", 3)
+    require_finite(tensor, f"{path}: epochs")
     montage = None
     if "channel_names" in header:
         montage = Montage(tuple(header["channel_names"]))

@@ -116,7 +116,6 @@ class TrainConfig:
     epochs: int = 100
     dropout: float = 0.5
     seed: int = 0
-    optimizer: str = "adam"
     patience: int = 10
     min_delta: float = 1e-4
 

@@ -1,11 +1,13 @@
 """CLI subcommands, exit codes and artifact determinism."""
 
 import json
+import multiprocessing
 import warnings
 from pathlib import Path
 
 import pytest
 
+from vmidecode import harness
 from vmidecode.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -204,7 +206,8 @@ def test_bad_downsample_factor_is_config_error(tmp_path, capsys, command,
 
 
 @pytest.mark.parametrize("cnn", [{"epoch": 1}, {"dropout": 1.0},
-                                 {"lr": 0}, {"batch_size": 0}, {"epochs": 0}])
+                                 {"lr": 0}, {"batch_size": 0}, {"epochs": 0},
+                                 {"optimizer": "adam"}])
 def test_bad_cnn_section_is_config_error(tmp_path, capsys, cnn):
     cfg = tmp_path / "c.json"
     tiny = json.loads(TINY.read_text())
@@ -240,6 +243,63 @@ def test_divergence_exits_4_with_one_line(tmp_path, capsys):
     assert err.count("\n") == 1
     assert err.startswith("divergence: training diverged at epoch 0 (cv seed 0, "
                           "fold 0, channels 2); last finite loss ")
+
+
+def test_divergence_in_two_workers_names_the_earliest_cell(tmp_path, capsys,
+                                                          monkeypatch):
+    # the k = 4 fits start first; fold 0 at k = 2 still comes first in order
+    monkeypatch.setattr(harness, "_worker_count",
+                        lambda n_tasks: min(2, n_tasks))
+    cfg = tmp_path / "c.json"
+    tiny = json.loads(TINY.read_text())
+    cfg.write_text(json.dumps({**tiny, "cnn": {**tiny["cnn"], "lr": 1e30},
+                               "sweep": {"channel_counts": [2, 4],
+                                         "methods": ["cnn"]}}))
+    assert run("--config", cfg, "--out", tmp_path, "report") == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("divergence: training diverged at epoch 0 (cv seed 0, "
+                          "fold 0, channels 2); last finite loss ")
+    assert multiprocessing.active_children() == []
+
+
+def _nan_input_config(tmp_path) -> Path:
+    """A tiny config whose input recording has one NaN sample."""
+    from vmidecode import EegRecording, io
+    assert run("--config", TINY, "--out", tmp_path, "synth") == 0
+    rec = io.load_recording(tmp_path / "recording.eegb")
+    data = rec.data.copy()
+    data[3, 1000] = float("nan")
+    io.save_recording(EegRecording(rec.montage, rec.fs, data, rec.events),
+                      tmp_path / "nan.eegb")
+    cfg = tmp_path / "nan.json"
+    cfg.write_text(json.dumps({**json.loads(TINY.read_text()),
+                               "input": str(tmp_path / "nan.eegb")}))
+    return cfg
+
+
+@pytest.mark.parametrize("command", ["train-cnn", "train-csp", "report"])
+def test_nan_recording_is_data_error(tmp_path, capsys, command):
+    # train-cnn used to exit 4 (divergence), train-csp with a traceback
+    cfg = _nan_input_config(tmp_path)
+    if command != "report":
+        assert run("--config", cfg, "--out", tmp_path, "preprocess") == 0
+    capsys.readouterr()
+    assert run("--config", cfg, "--out", tmp_path, command) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("data error: ") and "non-finite" in err
+    assert not list(tmp_path.glob("*_model.eegb"))
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_synth_section_must_be_an_object(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({**json.loads(TINY.read_text()), "synth": 5}))
+    assert run("--config", cfg, "--out", tmp_path, "synth") == 2
+    err = capsys.readouterr().err
+    assert "synth" in err and "Traceback" not in err
+    assert not (tmp_path / "recording.eegb").exists()
 
 
 def test_unknown_ersp_channel_is_config_error(tiny_out, capsys):

@@ -5,7 +5,8 @@ import pytest
 
 from vmidecode import (DEFAULT_CHANNELS, CLASS_NAMES, EegRecording, EpochSet,
                        Montage, TrialTimeline, epoch_recording, synth_dataset)
-from vmidecode.errors import EmptyInputError, RangeError, ShapeError
+from vmidecode.errors import (DegenerateInputError, EmptyInputError,
+                              RangeError, ShapeError)
 
 from conftest import SMALL_CHANNELS, small_spec
 
@@ -130,6 +131,19 @@ def test_epoch_no_events():
                        np.zeros((8, round(tl.total_s * 250))), [])
     with pytest.raises(EmptyInputError):
         epoch_recording(rec, "imagery", (500, 4500))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_epoch_refuses_non_finite_samples(bad):
+    rec = _flat_recording(n_ch=8, fs=250, n_trials=2)
+    data = rec.data.copy()
+    onset = round(12.0 * 250)       # imagery onset of the first trial
+    data[3, onset + 10] = bad
+    rec = EegRecording(rec.montage, rec.fs, data, rec.events)
+    with pytest.raises(DegenerateInputError, match="imagery epochs"):
+        epoch_recording(rec, "imagery", (0, 4000))
+    rest = epoch_recording(rec, "rest", (-500, 0))  # the sample is not in it
+    assert np.isfinite(rest.tensor).all()
 
 
 def test_event_shuffle_permutes_epochs_identically():

@@ -1,13 +1,21 @@
 """Cross-validation harness, sweep reporting and config handling."""
 
+import ctypes
 import json
+import multiprocessing
+import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+from vmidecode import harness
 from vmidecode import (EpochSet, EvalEntry, EvalReport, TrainConfig,
                        cross_validate, format_cell, stratified_folds, sweep)
-from vmidecode.errors import (ConfigError, DivergenceError, RangeError,
+from vmidecode.errors import (ConfigError, DegenerateInputError,
+                              DivergenceError, RangeError,
                               StratificationError)
 from vmidecode.harness import (DEFAULT_CONFIG, downsample_factor, load_config,
                                synth_from_config, train_config,
@@ -239,6 +247,18 @@ def test_cnn_config_non_positive_epochs():
     assert _cnn_config_error(epochs=True) == "cnn.epochs"
 
 
+def test_cnn_config_optimizer_is_gone():
+    # it had one valid value, "adam", and training never read it
+    assert _cnn_config_error(optimizer="adam") == "cnn.optimizer"
+    assert not hasattr(TrainConfig(), "optimizer")
+
+
+def test_synth_section_must_be_an_object():
+    with pytest.raises(ConfigError) as err:
+        validate_config({"seed": 1, "synth": 5})
+    assert err.value.key == "synth"
+
+
 def test_cnn_config_section_must_be_an_object():
     with pytest.raises(ConfigError) as err:
         validate_config({"seed": 1, "cnn": 5})
@@ -272,6 +292,118 @@ def test_cnn_divergence_names_seed_fold_and_channels():
     assert (e.cv_seed, e.fold, e.n_channels, e.epoch) == (5, 0, 2, 0)
     assert np.isfinite(e.last_loss)
     assert "cv seed 5, fold 0, channels 2" in str(e)
+
+
+def test_cross_validate_refuses_non_finite_epochs():
+    ep = _variance_epochs(n_per_class=4, n_ch=4)
+    ep.tensor[5, 1, 300] = np.inf
+    with pytest.raises(DegenerateInputError, match="cross-validation epochs"):
+        cross_validate(ep, "csp_lda", k_channels=2, folds=2)
+
+
+# ---------------------------------------------------------------------------
+# CV tasks in a process pool
+
+def _force_workers(monkeypatch, workers):
+    monkeypatch.setattr(harness, "_worker_count",
+                        lambda n_tasks: min(workers, n_tasks))
+
+
+def _pool_sweep(dataset, **cnn):
+    return sweep(dataset, methods=("cnn", "csp_lda"), channel_counts=(2, 8),
+                 folds=2, seeds=(0, 1),
+                 train_config=TrainConfig(epochs=1, batch_size=16, **cnn))
+
+
+def test_sweep_report_is_byte_identical_for_1_and_2_workers(
+        small_imagery, monkeypatch, tmp_path):
+    blobs = []
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        _pool_sweep(small_imagery).to_json(tmp_path / f"r{workers}.json")
+        assert multiprocessing.active_children() == []
+        blobs.append((tmp_path / f"r{workers}.json").read_bytes())
+    assert blobs[0] == blobs[1]
+    report = json.loads(blobs[0])
+    assert [(e["method"], e["k_channels"]) for e in report] == [
+        ("cnn", 2), ("cnn", 8), ("csp_lda", 2), ("csp_lda", 8)]
+    assert all(len(e["fold_accuracies"]) == 4 for e in report)
+
+
+def test_pool_divergence_names_the_earliest_task_and_leaves_no_workers(
+        small_imagery, monkeypatch):
+    _force_workers(monkeypatch, 2)
+    with pytest.raises(DivergenceError) as err:
+        _pool_sweep(small_imagery, lr=1e30)
+    # k = 8 tasks start first, but (seed 0, fold 0, cnn k 2) comes first in
+    # task order
+    e = err.value
+    assert (e.cv_seed, e.fold, e.n_channels) == (0, 0, 2)
+    assert multiprocessing.active_children() == []
+
+
+def _fail_earliest_task_last(plan, task):
+    if task == (0, 0):
+        time.sleep(0.5)
+    raise RangeError(f"task {task}")
+
+
+def test_pool_raises_the_error_of_the_earliest_task(small_imagery,
+                                                    monkeypatch):
+    _force_workers(monkeypatch, 2)
+    monkeypatch.setattr(harness, "_fit_cell", _fail_earliest_task_last)
+    with pytest.raises(RangeError, match=r"^task \(0, 0\)$"):
+        _pool_sweep(small_imagery)
+    assert multiprocessing.active_children() == []
+
+
+def _die(plan, task):
+    os._exit(1)
+
+
+def _hung(signum, frame):
+    raise TimeoutError("sweep still waiting after 60 s")
+
+
+def test_dead_worker_is_broken_process_pool(small_imagery, monkeypatch):
+    _force_workers(monkeypatch, 2)
+    monkeypatch.setattr(harness, "_fit_cell", _die)
+    previous = signal.signal(signal.SIGALRM, _hung)
+    signal.alarm(60)  # a hang fails the test instead of the whole run
+    try:
+        with pytest.raises(BrokenProcessPool):
+            _pool_sweep(small_imagery)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+
+
+def _blas_threads_after_cap():
+    """In a worker: OpenBLAS threads after asking for 2, then capping."""
+    with open("/proc/self/maps") as f:
+        path = next(line.split()[-1] for line in f
+                    if "openblas" in line.lower())
+    lib = ctypes.CDLL(path)
+    name = next(n for n in harness._BLAS_SET_THREADS if hasattr(lib, n))
+    getattr(lib, name)(2)
+    harness._one_blas_thread()
+    get = getattr(lib, name.replace("set_num_threads", "get_num_threads"))
+    get.restype = ctypes.c_int
+    return get()
+
+
+def test_worker_blas_is_capped_at_one_thread():
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(
+            1, mp_context=multiprocessing.get_context("fork")) as pool:
+        assert pool.submit(_blas_threads_after_cap).result(timeout=60) == 1
+
+
+def test_worker_count_follows_the_affinity_mask():
+    cpus = len(os.sched_getaffinity(0))
+    assert harness._worker_count(1) == 1
+    assert harness._worker_count(10_000) == cpus
 
 
 def test_load_config_bad_json(tmp_path):

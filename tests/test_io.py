@@ -8,7 +8,8 @@ import pytest
 
 from vmidecode import (EegRecording, EpochSet, Montage, load_epochs,
                        load_recording, save_epochs, save_recording)
-from vmidecode.errors import CorruptionError, FormatError
+from vmidecode.errors import (CorruptionError, DegenerateInputError,
+                              FormatError)
 from vmidecode.io import (DTYPES, MAGIC, VERSION, read_container,
                           write_container)
 
@@ -145,6 +146,15 @@ def test_epochs_labels_tensor_mismatch(tmp_path):
     write_container(path, header,
                     {"tensor": np.zeros((2, 8, 50), dtype=np.float32)})
     with pytest.raises(CorruptionError):
+        load_epochs(path)
+
+
+def test_load_epochs_refuses_non_finite_samples(tmp_path):
+    path = tmp_path / "e.eegb"
+    tensor = np.zeros((2, 8, 50), dtype=np.float32)
+    tensor[1, 4, 7] = np.nan
+    save_epochs(EpochSet(np.array([0, 1]), tensor, 250, 0.0), path)
+    with pytest.raises(DegenerateInputError, match="non-finite"):
         load_epochs(path)
 
 

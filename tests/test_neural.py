@@ -464,6 +464,23 @@ def test_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(predict_proba(back, x), predict_proba(net, x))
 
 
+def test_checkpoint_with_an_optimizer_in_its_config_loads(tmp_path):
+    # checkpoints written while TrainConfig still had an optimizer field
+    from vmidecode.io import read_container, write_container
+    net = _small_net(seed=6)
+    path = tmp_path / "model.eegb"
+    save_network(net, path, config=TrainConfig(epochs=2, seed=6))
+    header, arrays = read_container(path)
+    assert "optimizer" not in header["config"]
+    header["config"]["optimizer"] = "adam"
+    write_container(path, header, arrays)
+    back = load_network(path)
+    for (layer, name), (layer_b, _) in zip(net.state_arrays(),
+                                           back.state_arrays()):
+        np.testing.assert_array_equal(getattr(layer_b, name),
+                                      getattr(layer, name))
+
+
 def test_cnn_classifier_fit_predict():
     ep = _epochs(n_trials=8, n_ch=2, n_samples=1000)
     windows = slide_windows(ep)

@@ -10,7 +10,7 @@ Run: python3 demos/01_synthetic_dataset.py
 
 import numpy as np
 
-from vmidecode import (Montage, SynthSpec, epoch_recording,
+from vmidecode import (Montage, SynthSpec, TrialTimeline, epoch_recording,
                        preprocess_recording, synth_dataset, welch_psd)
 
 CHANNELS = ("Fp1", "Fp2", "Cz", "Pz", "O1", "O2", "Oz", "Iz")
@@ -28,7 +28,7 @@ spec = SynthSpec(
 )
 
 rec = synth_dataset(spec)
-tl = spec.timeline
+tl = TrialTimeline()
 print(f"recording: {rec.data.shape[0]} channels x {rec.data.shape[1]} samples "
       f"at {rec.fs} Hz ({rec.data.shape[1] / rec.fs:.0f} s)")
 print(f"trial timeline: rest {tl.rest1_s:.0f} s, cue {tl.cue_s:.0f} s, "

@@ -19,14 +19,14 @@ from .core import (CLASS_NAMES, DEFAULT_CHANNELS, EegRecording, EpochSet,
                    synth_dataset)
 from .io import (load_epochs, load_recording, save_epochs, save_recording)
 from .dsp import (Spectrum, TfMap, analytic_signal, bandpass,
-                  bandpass_response, downsample, ersp, fft, ifft,
+                  bandpass_response, downsample, ersp, fft,
                   preprocess_recording, welch_psd)
 from .connectivity import (ChannelRanking, ConnectivityMatrix, per_class_plv,
                            plv_matrix, rank_channels, select_channels,
                            strong_edges)
 from .stats import (StatMap, band_power, paired_t, permutation_test, stat_map)
 from .csp import (CspLdaClassifier, CspModel, LdaModel, csp_features, csp_fit,
-                  csp_lda_4class, lda_fit, lda_predict)
+                  lda_fit, lda_predict)
 from .neural import (CnnClassifier, LayerSpec, ModelSpec, Network, TrainConfig,
                      build_model, load_network, predict_proba, predict_trial,
                      save_network, slide_windows, train)

@@ -4,12 +4,14 @@ Each subcommand loads its inputs from the output directory, runs one stage
 of harness and writes manifest.json; report runs harness.run_pipeline, the
 in-memory chain synth, preprocess, connect, stats, psd, sweep (ersp, select
 and train-* are not part of it). Global flags: --config (JSON), --seed,
---out. Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric divergence.
+--out. Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric divergence,
+5 a cross-validation worker process died.
 """
 
 import argparse
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from . import harness, io
 from .errors import ConfigError, DataError, DivergenceError, PipelineError
@@ -18,6 +20,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGENCE = 4
+EXIT_WORKER = 5
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -44,12 +47,12 @@ def _load_cfg(args) -> dict:
     if args.config is None:
         if args.seed is None:
             raise ConfigError("seed", "need --config or --seed")
-        cfg = harness.validate_config({"seed": args.seed})
+        cfg = {}
     else:
         cfg = harness.load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    return cfg
+    return harness.validate_config(cfg)  # again, with the --seed override
 
 
 def _out_dir(args, cfg) -> str:
@@ -114,6 +117,9 @@ def main(argv=None) -> int:
     except PipelineError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
+    except BrokenProcessPool as e:
+        print(f"worker error: {e}", file=sys.stderr)
+        return EXIT_WORKER
 
 
 if __name__ == "__main__":

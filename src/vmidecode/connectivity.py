@@ -141,15 +141,11 @@ def select_channels(ranking: ChannelRanking, k: int) -> list:
     return ranking.indices()[:k]
 
 
-def per_class_plv(epochs: EpochSet, classes=None) -> dict:
-    """One trial-averaged PLV matrix per class label."""
-    if classes is None:
-        classes = sorted(set(int(l) for l in epochs.labels))
+def per_class_plv(epochs: EpochSet) -> dict:
+    """One trial-averaged PLV matrix per class label, in label order."""
     trial_plv = plv_trial_matrices(epochs)
     out = {}
-    for c in classes:
+    for c in sorted(set(int(l) for l in epochs.labels)):
         idx = np.nonzero(epochs.labels == c)[0]
-        if idx.size == 0:
-            raise ShapeError(f"class {c} has no trials")
         out[c] = _mean_plv(trial_plv[idx], epochs.montage)
     return out

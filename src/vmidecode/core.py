@@ -57,26 +57,19 @@ class Montage:
         return [self.index(n) for n in names]
 
 
-@dataclass(frozen=True)
 class TrialTimeline:
     """Phase durations of one trial, in seconds.
 
-    rest -> visual cue -> rest -> imagery; 2 + 5 + 5 + 5 = 17 s total.
+    rest -> visual cue -> rest -> imagery; 2 + 5 + 5 + 5 = 17 s total. The
+    generator and the epoch cutter both read these, so they always agree.
     """
 
-    rest1_s: float = 2.0
-    cue_s: float = 5.0
-    rest2_s: float = 5.0
-    imagery_s: float = 5.0
-
-    @property
-    def total_s(self) -> float:
-        return self.rest1_s + self.cue_s + self.rest2_s + self.imagery_s
-
-    @property
-    def imagery_offset_s(self) -> float:
-        """Seconds from trial start to imagery onset."""
-        return self.rest1_s + self.cue_s + self.rest2_s
+    rest1_s = 2.0
+    cue_s = 5.0
+    rest2_s = 5.0
+    imagery_s = 5.0
+    total_s = rest1_s + cue_s + rest2_s + imagery_s
+    imagery_offset_s = rest1_s + cue_s + rest2_s  # trial start to imagery
 
 
 @dataclass
@@ -189,7 +182,6 @@ class SynthSpec:
     seed: int = 0
     fs: int = 250
     montage: Montage = field(default_factory=Montage.default)
-    timeline: TrialTimeline = field(default_factory=TrialTimeline)
 
     def __post_init__(self):
         if not 0.0 < self.coupling <= 1.0:
@@ -204,8 +196,7 @@ class SynthSpec:
                 raise RangeError(f"no carrier frequency for class {cls}")
 
 
-def epoch_recording(rec: EegRecording, phase: str, window_ms,
-                    timeline: TrialTimeline = None) -> EpochSet:
+def epoch_recording(rec: EegRecording, phase: str, window_ms) -> EpochSet:
     """Cut one epoch per event from a recording.
 
     window_ms is (start, end) in milliseconds relative to imagery onset,
@@ -215,7 +206,7 @@ def epoch_recording(rec: EegRecording, phase: str, window_ms,
     spans imagery onset, e.g. an ERSP baseline plus the imagery) inside
     [-rest2_s*1000, imagery_s*1000].
     """
-    timeline = timeline or TrialTimeline()
+    timeline = TrialTimeline()
     start_ms, end_ms = window_ms
     if end_ms <= start_ms:
         raise RangeError("window end must exceed start")
@@ -287,7 +278,7 @@ def synth_dataset(spec: SynthSpec) -> EegRecording:
     deviation of sqrt(-ln c) yields expected PLV c between a jittered pair.
     """
     fs = spec.fs
-    tl = spec.timeline
+    tl = TrialTimeline()
     montage = spec.montage
     n_ch = len(montage)
     classes = sorted(spec.planted_channels)

@@ -59,15 +59,14 @@ def csp_fit(class_a: EpochSet, class_b: EpochSet, m: int = 2) -> CspModel:
 
     Solves C_a w = lambda (C_a + C_b) w; eigenvalues lie in [0, 1] and are
     sorted descending. The returned filters whiten the composite covariance:
-    W (C_a + C_b) W^T = I.
+    W (C_a + C_b) W^T = I. m is clamped to 1..n_channels // 2.
     """
     if class_a.n_channels != class_b.n_channels:
         raise ShapeError("class epoch sets must share channels")
     if class_a.n_trials < 2 or class_b.n_trials < 2:
         raise RangeError("csp_fit needs >= 2 trials per class")
     n_ch = class_a.n_channels
-    if not 1 <= m <= n_ch // 2 or m < 1:
-        m = max(1, min(m, n_ch // 2))
+    m = max(1, min(m, n_ch // 2))
     ca = _mean_normalized_cov(np.asarray(class_a.tensor, dtype=np.float64))
     cb = _mean_normalized_cov(np.asarray(class_b.tensor, dtype=np.float64))
     comp = ca + cb
@@ -218,11 +217,3 @@ def load_csp_lda(path) -> CspLdaClassifier:
     except KeyError as e:
         raise FormatError(f"{path}: checkpoint lacks array {e}") from e
     return clf
-
-
-def csp_lda_4class(epochs: EpochSet, m: int = 2, folds: int = 5,
-                   seed: int = 0):
-    """Cross-validated 4-class OVR CSP-LDA accuracy via the shared harness."""
-    from .harness import cross_validate
-    return cross_validate(epochs, method="csp_lda", k_channels=None,
-                          folds=folds, seeds=(seed,), csp_m=m)

@@ -1,11 +1,11 @@
 """Numeric kernels: FFT, analytic signal, zero-phase band-pass, decimation,
 Welch PSD and ERSP time-frequency maps.
 
-The FFT is numpy's (pocketfft); ``fft``/``ifft`` keep the package's
-empty-input guard and complex128 output, and the tests still check them
-against a naive DFT and Parseval. Real-input stages (analytic signal, Welch,
-ERSP) take the one-sided ``rfft``. Filtering uses scipy-designed
-Butterworth biquads with our own reflect-padded forward-backward pass.
+The FFT is numpy's (pocketfft); ``fft`` keeps the package's empty-input
+guard and complex128 output, and the tests still check it against a naive
+DFT and Parseval. Real-input stages (analytic signal, Welch, ERSP) take the
+one-sided ``rfft``. Filtering uses scipy-designed Butterworth biquads with
+our own reflect-padded forward-backward pass.
 """
 
 from dataclasses import dataclass
@@ -25,14 +25,6 @@ def fft(x) -> np.ndarray:
     if x.size == 0 or x.shape[-1] == 0:
         raise EmptyInputError("fft of empty input")
     return np.fft.fft(x.astype(np.complex128))
-
-
-def ifft(x) -> np.ndarray:
-    """Inverse of :func:`fft`; ifft(fft(x)) == x to 1e-9 relative."""
-    x = np.asarray(x)
-    if x.size == 0 or x.shape[-1] == 0:
-        raise EmptyInputError("ifft of empty input")
-    return np.fft.ifft(x.astype(np.complex128))
 
 
 def analytic_signal(x) -> np.ndarray:
@@ -83,8 +75,8 @@ def _filtfilt_sos(sos: np.ndarray, x: np.ndarray, padlen: int) -> np.ndarray:
     return y
 
 
-def bandpass(x, lo_hz: float, hi_hz: float, fs: float, order: int = 4):
-    """Zero-phase Butterworth band-pass along the last axis.
+def bandpass(x, lo_hz: float, hi_hz: float, fs: float):
+    """Zero-phase order-4 Butterworth band-pass along the last axis.
 
     Applied forward then backward, so the effective magnitude response is
     the squared response of the underlying cascade and the phase is zero.
@@ -93,17 +85,17 @@ def bandpass(x, lo_hz: float, hi_hz: float, fs: float, order: int = 4):
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] == 0:
         raise EmptyInputError("bandpass of empty input")
-    sos = butter_bandpass_sos(lo_hz, hi_hz, fs, order)
-    return _filtfilt_sos(sos, x, padlen=3 * order)
+    sos = butter_bandpass_sos(lo_hz, hi_hz, fs)
+    return _filtfilt_sos(sos, x, padlen=12)
 
 
-def bandpass_response(lo_hz, hi_hz, fs, f_eval, order: int = 4):
+def bandpass_response(lo_hz, hi_hz, fs, f_eval):
     """|H(f)|^2 of the zero-phase band-pass (independent of the filter path).
 
     Evaluates the cascade's transfer polynomials at e^{-j 2 pi f / fs}; the
     forward-backward pass squares the magnitude.
     """
-    sos = butter_bandpass_sos(lo_hz, hi_hz, fs, order)
+    sos = butter_bandpass_sos(lo_hz, hi_hz, fs)
     z = np.exp(-2j * np.pi * np.atleast_1d(np.asarray(f_eval, float)) / fs)
     h = np.ones_like(z)
     for b0, b1, b2, a0, a1, a2 in sos:
@@ -111,22 +103,16 @@ def bandpass_response(lo_hz, hi_hz, fs, f_eval, order: int = 4):
     return np.abs(h) ** 2
 
 
-def downsample(x, factor: int, anti_alias: bool = False, fs: float = None):
+def downsample(x, factor: int):
     """Keep every factor-th sample along the last axis.
 
-    The caller is expected to have band-limited the signal below the new
-    Nyquist (the pipeline calls this after the 0.5-13 Hz band-pass); set
-    anti_alias=True to apply a zero-phase low-pass first (requires fs).
+    There is no anti-alias filter: the caller must have band-limited the
+    signal below the new Nyquist (the pipeline calls this after the
+    0.5-13 Hz band-pass).
     """
     if factor < 1:
         raise RangeError("downsample factor must be >= 1")
     x = np.asarray(x)
-    if anti_alias and factor > 1:
-        if fs is None:
-            raise RangeError("anti_alias requires fs")
-        sos = sps.butter(4, 0.8 * (fs / factor) / 2.0, btype="lowpass",
-                         fs=fs, output="sos")
-        x = _filtfilt_sos(sos, np.asarray(x, dtype=np.float64), padlen=24)
     return x[..., ::factor]
 
 
@@ -156,8 +142,8 @@ class Spectrum:
             f.write("\n".join(rows) + "\n")
 
 
-def _welch_batch(x: np.ndarray, fs: float, seg_len: int, overlap: float):
-    """Averaged windowed periodograms over the last axis of a batch.
+def _welch_batch(x: np.ndarray, fs: float, seg_len: int):
+    """Averaged Hann-windowed periodograms, 50% overlap, over the last axis.
 
     Returns (freqs, psd) with psd shaped like x without the last axis plus a
     frequency axis. Density scaling: integrating over [0, fs/2] recovers the
@@ -166,7 +152,7 @@ def _welch_batch(x: np.ndarray, fs: float, seg_len: int, overlap: float):
     n = x.shape[-1]
     if seg_len > n:
         raise RangeError(f"segment length {seg_len} exceeds series length {n}")
-    hop = max(1, int(round(seg_len * (1.0 - overlap))))
+    hop = max(1, int(round(seg_len * 0.5)))
     win = np.hanning(seg_len)
     u = (win ** 2).sum()
     segs = np.lib.stride_tricks.sliding_window_view(x, seg_len, axis=-1)
@@ -180,14 +166,14 @@ def _welch_batch(x: np.ndarray, fs: float, seg_len: int, overlap: float):
     return freqs, pxx
 
 
-def welch_psd(x, fs: float, seg_len: int = None, overlap: float = 0.5) -> Spectrum:
-    """Welch PSD of a single real series (Hann window, 50% overlap default)."""
+def welch_psd(x, fs: float, seg_len: int = None) -> Spectrum:
+    """Welch PSD of a single real series (Hann window, 50% overlap)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise RangeError("welch_psd expects a 1-D series")
     if seg_len is None:
         seg_len = min(int(fs), x.shape[-1])
-    freqs, pxx = _welch_batch(x, fs, seg_len, overlap)
+    freqs, pxx = _welch_batch(x, fs, seg_len)
     return Spectrum(freqs, pxx)
 
 
@@ -212,12 +198,12 @@ class TfMap:
 
 
 def ersp(epochs: EpochSet, baseline_ms=(-500.0, 0.0), f_range=(3.0, 50.0),
-         channels=None, n_times: int = 400, win: int = 256, hop: int = None):
+         channels=None):
     """Event-related spectral perturbation, one TfMap per requested channel.
 
     Short-time FFT with a Hann window; trial-averaged power is referenced to
     the mean power over the baseline window and expressed in dB; the time
-    axis is linearly resampled to exactly ``n_times`` points spanning the
+    axis is linearly resampled to exactly 400 points spanning the
     post-onset part of the epoch.
     """
     fs = epochs.fs
@@ -227,9 +213,9 @@ def ersp(epochs: EpochSet, baseline_ms=(-500.0, 0.0), f_range=(3.0, 50.0),
             f"epochs start at {t0} ms, baseline needs {baseline_ms[0]} ms"
         )
     n = epochs.n_samples
-    win = min(win, n)
-    if hop is None:
-        hop = max(1, (n - win) // (2 * n_times))
+    n_times = 400
+    win = min(256, n)
+    hop = max(1, (n - win) // (2 * n_times))
     if channels is None:
         channels = range(epochs.n_channels)
 

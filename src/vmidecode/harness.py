@@ -8,6 +8,7 @@ of a trial stay in the fold of their source trial.
 import ctypes
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -65,10 +66,8 @@ class EvalReport:
                 return e
         raise KeyError((method, k_channels))
 
-    def to_csv(self, path, channel_counts=None) -> None:
+    def to_csv(self, path, channel_counts) -> None:
         """Rows = methods, columns = channel counts, cells = 'mean% (±std)'."""
-        if channel_counts is None:
-            channel_counts = sorted({e.k_channels for e in self.entries})
         methods = []
         for e in self.entries:
             if e.method not in methods:
@@ -144,8 +143,7 @@ def fold_channel_ranking(train_epochs: EpochSet):
 
 
 def _evaluate(dataset: EpochSet, cells: list, folds: int, seeds, csp_m: int,
-              train_config: TrainConfig, win_s: float = 2.0,
-              overlap: float = 0.5) -> list:
+              train_config: TrainConfig) -> list:
     """One EvalEntry per (method, k_channels) cell, all on the same folds.
 
     k_channels None means the full montage. Each fold's channel ranking is
@@ -170,7 +168,7 @@ def _evaluate(dataset: EpochSet, cells: list, folds: int, seeds, csp_m: int,
             splits.append((seed, fold, train_idx, test_idx, ranking))
             truths.append({int(t): int(l) for t, l in zip(
                 dataset.source_trials[test_idx], dataset.labels[test_idx])})
-    plan = _CvPlan(dataset, splits, cells, csp_m, train_config, win_s, overlap)
+    plan = _CvPlan(dataset, splits, cells, csp_m, train_config)
     tasks = [(s, c) for s in range(len(splits)) for c in range(len(cells))]
     n_classes = len(np.unique(dataset.labels))
     accs = [[] for _ in cells]
@@ -181,7 +179,7 @@ def _evaluate(dataset: EpochSet, cells: list, folds: int, seeds, csp_m: int,
         for t in truth:
             confusion[c][truth[t], preds[t]] += 1
     config = {"folds": folds, "seeds": list(seeds), "csp_m": csp_m,
-              "win_s": win_s, "overlap": overlap}
+              "win_s": 2.0, "overlap": 0.5}  # slide_windows' defaults
     return [EvalEntry(m, int(k), a, c, config=dict(config))
             for (m, k), a, c in zip(cells, accs, confusion)]
 
@@ -198,8 +196,6 @@ class _CvPlan:
     cells: list
     csp_m: int
     train_config: TrainConfig
-    win_s: float
-    overlap: float
 
 
 def _fit_cell(plan: _CvPlan, task: tuple) -> dict:
@@ -211,8 +207,7 @@ def _fit_cell(plan: _CvPlan, task: tuple) -> dict:
     sel = (conn_mod.select_channels(ranking, k)
            if k < plan.dataset.n_channels else None)
     train_w, test_w = (
-        slide_windows(plan.dataset.select(trial_idx=idx, channel_idx=sel),
-                      win_s=plan.win_s, overlap=plan.overlap)
+        slide_windows(plan.dataset.select(trial_idx=idx, channel_idx=sel))
         for idx in (train_idx, test_idx))
     clf = _make_classifier(method, seed, plan.csp_m, plan.train_config)
     try:
@@ -300,8 +295,7 @@ def _run_cells(plan: _CvPlan, tasks: list) -> list:
 
 def cross_validate(dataset: EpochSet, method: str, k_channels: int = None,
                    folds: int = 5, seeds=(0,), csp_m: int = 2,
-                   train_config: TrainConfig = None, win_s: float = 2.0,
-                   overlap: float = 0.5) -> EvalEntry:
+                   train_config: TrainConfig = None) -> EvalEntry:
     """Stratified cross-validation with in-fold channel selection.
 
     k_channels=None (or the full montage) skips selection. seeds re-run the
@@ -309,7 +303,7 @@ def cross_validate(dataset: EpochSet, method: str, k_channels: int = None,
     is over folds x seeds.
     """
     return _evaluate(dataset, [(method, k_channels)], folds, seeds, csp_m,
-                     train_config, win_s, overlap)[0]
+                     train_config)[0]
 
 
 def sweep(dataset: EpochSet, methods=("cnn", "csp_lda"),
@@ -350,15 +344,56 @@ def load_config(path) -> dict:
     return validate_config(cfg)
 
 
+def _number(v) -> bool:
+    """A finite JSON number; type(), not isinstance, keeps true/false out."""
+    return type(v) is int or type(v) is float and math.isfinite(v)
+
+
+def _seed(v) -> bool:
+    """A root seed that seeding.derive_seed takes."""
+    return type(v) is int and 0 <= v < 2 ** 64
+
+
+def _list_of(test):
+    return lambda v: type(v) is list and len(v) > 0 and all(map(test, v))
+
+
+def _int_at_least(lo: int) -> tuple:
+    return lambda v: type(v) is int and v >= lo, f"an integer >= {lo}"
+
+
+# <section>.<key> -> (test that takes any JSON value, what a valid value is)
+CONFIG_RULES = {
+    "cnn.lr": (lambda v: _number(v) and v > 0, "a number > 0"),
+    "cnn.batch_size": _int_at_least(1),
+    "cnn.epochs": _int_at_least(1),
+    "cnn.dropout": (lambda v: _number(v) and 0 <= v < 1, "a number in [0, 1)"),
+    "cnn.patience": _int_at_least(1),
+    "cnn.min_delta": (lambda v: _number(v) and v >= 0, "a number >= 0"),
+    "csp.m": _int_at_least(1),
+    "cv.folds": _int_at_least(2),
+    "cv.seeds": (_list_of(_seed), "a non-empty list of integers in [0, 2^64)"),
+    "stats.band": (lambda v: _list_of(_number)(v) and len(v) == 2
+                   and 0 <= v[0] < v[1], "[lo, hi] with 0 <= lo < hi"),
+    "stats.n_perm": _int_at_least(1),
+    "stats.alpha": (lambda v: _number(v) and 0 < v < 1, "a number in (0, 1)"),
+    "sweep.channel_counts": (_list_of(lambda k: type(k) is int and k >= 1),
+                             "a non-empty list of integers >= 1"),
+    "sweep.methods": (_list_of(lambda m: m in ("cnn", "csp_lda")),
+                      "a non-empty list of 'cnn' and 'csp_lda'"),
+}
+
+
 def validate_config(cfg: dict) -> dict:
+    """cfg merged over DEFAULT_CONFIG; a ConfigError names the bad key."""
     if not isinstance(cfg, dict):
         raise ConfigError("<root>", "config must be a JSON object")
     if "seed" not in cfg:
         raise ConfigError("seed")
-    if not isinstance(cfg["seed"], int):
-        raise ConfigError("seed", "seed must be an integer")
-    known = {"seed", "out", "synth", "input", "preprocess", "epoch",
-             "connectivity", "stats", "ersp", "cnn", "csp", "cv", "sweep"}
+    if not _seed(cfg["seed"]):
+        raise ConfigError("seed", f"seed must be an integer in [0, 2^64), "
+                          f"got {cfg['seed']!r}")
+    known = {"seed", "out", "synth", "input", *DEFAULT_CONFIG}
     for key in cfg:
         if key not in known:
             raise ConfigError(key, f"unknown config key {key!r}")
@@ -371,7 +406,15 @@ def validate_config(cfg: dict) -> dict:
     for key in ("out", "synth", "input"):
         if key in cfg:
             merged[key] = cfg[key]
-    train_config(merged)  # a bad cnn section fails before any stage runs
+    for section in sorted({name.split(".")[0] for name in CONFIG_RULES}):
+        for key, value in merged[section].items():
+            name = f"{section}.{key}"
+            if name not in CONFIG_RULES:
+                raise ConfigError(name, f"unknown config key {name!r}")
+            valid, wanted = CONFIG_RULES[name]
+            if not valid(value):
+                raise ConfigError(name,
+                                  f"{name} must be {wanted}, got {value!r}")
     return merged
 
 
@@ -436,28 +479,8 @@ def emitter(out_dir, artifacts: list):
     return emit
 
 
-# cnn.<key> -> (value kind, validity test, what a valid value is)
-CNN_RULES = {
-    "lr": (float, lambda v: v > 0, "a number > 0"),
-    "batch_size": (int, lambda v: v >= 1, "an integer >= 1"),
-    "epochs": (int, lambda v: v >= 1, "an integer >= 1"),
-    "dropout": (float, lambda v: 0 <= v < 1, "a number in [0, 1)"),
-    "patience": (int, lambda v: v >= 1, "an integer >= 1"),
-    "min_delta": (float, lambda v: v >= 0, "a number >= 0"),
-}
-
-
 def train_config(cfg: dict) -> TrainConfig:
-    """The cnn section as a TrainConfig; ConfigError names a bad cnn.<key>."""
-    for key, value in cfg["cnn"].items():
-        if key not in CNN_RULES:
-            raise ConfigError(f"cnn.{key}", f"unknown config key 'cnn.{key}'")
-        kind, valid, wanted = CNN_RULES[key]
-        kinds = (int, float) if kind is float else kind
-        if isinstance(value, bool) or not isinstance(value, kinds) \
-                or not valid(value):
-            raise ConfigError(f"cnn.{key}",
-                              f"cnn.{key} must be {wanted}, got {value!r}")
+    """The cnn section of a validated config as a TrainConfig."""
     return TrainConfig(seed=cfg["seed"], **cfg["cnn"])
 
 

@@ -72,7 +72,7 @@ class ModelSpec:
         return trace
 
 
-def build_model(n_channels: int, n_classes: int = 4, input_samples: int = 500,
+def build_model(n_channels: int, input_samples: int = 500,
                 dropout: float = 0.5) -> ModelSpec:
     """The decoding CNN: 4 conv layers, 3 average pools, softmax head.
 
@@ -103,7 +103,7 @@ def build_model(n_channels: int, n_classes: int = 4, input_samples: int = 500,
         LayerSpec("activation"),
         LayerSpec("avgpool", kernel=(1, 4), stride=(1, 4)),
         LayerSpec("flatten"),
-        LayerSpec("dense", units=n_classes),
+        LayerSpec("dense", units=4),
         LayerSpec("softmax"),
     ]
     return ModelSpec(layers, n_channels, input_samples)
@@ -242,13 +242,13 @@ class BatchNorm(_Layer):
     backward pass; eval mode uses the running statistics and keeps nothing.
     """
 
-    def __init__(self, n_maps, dtype, eps=1e-5, momentum=0.1):
+    def __init__(self, n_maps, dtype):
         self.gamma = np.ones(n_maps, dtype=dtype)
         self.beta = np.zeros(n_maps, dtype=dtype)
         self.running_mean = np.zeros(n_maps, dtype=dtype)
         self.running_var = np.ones(n_maps, dtype=dtype)
-        self.eps = eps
-        self.momentum = momentum
+        self.eps = 1e-5
+        self.momentum = 0.1
         self.params = ("gamma", "beta")
 
     def forward(self, x, train):
@@ -546,13 +546,12 @@ def train(net: Network, windows: EpochSet, config: TrainConfig):
     return curve
 
 
-def predict_proba(net: Network, tensor: np.ndarray,
-                  batch_size: int = 64) -> np.ndarray:
+def predict_proba(net: Network, tensor: np.ndarray) -> np.ndarray:
     """Eval-mode class probabilities for windows shaped (n, channels, samples)."""
     x = np.asarray(tensor, dtype=net.dtype)[:, None, :, :]
     out = []
-    for start in range(0, x.shape[0], batch_size):
-        out.append(net.forward(x[start:start + batch_size], train=False))
+    for start in range(0, x.shape[0], 64):
+        out.append(net.forward(x[start:start + 64], train=False))
     return np.concatenate(out, axis=0)
 
 
@@ -598,8 +597,8 @@ def slide_windows(epochs: EpochSet, win_s: float = 2.0,
 class CnnClassifier:
     """Harness-facing wrapper: build, train and score the decoding CNN."""
 
-    def __init__(self, config: TrainConfig = None):
-        self.config = config or TrainConfig()
+    def __init__(self, config: TrainConfig):
+        self.config = config
         self.net = None
         self.loss_curve = None
 

@@ -17,20 +17,20 @@ from .errors import DegenerateInputError, RangeError, ShapeError
 from .seeding import child_rng
 
 
-def band_power(epochs: EpochSet, band_hz, seg_len: int = None) -> np.ndarray:
+def band_power(epochs: EpochSet, band_hz) -> np.ndarray:
     """Per-trial, per-channel signal power integrated over a frequency band.
 
-    Integrates the Welch PSD (Hann, 50% overlap) over [lo, hi); returns a
-    trials x channels matrix in microvolts^2.
+    Integrates the Welch PSD (Hann, 1 s segments or the whole epoch if
+    shorter, 50% overlap) over [lo, hi); returns a trials x channels matrix
+    in microvolts^2.
     """
     lo, hi = band_hz
     fs = epochs.fs
     if not 0.0 <= lo < hi <= fs / 2.0:
         raise RangeError(f"band ({lo}, {hi}) outside [0, {fs / 2}]")
-    if seg_len is None:
-        seg_len = min(int(fs), epochs.n_samples)
+    seg_len = min(int(fs), epochs.n_samples)
     x = np.asarray(epochs.tensor, dtype=np.float64)
-    freqs, pxx = _welch_batch(x, fs, seg_len, 0.5)
+    freqs, pxx = _welch_batch(x, fs, seg_len)
     df = freqs[1] - freqs[0]
     mask = (freqs >= lo) & (freqs < hi)
     return pxx[..., mask].sum(axis=-1) * df

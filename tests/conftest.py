@@ -1,5 +1,7 @@
 """Shared fixtures: a small synthetic dataset cheap enough for unit tests."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -102,3 +104,13 @@ def noise_epochs(n_trials, n_channels, n_samples, fs=250, seed=0, t0_ms=500.0):
     tensor = rng.standard_normal((n_trials, n_channels, n_samples))
     labels = np.arange(n_trials) % 4
     return EpochSet(labels, tensor, fs, t0_ms)
+
+
+def die_in_worker(plan, task):
+    """A harness._fit_cell stand-in whose pool worker exits at once."""
+    os._exit(1)
+
+
+def fail_on_alarm(signum, frame):
+    """SIGALRM handler: a hung pool fails its test, not the whole run."""
+    raise TimeoutError("still waiting for the pool after 60 s")

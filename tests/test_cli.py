@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import signal
 import warnings
 from pathlib import Path
 
@@ -9,6 +10,8 @@ import pytest
 
 from vmidecode import harness
 from vmidecode.cli import main
+
+from conftest import die_in_worker, fail_on_alarm
 
 REPO = Path(__file__).resolve().parents[1]
 TINY = REPO / "configs" / "tiny.json"
@@ -312,3 +315,57 @@ def test_unknown_ersp_channel_is_config_error(tiny_out, capsys):
 def test_threads_flag_is_gone(tmp_path):
     with pytest.raises(SystemExit):
         run("--threads", 2, "--config", TINY, "--out", tmp_path, "synth")
+
+
+@pytest.mark.parametrize("section, value", [
+    ("cv", {"folds": "2"}), ("cv", {"seeds": 0}), ("stats", {"n_perm": 0}),
+    ("sweep", {"bogus": 1}), ("csp", {"m": 0}), ("sweep", {"methods": ["svm"]}),
+    ("stats", {"band": [[1]]})])
+def test_bad_section_value_exits_2_before_any_stage(tmp_path, capsys, section,
+                                                   value):
+    # these ended in a traceback, in exit 3 after the earlier stages, in exit
+    # 2 after every other stage, or in exit 0 with the value ignored
+    cfg = tmp_path / "c.json"
+    tiny = json.loads(TINY.read_text())
+    cfg.write_text(json.dumps({**tiny,
+                               section: {**tiny.get(section, {}), **value}}))
+    assert run("--config", cfg, "--out", tmp_path / "out", "report") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: ")
+    assert f"{section}.{next(iter(value))}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where, seed", [
+    ("file", -1), ("file", 2 ** 64), ("file", True), ("flag", -1),
+    ("flag", 2 ** 64)])
+def test_bad_seed_exits_2(tmp_path, capsys, where, seed):
+    # -1 and 2 ** 64 ended in an OverflowError traceback
+    cfg = tmp_path / "c.json"
+    tiny = json.loads(TINY.read_text())
+    flag = ["--seed", seed] if where == "flag" else []
+    if where == "file":
+        tiny["seed"] = seed
+    cfg.write_text(json.dumps(tiny))
+    assert run("--config", cfg, *flag, "--out", tmp_path / "out",
+               "report") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: seed ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_dead_worker_exits_5_with_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "_worker_count",
+                        lambda n_tasks: min(2, n_tasks))
+    monkeypatch.setattr(harness, "_fit_cell", die_in_worker)
+    previous = signal.signal(signal.SIGALRM, fail_on_alarm)
+    signal.alarm(60)  # a hang fails the test instead of the whole run
+    try:
+        assert run("--config", TINY, "--out", tmp_path, "report") == 5
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("worker error: ")
+    assert not (tmp_path / "report.json").exists()
+    assert multiprocessing.active_children() == []

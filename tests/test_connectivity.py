@@ -210,8 +210,3 @@ def test_full_coupling_planted_pair_plv(small_imagery):
     assert per_class[1].values[4, 5] >= 0.95  # O1-O2 for class 1
     edges = strong_edges(per_class[1], 0.9)
     assert any({i, j} == {4, 5} for i, j, _ in edges)
-
-
-def test_per_class_plv_missing_class(small_imagery):
-    with pytest.raises(ShapeError):
-        per_class_plv(small_imagery, classes=[0, 7])

@@ -4,6 +4,7 @@ import ctypes
 import json
 import multiprocessing
 import os
+import pickle
 import signal
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -21,7 +22,7 @@ from vmidecode.harness import (DEFAULT_CONFIG, downsample_factor, load_config,
                                synth_from_config, train_config,
                                validate_config, write_manifest)
 
-from conftest import small_spec
+from conftest import die_in_worker, fail_on_alarm, small_spec
 
 
 def _variance_epochs(n_per_class=8, n_ch=8, seed=0):
@@ -357,18 +358,10 @@ def test_pool_raises_the_error_of_the_earliest_task(small_imagery,
     assert multiprocessing.active_children() == []
 
 
-def _die(plan, task):
-    os._exit(1)
-
-
-def _hung(signum, frame):
-    raise TimeoutError("sweep still waiting after 60 s")
-
-
 def test_dead_worker_is_broken_process_pool(small_imagery, monkeypatch):
     _force_workers(monkeypatch, 2)
-    monkeypatch.setattr(harness, "_fit_cell", _die)
-    previous = signal.signal(signal.SIGALRM, _hung)
+    monkeypatch.setattr(harness, "_fit_cell", die_in_worker)
+    previous = signal.signal(signal.SIGALRM, fail_on_alarm)
     signal.alarm(60)  # a hang fails the test instead of the whole run
     try:
         with pytest.raises(BrokenProcessPool):
@@ -462,3 +455,74 @@ def test_synth_spec_from_small_config_round_trip():
     spec = small_spec()
     assert spec.fs == 250
     assert spec.n_trials_per_class == 8
+
+
+def test_config_error_from_a_pool_worker_keeps_key_and_message(
+        small_imagery, monkeypatch):
+    # unpickled from its message alone it read "config error: unknown ..."
+    _force_workers(monkeypatch, 2)
+    with pytest.raises(ConfigError) as err:
+        sweep(small_imagery, methods=("svm",), channel_counts=(2, 8), folds=2)
+    assert (err.value.key, str(err.value)) == ("method",
+                                               "unknown method 'svm'")
+    assert multiprocessing.active_children() == []
+
+
+def test_config_error_pickle_round_trip():
+    for e in (ConfigError("cnn.lr", "cnn.lr must be a number > 0, got 0"),
+              ConfigError("seed")):
+        back = pickle.loads(pickle.dumps(e))
+        assert (type(back), back.key, str(back)) == (ConfigError, e.key,
+                                                      str(e))
+
+
+# one of each JSON type, and the edge values of the rules' ranges
+JSON_VALUES = (None, True, False, 0, 1, 2, -1, 2 ** 64, 0.5, 1.0, -0.5,
+               float("nan"), float("inf"), "", "2", [], [0], [1, 2],
+               [0.5, 13.0], [13.0, 0.5], [[1]], ["cnn"], ["svm"], [None],
+               {}, {"a": 1})
+
+
+def test_config_rules_take_any_json_value():
+    # a rule that raised would end the CLI in a traceback, not exit 2
+    for name in harness.CONFIG_RULES:
+        section, key = name.split(".")
+        for value in JSON_VALUES:
+            try:
+                validate_config({"seed": 1, section: {key: value}})
+            except ConfigError as e:
+                assert e.key == name, (name, value)
+
+
+def test_every_key_of_a_ruled_section_is_checked():
+    sections = {name.split(".")[0] for name in harness.CONFIG_RULES}
+    assert sections == {"cnn", "csp", "cv", "stats", "sweep"}
+    for section in sections:
+        defaults = {**DEFAULT_CONFIG[section], **(
+            {"min_delta": 1e-4} if section == "cnn" else {})}
+        assert {f"{section}.{k}" for k in defaults} == {
+            n for n in harness.CONFIG_RULES if n.startswith(section + ".")}
+        with pytest.raises(ConfigError) as err:
+            validate_config({"seed": 1, section: {"bogus": 1}})
+        assert err.value.key == f"{section}.bogus"
+
+
+@pytest.mark.parametrize("name, value", [
+    ("cv.folds", 1), ("cv.folds", "2"), ("cv.seeds", 0), ("cv.seeds", []),
+    ("cv.seeds", [-1]), ("csp.m", 0), ("stats.n_perm", 0),
+    ("stats.alpha", 0), ("stats.band", [13.0, 0.5]), ("sweep.methods", []),
+    ("sweep.methods", ["svm"]), ("sweep.channel_counts", [0]),
+    ("cnn.lr", float("inf"))])
+def test_bad_section_value_is_config_error(name, value):
+    section, key = name.split(".")
+    with pytest.raises(ConfigError) as err:
+        validate_config({"seed": 1, section: {key: value}})
+    assert err.value.key == name
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, True, 1.0, "1"])
+def test_seed_must_be_an_integer_in_the_derivable_range(seed):
+    with pytest.raises(ConfigError) as err:
+        validate_config({"seed": seed})
+    assert err.value.key == "seed"
+    assert validate_config({"seed": 2 ** 64 - 1})["seed"] == 2 ** 64 - 1

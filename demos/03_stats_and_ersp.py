@@ -38,15 +38,7 @@ print(f"significant channels: "
 # ERSP of one planted occipital channel over epochs that straddle imagery
 # onset. The STFT analysis window is ~1 s, so the baseline interval ends
 # 1.1 s before onset to keep every baseline frame clear of the carrier.
-from vmidecode.core import EpochSet, TrialTimeline
-
-onset = round(TrialTimeline().imagery_offset_s * rec.fs)
-s0, s1 = round(-1.5 * rec.fs), round(4.5 * rec.fs)
-wide = EpochSet(
-    np.array([l for _, l in rec.events]),
-    np.stack([rec.data[:, ev + onset + s0: ev + onset + s1]
-              for ev, _ in rec.events]),
-    rec.fs, -1500.0, montage=rec.montage)
+wide = epoch_recording(rec, "onset", (-1500, 4500))
 ch = CHANNELS.index("O1")
 tf = ersp(wide.select(trial_idx=np.nonzero(wide.labels == 1)[0]),
           baseline_ms=(-1500.0, -1100.0), channels=[ch])[0]

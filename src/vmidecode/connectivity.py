@@ -119,16 +119,12 @@ def rank_channels(conns) -> ChannelRanking:
     conns = list(conns)
     if not conns:
         raise ShapeError("rank_channels needs at least one matrix")
-    n = conns[0].n_channels
-    for c in conns:
-        if c.n_channels != n:
-            raise ShapeError("connectivity matrices disagree on channel count")
-    scores = np.zeros(n)
-    for c in conns:
-        v = c.values.copy()
-        np.fill_diagonal(v, -np.inf)
-        scores += v.max(axis=1)
-    scores /= len(conns)
+    if len({c.n_channels for c in conns}) > 1:
+        raise ShapeError("connectivity matrices disagree on channel count")
+    v = np.stack([c.values for c in conns])
+    n = v.shape[1]
+    v[:, range(n), range(n)] = -np.inf
+    scores = v.max(axis=2).mean(axis=0)
     order = np.lexsort((np.arange(n), -scores))
     return ChannelRanking([(int(i), float(scores[i])) for i in order],
                           montage=conns[0].montage)

@@ -233,15 +233,14 @@ def epoch_recording(rec: EegRecording, phase: str, window_ms) -> EpochSet:
     n_samp = s1 - s0
     trial_len = round(timeline.total_s * fs)
 
-    epochs = np.empty((len(rec.events), rec.n_channels, n_samp),
-                      dtype=rec.data.dtype)
-    labels = np.empty(len(rec.events), dtype=np.int64)
-    for i, (ev, lab) in enumerate(rec.events):
-        if ev + trial_len > rec.n_samples:
-            raise RangeError(f"trial at sample {ev} exceeds recording length")
-        a = ev + onset_off + s0
-        epochs[i] = rec.data[:, a:a + n_samp]
-        labels[i] = lab
+    starts, labels = np.array(list(zip(*rec.events)), dtype=np.int64)
+    late = starts + trial_len > rec.n_samples
+    if late.any():
+        raise RangeError(f"trial at sample {starts[late][0]} exceeds "
+                         f"recording length")
+    # row a of the (start, channel, sample) view is the epoch starting at a
+    epochs = np.lib.stride_tricks.sliding_window_view(
+        rec.data, n_samp, axis=1).transpose(1, 0, 2)[starts + onset_off + s0]
     require_finite(epochs, f"recording's {phase} epochs")
     return EpochSet(labels, epochs, fs, float(start_ms), montage=rec.montage)
 

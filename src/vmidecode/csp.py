@@ -42,16 +42,12 @@ class LdaModel:
 
 def _mean_normalized_cov(tensor: np.ndarray) -> np.ndarray:
     """Mean over trials of per-trial covariance C / trace(C)."""
-    n_trials, n_ch, _ = tensor.shape
-    acc = np.zeros((n_ch, n_ch))
-    for x in tensor:
-        x = x - x.mean(axis=1, keepdims=True)
-        c = x @ x.T
-        tr = np.trace(c)
-        if tr <= 0:
-            raise DegenerateInputError("trial with zero variance")
-        acc += c / tr
-    return acc / n_trials
+    x = tensor - tensor.mean(axis=2, keepdims=True)
+    c = x @ x.transpose(0, 2, 1)
+    tr = np.trace(c, axis1=1, axis2=2)
+    if np.any(tr <= 0):
+        raise DegenerateInputError("trial with zero variance")
+    return (c / tr[:, None, None]).sum(axis=0) / len(tensor)
 
 
 def csp_fit(class_a: EpochSet, class_b: EpochSet, m: int = 2) -> CspModel:
@@ -100,15 +96,12 @@ def csp_features(model: CspModel, epochs: EpochSet) -> np.ndarray:
         raise ShapeError(
             f"model expects {model.n_channels} channels, got {epochs.n_channels}"
         )
-    feats = np.empty((epochs.n_trials, model.filters.shape[0]))
-    for i, x in enumerate(np.asarray(epochs.tensor, dtype=np.float64)):
-        y = model.filters @ x
-        v = y.var(axis=1)
-        total = v.sum()
-        if total <= 0 or np.any(v <= 0):
-            raise DegenerateInputError(f"zero variance in trial {i}")
-        feats[i] = np.log(v / total)
-    return feats
+    v = (model.filters @ np.asarray(epochs.tensor, dtype=np.float64)).var(axis=2)
+    # a trial whose variances are all positive has a positive total
+    bad = (v <= 0).any(axis=1)
+    if bad.any():
+        raise DegenerateInputError(f"zero variance in trial {bad.argmax()}")
+    return np.log(v / v.sum(axis=1, keepdims=True))
 
 
 def lda_fit(features: np.ndarray, labels: np.ndarray) -> LdaModel:

@@ -126,16 +126,6 @@ def _make_classifier(method: str, seed: int, csp_m: int,
     raise ConfigError("method", f"unknown method {method!r}")
 
 
-def _trial_predictions(clf, test_windows: EpochSet) -> dict:
-    """Map source trial id -> predicted class from mean window scores."""
-    scores = clf.predict_scores(test_windows)
-    preds = {}
-    for trial in np.unique(test_windows.source_trials):
-        mask = test_windows.source_trials == trial
-        preds[int(trial)] = predict_trial(scores[mask])
-    return preds
-
-
 def fold_channel_ranking(train_epochs: EpochSet):
     """Train-fold-only channel ranking from per-class PLV matrices."""
     per_class = conn_mod.per_class_plv(train_epochs)
@@ -153,6 +143,11 @@ def _evaluate(dataset: EpochSet, cells: list, folds: int, seeds, csp_m: int,
     worker count.
     """
     require_finite(dataset.tensor, "cross-validation epochs")
+    classes = np.unique(dataset.labels)
+    if not np.array_equal(classes, np.arange(classes.size)):
+        # the confusion matrix is indexed by class id
+        raise RangeError(f"class ids must be 0..{classes.size - 1}, got "
+                         f"{classes.tolist()}")
     n_ch = dataset.n_channels
     cells = [(m, n_ch if k is None else k) for m, k in cells]
     if any(k > n_ch for _, k in cells):
@@ -166,18 +161,14 @@ def _evaluate(dataset: EpochSet, cells: list, folds: int, seeds, csp_m: int,
             ranking = (fold_channel_ranking(dataset.select(trial_idx=train_idx))
                        if any(k < n_ch for _, k in cells) else None)
             splits.append((seed, fold, train_idx, test_idx, ranking))
-            truths.append({int(t): int(l) for t, l in zip(
-                dataset.source_trials[test_idx], dataset.labels[test_idx])})
+            truths.append(dataset.labels[test_idx])
     plan = _CvPlan(dataset, splits, cells, csp_m, train_config)
     tasks = [(s, c) for s in range(len(splits)) for c in range(len(cells))]
-    n_classes = len(np.unique(dataset.labels))
     accs = [[] for _ in cells]
-    confusion = [np.zeros((n_classes,) * 2, dtype=np.int64) for _ in cells]
+    confusion = [np.zeros((classes.size,) * 2, dtype=np.int64) for _ in cells]
     for (s, c), preds in zip(tasks, _run_cells(plan, tasks)):
-        truth = truths[s]
-        accs[c].append(sum(preds[t] == truth[t] for t in truth) / len(truth))
-        for t in truth:
-            confusion[c][truth[t], preds[t]] += 1
+        accs[c].append(np.mean(preds == truths[s]))
+        np.add.at(confusion[c], (truths[s], preds), 1)
     config = {"folds": folds, "seeds": list(seeds), "csp_m": csp_m,
               "win_s": 2.0, "overlap": 0.5}  # slide_windows' defaults
     return [EvalEntry(m, int(k), a, c, config=dict(config))
@@ -198,9 +189,9 @@ class _CvPlan:
     train_config: TrainConfig
 
 
-def _fit_cell(plan: _CvPlan, task: tuple) -> dict:
+def _fit_cell(plan: _CvPlan, task: tuple) -> np.ndarray:
     """Task (split, cell): fit on the split's training trials, restricted to
-    the cell's top-k channels, and return {test trial: predicted class}."""
+    the cell's top-k channels; return each test trial's class, in order."""
     s, c = task
     seed, fold, train_idx, test_idx, ranking = plan.splits[s]
     method, k = plan.cells[c]
@@ -211,10 +202,12 @@ def _fit_cell(plan: _CvPlan, task: tuple) -> dict:
         for idx in (train_idx, test_idx))
     clf = _make_classifier(method, seed, plan.csp_m, plan.train_config)
     try:
-        return _trial_predictions(clf.fit(train_w), test_w)
+        scores = clf.fit(train_w).predict_scores(test_w)
     except DivergenceError as e:
         e.cv_seed, e.fold = seed, fold
         raise
+    # test_w is trial-major: each test trial's windows are one block
+    return predict_trial(scores.reshape(len(test_idx), -1, scores.shape[1]))
 
 
 def _worker_count(n_tasks: int) -> int:
@@ -260,7 +253,7 @@ def _start_worker(plan: _CvPlan) -> None:
     _one_blas_thread()
 
 
-def _pooled_cell(task: tuple) -> dict:
+def _pooled_cell(task: tuple) -> np.ndarray:
     return _fit_cell(_plan, task)
 
 
@@ -270,7 +263,7 @@ def _run_cells(plan: _CvPlan, tasks: list) -> list:
     With more than one CPU and task the tasks run in a pool of forked
     workers. Fork (not spawn) lets the workers inherit plan, with its
     epochs and rankings, instead of re-importing the package and unpickling
-    it; only tasks and prediction dicts cross the pipes. Tasks are submitted
+    it; only tasks and prediction arrays cross the pipes. Tasks are submitted
     longest first (CNN before CSP-LDA, larger k first) so that no long fit
     starts last. Results are read in task order, so the error raised is that
     of the earliest failing task, whichever finished first; a worker that
@@ -400,6 +393,10 @@ def validate_config(cfg: dict) -> dict:
     for key in (*DEFAULT_CONFIG, "synth"):
         if not isinstance(cfg.get(key, {}), dict):
             raise ConfigError(key, f"config key {key!r} must be an object")
+    for key in ("out", "input"):
+        if key in cfg and not (type(cfg[key]) is str and cfg[key]):
+            raise ConfigError(key, f"{key} must be a non-empty path string, "
+                              f"got {cfg[key]!r}")
     merged = {key: {**default, **cfg.get(key, {})}
               for key, default in DEFAULT_CONFIG.items()}
     merged["seed"] = cfg["seed"]
@@ -507,6 +504,8 @@ def synth_stage(cfg: dict, emit) -> EegRecording:
 
 
 def preprocess_stage(cfg: dict, rec: EegRecording, emit) -> EegRecording:
+    # the zero-phase filter would spread one bad sample over its channel
+    require_finite(rec.data, "input recording's channels")
     rec = dsp.preprocess_recording(
         rec, band=tuple(cfg["preprocess"]["band"]),
         factor=downsample_factor(cfg, rec.fs))

@@ -206,27 +206,27 @@ class Conv(_Layer):
 
 class AvgPool(_Layer):
     def __init__(self, kernel, stride):
+        if tuple(stride) != tuple(kernel):
+            raise ShapeError(f"avgpool stride {stride} differs from its "
+                             f"kernel {kernel}")
         self.kernel = kernel
-        self.stride = stride
+
+    def _tiles(self, x):
+        """x's whole, non-overlapping tiles as (B, maps, ho, kh, wo, kw); rows
+        and columns past the last whole tile are left out."""
+        kh, kw = self.kernel
+        b, m, h, w = x.shape
+        ho, wo = out_len(h, kh, kh), out_len(w, kw, kw)
+        return x[:, :, :ho * kh, :wo * kw].reshape(b, m, ho, kh, wo, kw)
 
     def forward(self, x, train):
-        kh, kw = self.kernel
-        sh, sw = self.stride
-        wv = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
         self._x_shape = x.shape
-        return wv[:, :, ::sh, ::sw].mean(axis=(-2, -1))
+        return self._tiles(x).mean(axis=(3, 5))
 
     def backward(self, grad):
         kh, kw = self.kernel
-        sh, sw = self.stride
-        b, m, ho, wo = grad.shape
         dx = np.zeros(self._x_shape, dtype=grad.dtype)
-        g = grad / (kh * kw)
-        rows = np.arange(ho) * sh
-        cols = np.arange(wo) * sw
-        for i in range(kh):
-            for j in range(kw):
-                dx[:, :, (rows + i)[:, None], (cols + j)[None, :]] += g
+        self._tiles(dx)[...] += (grad / (kh * kw))[:, :, :, None, :, None]
         return dx
 
 
@@ -555,21 +555,24 @@ def predict_proba(net: Network, tensor: np.ndarray) -> np.ndarray:
     return np.concatenate(out, axis=0)
 
 
-def predict_trial(window_probs: np.ndarray) -> int:
+def predict_trial(window_probs: np.ndarray):
     """Trial decision: argmax of the mean window probability vector.
 
-    Ties resolve to the lowest class id (numpy argmax convention).
+    One trial's (windows, classes) scores give an int, a (trials, windows,
+    classes) stack one class per trial. Ties resolve to the lowest class id.
     """
-    window_probs = np.atleast_2d(np.asarray(window_probs, dtype=np.float64))
-    return int(np.argmax(window_probs.mean(axis=0)))
+    p = np.atleast_2d(np.asarray(window_probs, dtype=np.float64))
+    decision = np.argmax(p.mean(axis=-2), axis=-1)
+    return int(decision) if p.ndim == 2 else decision
 
 
 def slide_windows(epochs: EpochSet, win_s: float = 2.0,
                   overlap: float = 0.5) -> EpochSet:
     """Sliding-window augmentation: 50%-overlapping windows, labels inherited.
 
-    Window 0 of each trial is an exact prefix slice; source trial ids are
-    kept so cross-validation can hold all windows of a trial together.
+    Windows are trial-major (trial 0's by start time, then trial 1's, ...);
+    cross-validation scores each test trial from its block of windows.
+    Window 0 of each trial is an exact prefix slice; source trial ids are kept.
     """
     fs = epochs.fs
     win = int(round(win_s * fs))
@@ -578,19 +581,13 @@ def slide_windows(epochs: EpochSet, win_s: float = 2.0,
             f"window of {win} samples exceeds epoch length {epochs.n_samples}"
         )
     hop = max(1, int(round(win * (1.0 - overlap))))
-    starts = list(range(0, epochs.n_samples - win + 1, hop))
-    n_out = epochs.n_trials * len(starts)
-    tensor = np.empty((n_out, epochs.n_channels, win), dtype=epochs.tensor.dtype)
-    labels = np.empty(n_out, dtype=np.int64)
-    src = np.empty(n_out, dtype=np.int64)
-    k = 0
-    for i in range(epochs.n_trials):
-        for s in starts:
-            tensor[k] = epochs.tensor[i, :, s:s + win]
-            labels[k] = epochs.labels[i]
-            src[k] = epochs.source_trials[i]
-            k += 1
-    return EpochSet(labels, tensor, fs, epochs.t0_ms, source_trials=src,
+    # a (trials, windows, channels, win) view, then one C-order copy
+    view = np.lib.stride_tricks.sliding_window_view(
+        epochs.tensor, win, axis=2)[:, :, ::hop].transpose(0, 2, 1, 3)
+    n_win = view.shape[1]
+    tensor = view.copy().reshape(-1, epochs.n_channels, win)
+    return EpochSet(np.repeat(epochs.labels, n_win), tensor, fs, epochs.t0_ms,
+                    source_trials=np.repeat(epochs.source_trials, n_win),
                     montage=epochs.montage)
 
 

@@ -69,18 +69,11 @@ def test_corrupt_recording_is_data_error(tmp_path):
 
 
 def test_stats_on_nan_recording_is_data_error(tmp_path):
-    # one NaN sample in one channel used to come out as t=nan, significant=1
-    from vmidecode import EegRecording, io
-    assert run("--config", TINY, "--out", tmp_path, "synth") == 0
-    rec = io.load_recording(tmp_path / "recording.eegb")
-    data = rec.data.copy()
-    data[3, 1000] = float("nan")
-    io.save_recording(EegRecording(rec.montage, rec.fs, data, rec.events),
-                      tmp_path / "nan.eegb")
-    cfg = tmp_path / "nan.json"
-    cfg.write_text(json.dumps({**json.loads(TINY.read_text()),
-                               "input": str(tmp_path / "nan.eegb")}))
-    assert run("--config", cfg, "--out", tmp_path, "preprocess") == 0
+    # one NaN sample in one channel used to come out as t=nan, significant=1;
+    # preprocess then exited 0 with the channel NaN throughout
+    cfg = _nan_input_config(tmp_path)
+    assert run("--config", cfg, "--out", tmp_path, "preprocess") == 3
+    assert not (tmp_path / "preprocessed.eegb").exists()
     assert run("--config", cfg, "--out", tmp_path, "stats") == 3
     stat_map = tmp_path / "stat_map.csv"
     assert not stat_map.exists() or ",1\n" not in stat_map.read_text()
@@ -266,15 +259,20 @@ def test_divergence_in_two_workers_names_the_earliest_cell(tmp_path, capsys,
     assert multiprocessing.active_children() == []
 
 
+def _put_nan(src, dst):
+    """Copy the 250 Hz recording at src to dst with one NaN sample, in the
+    first trial's imagery epoch (12.5 to 16.5 s)."""
+    from vmidecode import EegRecording, io
+    rec = io.load_recording(src)
+    data = rec.data.copy()
+    data[3, 3200] = float("nan")
+    io.save_recording(EegRecording(rec.montage, rec.fs, data, rec.events), dst)
+
+
 def _nan_input_config(tmp_path) -> Path:
     """A tiny config whose input recording has one NaN sample."""
-    from vmidecode import EegRecording, io
     assert run("--config", TINY, "--out", tmp_path, "synth") == 0
-    rec = io.load_recording(tmp_path / "recording.eegb")
-    data = rec.data.copy()
-    data[3, 1000] = float("nan")
-    io.save_recording(EegRecording(rec.montage, rec.fs, data, rec.events),
-                      tmp_path / "nan.eegb")
+    _put_nan(tmp_path / "recording.eegb", tmp_path / "nan.eegb")
     cfg = tmp_path / "nan.json"
     cfg.write_text(json.dumps({**json.loads(TINY.read_text()),
                                "input": str(tmp_path / "nan.eegb")}))
@@ -283,10 +281,17 @@ def _nan_input_config(tmp_path) -> Path:
 
 @pytest.mark.parametrize("command", ["train-cnn", "train-csp", "report"])
 def test_nan_recording_is_data_error(tmp_path, capsys, command):
-    # train-cnn used to exit 4 (divergence), train-csp with a traceback
-    cfg = _nan_input_config(tmp_path)
-    if command != "report":
+    # train-cnn used to exit 4 (divergence), train-csp with a traceback;
+    # preprocess now refuses a NaN input, so the train commands get theirs
+    # in preprocessed.eegb
+    if command == "report":
+        cfg = _nan_input_config(tmp_path)
+    else:
+        cfg = TINY
+        assert run("--config", cfg, "--out", tmp_path, "synth") == 0
         assert run("--config", cfg, "--out", tmp_path, "preprocess") == 0
+        prep = tmp_path / "preprocessed.eegb"
+        _put_nan(prep, prep)
     capsys.readouterr()
     assert run("--config", cfg, "--out", tmp_path, command) == 3
     err = capsys.readouterr().err
@@ -294,6 +299,35 @@ def test_nan_recording_is_data_error(tmp_path, capsys, command):
     assert err.startswith("data error: ") and "non-finite" in err
     assert not list(tmp_path.glob("*_model.eegb"))
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("keys", [["0", "1", "3"], ["1", "2", "3", "4"]])
+def test_class_ids_other_than_0_to_n_are_data_error(tmp_path, capsys, keys):
+    # these ended in an IndexError traceback from the confusion matrix
+    tiny = json.loads(TINY.read_text())
+    planted = list(tiny["synth"]["planted_channels"].values())
+    carriers = list(tiny["synth"]["carrier_hz"].values())
+    tiny["synth"]["planted_channels"] = dict(zip(keys, planted))
+    tiny["synth"]["carrier_hz"] = dict(zip(keys, carriers))
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(tiny))
+    assert run("--config", cfg, "--out", tmp_path, "report") == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("data error: class ids must be 0..")
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("key", ["out", "input"])
+def test_non_string_out_or_input_is_config_error(tmp_path, capsys, key):
+    # "out": 5 ended synth in a TypeError traceback; "input": 5 made
+    # preprocess read file descriptor 5
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({**json.loads(TINY.read_text()), key: 5}))
+    assert run("--config", cfg, "--out", tmp_path / "o", "preprocess") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"config error: {key} ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_synth_section_must_be_an_object(tmp_path, capsys):

@@ -146,6 +146,23 @@ def test_rank_channels_scores_non_increasing():
     assert all(a >= b for a, b in zip(scores, scores[1:]))
 
 
+@pytest.mark.parametrize("n_ch", [8, 64])
+def test_rank_channels_matches_the_per_class_loop(n_ch):
+    rng = np.random.default_rng(n_ch)
+    tensor = rng.standard_normal((8, n_ch, 500)).astype(np.float32)
+    conns = list(per_class_plv(_epochs(tensor, np.arange(8) % 4)).values())
+    scores = np.zeros(n_ch)
+    for c in conns:
+        v = c.values.copy()
+        np.fill_diagonal(v, -np.inf)
+        scores += v.max(axis=1)
+    scores /= len(conns)
+    ranking = rank_channels(conns)
+    assert ranking.indices() == np.lexsort((np.arange(n_ch), -scores)).tolist()
+    np.testing.assert_array_equal([s for _, s in ranking.order],
+                                  np.sort(scores)[::-1])
+
+
 def test_rank_channels_montage_mismatch():
     with pytest.raises(ShapeError):
         rank_channels([_conn(np.eye(4)), _conn(np.eye(5))])

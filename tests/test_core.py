@@ -146,6 +146,45 @@ def test_epoch_refuses_non_finite_samples(bad):
     assert np.isfinite(rest.tensor).all()
 
 
+@pytest.mark.parametrize("n_ch", [8, 64])
+@pytest.mark.parametrize("phase, window_ms", [
+    ("imagery", (500, 4500)), ("rest", (-4500, -500)), ("onset", (-1500, 4500))])
+def test_epochs_match_the_per_event_loop(n_ch, phase, window_ms):
+    fs = 250
+    tl = TrialTimeline()
+    trial_len = round(tl.total_s * fs)
+    rng = np.random.default_rng(n_ch)
+    data = rng.standard_normal((n_ch, 5 * trial_len)).astype(np.float32)
+    # uneven gaps, not in time order
+    events = [(3 * trial_len + 17, 2), (11, 0), (trial_len + 400, 3)]
+    rec = EegRecording(Montage.default() if n_ch == 64
+                       else Montage(SMALL_CHANNELS), fs, data, events)
+    ep = epoch_recording(rec, phase, window_ms)
+
+    onset = round(tl.imagery_offset_s * fs)
+    s0 = round(window_ms[0] * fs / 1000.0)
+    n_samp = round(window_ms[1] * fs / 1000.0) - s0
+    ref = np.empty((len(events), n_ch, n_samp), dtype=np.float32)
+    labels = np.empty(len(events), dtype=np.int64)
+    for i, (ev, lab) in enumerate(rec.events):
+        a = ev + onset + s0
+        ref[i] = rec.data[:, a:a + n_samp]
+        labels[i] = lab
+    assert ep.tensor.dtype == np.float32 and ep.tensor.flags.c_contiguous
+    np.testing.assert_array_equal(ep.tensor, ref)
+    np.testing.assert_array_equal(ep.labels, labels)
+
+
+def test_epoch_error_names_the_first_trial_past_the_end():
+    rec = _flat_recording(n_ch=8, fs=250, n_trials=2)
+    trial_len = rec.n_samples // 2
+    late = [(trial_len + 50, 0), (5, 1), (trial_len + 90, 2)]
+    rec = EegRecording(rec.montage, rec.fs, rec.data, late)
+    with pytest.raises(RangeError,
+                       match=f"^trial at sample {trial_len + 50} exceeds"):
+        epoch_recording(rec, "imagery", (500, 4500))
+
+
 def test_event_shuffle_permutes_epochs_identically():
     rec = _flat_recording(n_ch=8, fs=250, n_trials=4)
     ep = epoch_recording(rec, "imagery", (500, 4500))

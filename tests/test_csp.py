@@ -5,7 +5,8 @@ import pytest
 
 from vmidecode import (CspLdaClassifier, EpochSet, csp_features, csp_fit,
                        lda_fit, lda_predict)
-from vmidecode.csp import lda_scores, load_csp_lda, save_csp_lda
+from vmidecode.csp import (_mean_normalized_cov, lda_scores, load_csp_lda,
+                           save_csp_lda)
 from vmidecode.errors import DegenerateInputError, RangeError, ShapeError
 
 
@@ -25,7 +26,6 @@ def _variance_classes(n_trials=12, n_ch=4, boost_a=0, boost_b=1, seed=0,
 def test_csp_whitens_composite_covariance():
     ep_a, ep_b = _variance_classes()
     model = csp_fit(ep_a, ep_b, m=2)
-    from vmidecode.csp import _mean_normalized_cov
     comp = (_mean_normalized_cov(np.asarray(ep_a.tensor, dtype=np.float64))
             + _mean_normalized_cov(np.asarray(ep_b.tensor, dtype=np.float64)))
     ident = model.filters @ comp @ model.filters.T
@@ -85,6 +85,59 @@ def test_csp_features_zero_epoch_degenerate():
     zero = EpochSet([0], np.zeros((1, 4, 400)), 250, 500.0)
     with pytest.raises(DegenerateInputError):
         csp_features(model, zero)
+
+
+def _float32_classes(n_ch, n_trials=6, seed=0):
+    """Two float32 epoch sets whose channel 0 / channel 1 carry the most
+    variance."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((2, n_trials, n_ch, 500)).astype(np.float32)
+    x[0, :, 0] *= 4
+    x[1, :, 1] *= 4
+    return (EpochSet(np.zeros(n_trials, dtype=int), x[0], 250, 500.0),
+            EpochSet(np.ones(n_trials, dtype=int), x[1], 250, 500.0))
+
+
+@pytest.mark.parametrize("n_ch", [8, 64])
+def test_mean_normalized_cov_matches_the_per_trial_loop(n_ch):
+    tensor = np.asarray(_float32_classes(n_ch)[0].tensor, dtype=np.float64)
+    acc = np.zeros((n_ch, n_ch))
+    for x in tensor:
+        x = x - x.mean(axis=1, keepdims=True)
+        c = x @ x.T
+        acc += c / np.trace(c)
+    np.testing.assert_array_equal(_mean_normalized_cov(tensor),
+                                  acc / len(tensor))
+
+
+def test_mean_normalized_cov_refuses_a_zero_variance_trial():
+    tensor = np.asarray(_float32_classes(8)[0].tensor, dtype=np.float64)
+    tensor[2] = 5.0
+    with pytest.raises(DegenerateInputError, match="zero variance"):
+        _mean_normalized_cov(tensor)
+
+
+@pytest.mark.parametrize("n_ch", [8, 64])
+def test_csp_features_match_the_per_trial_loop(n_ch):
+    ep_a, ep_b = _float32_classes(n_ch)
+    model = csp_fit(ep_a, ep_b, m=2)
+    feats = csp_features(model, ep_b)
+    ref = np.empty((ep_b.n_trials, 4))
+    for i, x in enumerate(np.asarray(ep_b.tensor, dtype=np.float64)):
+        v = (model.filters @ x).var(axis=1)
+        ref[i] = np.log(v / v.sum())
+    assert feats.flags.c_contiguous
+    np.testing.assert_array_equal(feats, ref)
+
+
+def test_csp_features_error_names_the_first_zero_variance_trial():
+    ep_a, ep_b = _float32_classes(8)
+    model = csp_fit(ep_a, ep_b, m=2)
+    tensor = ep_b.tensor.copy()
+    tensor[[3, 5]] = 0.0
+    with pytest.raises(DegenerateInputError,
+                       match="^zero variance in trial 3$"):
+        csp_features(model, EpochSet(ep_b.labels, tensor, 250, 500.0))
 
 
 def test_csp_feature_separation_on_planted_data():

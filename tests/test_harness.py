@@ -11,10 +11,12 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vmidecode import harness
-from vmidecode import (EpochSet, EvalEntry, EvalReport, TrainConfig,
-                       cross_validate, format_cell, stratified_folds, sweep)
+from vmidecode import (CspLdaClassifier, EpochSet, EvalEntry, EvalReport,
+                       TrainConfig, cross_validate, format_cell,
+                       predict_trial, slide_windows, stratified_folds, sweep)
 from vmidecode.errors import (ConfigError, DegenerateInputError,
                               DivergenceError, RangeError,
                               StratificationError)
@@ -141,7 +143,6 @@ def test_cross_validate_unknown_method():
 def test_cross_validate_windows_stay_with_source_trial():
     # leakage control: every window of a trial lands in the fold of its
     # source trial, so test windows never share a source with training
-    from vmidecode import slide_windows
     ep = _variance_epochs(n_per_class=6)
     folds = stratified_folds(ep.labels, 2, seed=0)
     for test_idx in folds:
@@ -149,6 +150,68 @@ def test_cross_validate_windows_stay_with_source_trial():
         train_w = slide_windows(ep.select(trial_idx=train_idx))
         test_w = slide_windows(ep.select(trial_idx=test_idx))
         assert not set(train_w.source_trials) & set(test_w.source_trials)
+
+
+def _noise_epochs(n_ch, labels, seed=0):
+    """Float32 white-noise epochs: CSP-LDA decodes them near chance, so the
+    confusion matrix fills off the diagonal too."""
+    rng = np.random.default_rng(seed)
+    tensor = rng.standard_normal((len(labels), n_ch, 1000)).astype(np.float32)
+    return EpochSet(labels, tensor, 250, 500.0)
+
+
+def _per_trial_loop_scores(ep, folds, seeds):
+    """CSP-LDA cross-validation scored the way _evaluate used to: a window
+    mask per test trial and {source trial: label} dicts."""
+    accs = []
+    confusion = np.zeros((4, 4), dtype=np.int64)
+    for seed in seeds:
+        for test_idx in stratified_folds(ep.labels, folds, seed=seed):
+            train_idx = np.setdiff1d(np.arange(ep.n_trials), test_idx)
+            test_w = slide_windows(ep.select(trial_idx=test_idx))
+            clf = CspLdaClassifier().fit(
+                slide_windows(ep.select(trial_idx=train_idx)))
+            scores = clf.predict_scores(test_w)
+            preds = {int(t): predict_trial(scores[test_w.source_trials == t])
+                     for t in np.unique(test_w.source_trials)}
+            truth = {int(t): int(l) for t, l in zip(
+                ep.source_trials[test_idx], ep.labels[test_idx])}
+            accs.append(sum(preds[t] == truth[t] for t in truth) / len(truth))
+            for t in truth:
+                confusion[truth[t], preds[t]] += 1
+    return accs, confusion
+
+
+@pytest.mark.parametrize("n_ch", [8, 64])
+def test_cv_scoring_matches_the_per_trial_loop(n_ch):
+    ep = _noise_epochs(n_ch, np.arange(24) % 4)
+    entry = cross_validate(ep, "csp_lda", folds=3, seeds=(0, 1))
+    accs, confusion = _per_trial_loop_scores(ep, folds=3, seeds=(0, 1))
+    assert entry.fold_accuracies == accs
+    np.testing.assert_array_equal(entry.confusion, confusion)
+    assert np.trace(confusion) < confusion.sum()  # some trials are wrong
+
+
+def test_cv_entry_does_not_depend_on_source_trial_ids():
+    ep = _noise_epochs(8, np.arange(16) % 4)
+    relabeled = EpochSet(ep.labels, ep.tensor, ep.fs, ep.t0_ms,
+                         source_trials=np.random.default_rng(1).permutation(16))
+    a, b = (cross_validate(e, "csp_lda", folds=2) for e in (ep, relabeled))
+    assert a.fold_accuracies == b.fold_accuracies
+    np.testing.assert_array_equal(a.confusion, b.confusion)
+
+
+@pytest.mark.parametrize("classes", [[0, 1, 3], [1, 2, 3, 4]])
+def test_cross_validate_refuses_class_ids_other_than_0_to_n(classes,
+                                                            monkeypatch):
+    # the confusion matrix is indexed by class id: {0, 1, 3} overran it,
+    # and CSP-LDA's column indices turned every class-3 trial into a "2"
+    def no_fit(plan, tasks):
+        raise AssertionError("a fit ran")
+    monkeypatch.setattr(harness, "_run_cells", no_fit)
+    ep = _noise_epochs(8, np.repeat(classes, 4))
+    with pytest.raises(RangeError, match="^class ids must be 0..[23], got "):
+        cross_validate(ep, "csp_lda", folds=2)
 
 
 # ---------------------------------------------------------------------------
@@ -526,3 +589,37 @@ def test_seed_must_be_an_integer_in_the_derivable_range(seed):
         validate_config({"seed": seed})
     assert err.value.key == "seed"
     assert validate_config({"seed": 2 ** 64 - 1})["seed"] == 2 ** 64 - 1
+
+
+@pytest.mark.parametrize("key, value", [
+    ("out", 5), ("out", ""), ("out", None), ("input", 5), ("input", ["a"]),
+    ("input", "")])
+def test_out_and_input_must_be_non_empty_strings(key, value):
+    # "input": 5 opened file descriptor 5; "out": 5 ended in a traceback
+    with pytest.raises(ConfigError) as err:
+        validate_config({"seed": 1, key: value})
+    assert err.value.key == key
+    assert validate_config({"seed": 1, key: "run/x"})[key] == "run/x"
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=6)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(name=st.sampled_from(sorted(harness.CONFIG_RULES)
+                            + ["seed", "out", "input"]),
+       value=JSON)
+def test_any_json_value_validates_or_names_its_key(name, value):
+    cfg = {"seed": 1}
+    section, _, key = name.rpartition(".")
+    if section:
+        cfg[section] = {key: value}
+    else:
+        cfg[name] = value
+    try:
+        validate_config(cfg)
+    except ConfigError as e:
+        assert e.key == name

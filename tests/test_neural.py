@@ -143,6 +143,41 @@ def test_avgpool_preserves_mean():
     np.testing.assert_allclose(out.mean(), x.mean(), atol=1e-9)
 
 
+def test_avgpool_stride_must_equal_kernel():
+    with pytest.raises(ShapeError, match="stride"):
+        AvgPool((1, 4), (1, 2))
+    spec = reduced_model_spec()
+    spec.layers[7].stride = (1, 1)
+    with pytest.raises(ShapeError, match="stride"):
+        Network(spec, seed=0)
+
+
+@pytest.mark.parametrize("n_ch", [8, 64])
+def test_avgpool_matches_direct_loops(n_ch):
+    # width 23 is not a multiple of 4: the last 3 columns pool into nothing
+    rng = np.random.default_rng(n_ch)
+    x = rng.standard_normal((3, n_ch, 2, 23)).astype(np.float32)
+    grad = rng.standard_normal((3, n_ch, 2, 5)).astype(np.float32)
+    pool = AvgPool((1, 4), (1, 4))
+    out = pool.forward(x, train=True)
+    dx = pool.backward(grad)
+
+    ref = np.empty((3, n_ch, 2, 5), dtype=np.float32)
+    for i in range(2):
+        for j in range(5):
+            tile = x[:, :, i, 4 * j:4 * j + 4]
+            ref[:, :, i, j] = (((tile[..., 0] + tile[..., 1]) + tile[..., 2])
+                               + tile[..., 3]) / np.float32(4)
+    ref_dx = np.zeros_like(x)
+    rows, cols = np.arange(2), np.arange(5) * 4
+    for j in range(4):      # the per-tap scatter the broadcast replaced
+        ref_dx[:, :, rows[:, None], (cols + j)[None, :]] += grad / 4
+    assert out.flags.c_contiguous and dx.flags.c_contiguous
+    np.testing.assert_array_equal(out, ref)
+    np.testing.assert_array_equal(dx, ref_dx)
+    assert not dx[..., 20:].any()
+
+
 def test_batchnorm_train_mode_normalizes():
     from vmidecode.neural import BatchNorm
     bn = BatchNorm(3, np.float64)  # gamma = 1, beta = 0
@@ -291,6 +326,38 @@ def test_slide_windows_full_epoch_is_identity():
     w = slide_windows(ep, win_s=4.0)
     assert w.n_trials == ep.n_trials
     np.testing.assert_array_equal(w.tensor, ep.tensor)
+
+
+@pytest.mark.parametrize("n_ch", [8, 64])
+def test_slide_windows_matches_the_trial_window_loop(n_ch):
+    rng = np.random.default_rng(n_ch)
+    ep = EpochSet(np.array([3, 1, 0, 2, 1]),
+                  rng.standard_normal((5, n_ch, 1000)).astype(np.float32),
+                  250, 500.0, source_trials=np.array([7, 2, 9, 4, 0]))
+    w = slide_windows(ep)
+    starts = range(0, 1000 - 500 + 1, 250)
+    ref = np.empty((5 * len(starts), n_ch, 500), dtype=np.float32)
+    labels = np.empty(len(ref), dtype=np.int64)
+    src = np.empty(len(ref), dtype=np.int64)
+    k = 0
+    for i in range(ep.n_trials):     # trial-major: every window of trial i
+        for s in starts:
+            ref[k] = ep.tensor[i, :, s:s + 500]
+            labels[k] = ep.labels[i]
+            src[k] = ep.source_trials[i]
+            k += 1
+    assert w.tensor.flags.c_contiguous
+    assert not np.shares_memory(w.tensor, ep.tensor)
+    np.testing.assert_array_equal(w.tensor, ref)
+    np.testing.assert_array_equal(w.labels, labels)
+    np.testing.assert_array_equal(w.source_trials, src)
+
+
+def test_slide_windows_one_window_is_a_copy():
+    ep = _epochs(n_trials=1, n_samples=500)
+    w = slide_windows(ep)
+    assert w.tensor.flags.c_contiguous
+    assert not np.shares_memory(w.tensor, ep.tensor)
 
 
 def test_slide_windows_too_long():
@@ -442,6 +509,19 @@ def test_predict_trial_mean_vote():
 
 def test_predict_trial_tie_goes_low():
     assert predict_trial([[0.5, 0.5]]) == 0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_predict_trial_on_a_stack_matches_per_trial_calls(dtype):
+    rng = np.random.default_rng(4)
+    scores = rng.random((40, 3, 4)).astype(dtype)
+    scores[5] = 0.25                     # a four-way tie goes to class 0
+    scores[6, :, 2:] = scores[6, :, :2]  # a tie between classes 0/2, 1/3
+    got = predict_trial(scores)
+    assert got.shape == (40,)
+    np.testing.assert_array_equal(
+        got, [predict_trial(trial) for trial in scores])
+    assert got[5] == 0
 
 
 # ---------------------------------------------------------------------------

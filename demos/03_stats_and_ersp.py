@@ -40,8 +40,8 @@ print(f"significant channels: "
 # 1.1 s before onset to keep every baseline frame clear of the carrier.
 wide = epoch_recording(rec, "onset", (-1500, 4500))
 ch = CHANNELS.index("O1")
-tf = ersp(wide.select(trial_idx=np.nonzero(wide.labels == 1)[0]),
-          baseline_ms=(-1500.0, -1100.0), channels=[ch])[0]
+tf = ersp(wide.select(trial_idx=np.nonzero(wide.labels == 1)[0]), ch,
+          baseline_ms=(-1500.0, -1100.0))
 print(f"\nERSP O1, class 1 (6 Hz carrier): "
       f"{tf.values.shape[0]} freqs x {tf.values.shape[1]} time points")
 f_mask = (tf.freqs_hz >= 4.0) & (tf.freqs_hz <= 8.0)

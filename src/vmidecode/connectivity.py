@@ -14,7 +14,7 @@ class ConnectivityMatrix:
     """Symmetric channels x channels PLV scores in [0, 1], unit diagonal."""
 
     values: np.ndarray
-    montage: Montage = None
+    montage: Montage
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -27,8 +27,7 @@ class ConnectivityMatrix:
         return self.values.shape[0]
 
     def to_csv(self, path) -> None:
-        names = (list(self.montage.channel_names) if self.montage is not None
-                 else [f"ch{i}" for i in range(self.n_channels)])
+        names = self.montage.channel_names
         rows = ["channel," + ",".join(names)]
         for name, row in zip(names, self.values):
             rows.append(name + "," + ",".join(f"{v:.6f}" for v in row))
@@ -44,7 +43,7 @@ class ChannelRanking:
     """
 
     order: list  # list of (channel index, score)
-    montage: Montage = None
+    montage: Montage
 
     def indices(self) -> list:
         return [i for i, _ in self.order]
@@ -52,9 +51,8 @@ class ChannelRanking:
     def to_csv(self, path) -> None:
         rows = ["rank,channel_index,channel_name,score"]
         for r, (idx, score) in enumerate(self.order):
-            name = (self.montage.channel_names[idx]
-                    if self.montage is not None else f"ch{idx}")
-            rows.append(f"{r},{idx},{name},{score:.6f}")
+            rows.append(f"{r},{idx},{self.montage.channel_names[idx]},"
+                        f"{score:.6f}")
         with open(path, "w") as f:
             f.write("\n".join(rows) + "\n")
 
@@ -103,13 +101,10 @@ def strong_edges(conn: ConnectivityMatrix, threshold: float = 0.9) -> list:
     return edges
 
 
-def edges_to_csv(edges, path, montage: Montage = None) -> None:
+def edges_to_csv(edges, path, montage: Montage) -> None:
+    names = montage.channel_names
     rows = ["src,dst,plv"]
-    for i, j, v in edges:
-        if montage is not None:
-            rows.append(f"{montage.channel_names[i]},{montage.channel_names[j]},{v:.6f}")
-        else:
-            rows.append(f"{i},{j},{v:.6f}")
+    rows += [f"{names[i]},{names[j]},{v:.6f}" for i, j, v in edges]
     with open(path, "w") as f:
         f.write("\n".join(rows) + "\n")
 

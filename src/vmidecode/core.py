@@ -47,6 +47,11 @@ class Montage:
     def default(cls) -> "Montage":
         return cls(DEFAULT_CHANNELS)
 
+    @classmethod
+    def numbered(cls, n: int) -> "Montage":
+        """Names ch0..ch<n-1>, for channels that come without a montage."""
+        return cls(tuple(f"ch{i}" for i in range(n)))
+
     def __len__(self):
         return len(self.channel_names)
 
@@ -70,6 +75,11 @@ class TrialTimeline:
     imagery_s = 5.0
     total_s = rest1_s + cue_s + rest2_s + imagery_s
     imagery_offset_s = rest1_s + cue_s + rest2_s  # trial start to imagery
+    # phase -> the [lo, hi] ms, relative to imagery onset, that its epoch
+    # windows must lie in (see epoch_recording)
+    window_bounds_ms = {"imagery": (0.0, imagery_s * 1000.0),
+                        "rest": (-rest2_s * 1000.0, 0.0),
+                        "onset": (-rest2_s * 1000.0, imagery_s * 1000.0)}
 
 
 @dataclass
@@ -113,7 +123,8 @@ class EpochSet:
 
     t0_ms is the epoch start relative to imagery onset. source_trials keeps
     the originating trial index of each epoch (used for leakage control after
-    sliding-window augmentation).
+    sliding-window augmentation). Without a montage the channels are named
+    ch0, ch1, ...; the names follow the channels through select.
     """
 
     labels: np.ndarray
@@ -130,6 +141,10 @@ class EpochSet:
             raise ShapeError("tensor must be trials x channels x samples")
         if len(self.labels) != self.tensor.shape[0]:
             raise ShapeError("labels length must equal trial count")
+        self.montage = self.montage or Montage.numbered(self.tensor.shape[1])
+        if len(self.montage) != self.tensor.shape[1]:
+            raise ShapeError(f"montage names {len(self.montage)} channels, "
+                             f"tensor holds {self.tensor.shape[1]}")
         if self.source_trials is None:
             self.source_trials = np.arange(self.tensor.shape[0])
         else:
@@ -163,10 +178,7 @@ class EpochSet:
         if channel_idx is not None:
             channel_idx = list(channel_idx)
             t = t[:, channel_idx, :]
-            if montage is not None:
-                montage = Montage(
-                    tuple(montage.channel_names[i] for i in channel_idx)
-                )
+            montage = Montage([montage.channel_names[i] for i in channel_idx])
         return EpochSet(labels, t, self.fs, self.t0_ms, src, montage)
 
 
@@ -210,14 +222,9 @@ def epoch_recording(rec: EegRecording, phase: str, window_ms) -> EpochSet:
     start_ms, end_ms = window_ms
     if end_ms <= start_ms:
         raise RangeError("window end must exceed start")
-    if phase == "imagery":
-        lo, hi = 0.0, timeline.imagery_s * 1000.0
-    elif phase == "rest":
-        lo, hi = -timeline.rest2_s * 1000.0, 0.0
-    elif phase == "onset":
-        lo, hi = -timeline.rest2_s * 1000.0, timeline.imagery_s * 1000.0
-    else:
+    if phase not in timeline.window_bounds_ms:
         raise RangeError(f"unknown phase {phase!r}")
+    lo, hi = timeline.window_bounds_ms[phase]
     if start_ms < lo or end_ms > hi:
         raise RangeError(
             f"window ({start_ms}, {end_ms}) ms outside {phase} phase "

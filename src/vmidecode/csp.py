@@ -142,7 +142,7 @@ class CspLdaClassifier:
     """One-vs-rest CSP + LDA for the 4-class problem.
 
     One binary CSP/LDA model per class (class vs pooled rest); a window's
-    score vector is each model's signed "one" margin, and a trial decision
+    score vector is each model's class-vs-rest margin, and a trial decision
     averages the score vectors of its windows.
     """
 
@@ -171,9 +171,8 @@ class CspLdaClassifier:
         for k, (csp, lda) in enumerate(self.models_):
             feats = csp_features(csp, windows)
             s = lda_scores(lda, feats)
-            one = int(np.nonzero(lda.classes == 1)[0][0])
-            rest = 1 - one
-            scores[:, k] = s[:, one] - s[:, rest]
+            # each binary LDA is fitted on labels 0 (rest) and 1 (class k)
+            scores[:, k] = s[:, 1] - s[:, 0]
         return scores
 
 

@@ -47,15 +47,12 @@ def analytic_signal(x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Filtering and decimation
 
-def butter_bandpass_sos(lo_hz: float, hi_hz: float, fs: float,
-                        order: int = 4) -> np.ndarray:
-    """Butterworth band-pass of the given total order as a biquad cascade."""
+def butter_bandpass_sos(lo_hz: float, hi_hz: float, fs: float) -> np.ndarray:
+    """Order-4 Butterworth band-pass as a biquad cascade."""
     if not 0.0 < lo_hz < hi_hz < fs / 2.0:
         raise RangeError(f"invalid band ({lo_hz}, {hi_hz}) Hz at fs={fs}")
-    if order % 2 != 0:
-        raise RangeError("band-pass order must be even")
-    return sps.butter(order // 2, [lo_hz, hi_hz], btype="bandpass",
-                      fs=fs, output="sos")
+    return sps.butter(2, [lo_hz, hi_hz], btype="bandpass", fs=fs,
+                      output="sos")
 
 
 def _filtfilt_sos(sos: np.ndarray, x: np.ndarray, padlen: int) -> np.ndarray:
@@ -92,14 +89,12 @@ def bandpass(x, lo_hz: float, hi_hz: float, fs: float):
 def bandpass_response(lo_hz, hi_hz, fs, f_eval):
     """|H(f)|^2 of the zero-phase band-pass (independent of the filter path).
 
-    Evaluates the cascade's transfer polynomials at e^{-j 2 pi f / fs}; the
-    forward-backward pass squares the magnitude.
+    The cascade's frequency response at f_eval; the forward-backward pass
+    squares its magnitude.
     """
     sos = butter_bandpass_sos(lo_hz, hi_hz, fs)
-    z = np.exp(-2j * np.pi * np.atleast_1d(np.asarray(f_eval, float)) / fs)
-    h = np.ones_like(z)
-    for b0, b1, b2, a0, a1, a2 in sos:
-        h *= (b0 + b1 * z + b2 * z ** 2) / (a0 + a1 * z + a2 * z ** 2)
+    f = np.atleast_1d(np.asarray(f_eval, float))
+    _, h = sps.sosfreqz(sos, worN=f, fs=fs)
     return np.abs(h) ** 2
 
 
@@ -142,7 +137,7 @@ class Spectrum:
             f.write("\n".join(rows) + "\n")
 
 
-def _welch_batch(x: np.ndarray, fs: float, seg_len: int):
+def _welch_batch(x: np.ndarray, fs: float, seg_len: int = None):
     """Averaged Hann-windowed periodograms, 50% overlap, over the last axis.
 
     Returns (freqs, psd) with psd shaped like x without the last axis plus a
@@ -150,6 +145,8 @@ def _welch_batch(x: np.ndarray, fs: float, seg_len: int):
     series variance.
     """
     n = x.shape[-1]
+    if seg_len is None:
+        seg_len = min(int(fs), n)  # 1 s segments, or the whole series
     if seg_len > n:
         raise RangeError(f"segment length {seg_len} exceeds series length {n}")
     hop = max(1, int(round(seg_len * 0.5)))
@@ -171,8 +168,6 @@ def welch_psd(x, fs: float, seg_len: int = None) -> Spectrum:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise RangeError("welch_psd expects a 1-D series")
-    if seg_len is None:
-        seg_len = min(int(fs), x.shape[-1])
     freqs, pxx = _welch_batch(x, fs, seg_len)
     return Spectrum(freqs, pxx)
 
@@ -197,9 +192,9 @@ class TfMap:
             f.write("\n".join(rows) + "\n")
 
 
-def ersp(epochs: EpochSet, baseline_ms=(-500.0, 0.0), f_range=(3.0, 50.0),
-         channels=None):
-    """Event-related spectral perturbation, one TfMap per requested channel.
+def ersp(epochs: EpochSet, channel: int, baseline_ms=(-500.0, 0.0),
+         f_range=(3.0, 50.0)) -> TfMap:
+    """Event-related spectral perturbation of one channel (an index).
 
     Short-time FFT with a Hann window; trial-averaged power is referenced to
     the mean power over the baseline window and expressed in dB; the time
@@ -216,8 +211,6 @@ def ersp(epochs: EpochSet, baseline_ms=(-500.0, 0.0), f_range=(3.0, 50.0),
     n_times = 400
     win = min(256, n)
     hop = max(1, (n - win) // (2 * n_times))
-    if channels is None:
-        channels = range(epochs.n_channels)
 
     window = np.hanning(win)
     starts = np.arange(0, n - win + 1, hop)
@@ -234,17 +227,14 @@ def ersp(epochs: EpochSet, baseline_ms=(-500.0, 0.0), f_range=(3.0, 50.0),
     end_ms = t0 + n / fs * 1000.0
     times_out = np.linspace(max(0.0, centers_ms[0]), end_ms, n_times)
 
-    maps = []
-    for ch in channels:
-        x = np.asarray(epochs.tensor[:, ch, :], dtype=np.float64)
-        frames = np.lib.stride_tricks.sliding_window_view(x, win, axis=-1)
-        frames = frames[:, ::hop, :] * window
-        power = np.abs(np.fft.rfft(frames)) ** 2
-        mean_power = power.mean(axis=0)[:, f_keep]          # frames x freqs
-        baseline = mean_power[base_mask].mean(axis=0)       # per frequency
-        db = 10.0 * np.log10(mean_power / baseline)
-        values = np.empty((freqs.size, n_times))
-        for i in range(freqs.size):
-            values[i] = np.interp(times_out, centers_ms, db[:, i])
-        maps.append(TfMap(freqs, times_out, values))
-    return maps
+    x = np.asarray(epochs.tensor[:, channel, :], dtype=np.float64)
+    frames = np.lib.stride_tricks.sliding_window_view(x, win, axis=-1)
+    frames = frames[:, ::hop, :] * window
+    power = np.abs(np.fft.rfft(frames)) ** 2
+    mean_power = power.mean(axis=0)[:, f_keep]          # frames x freqs
+    baseline = mean_power[base_mask].mean(axis=0)       # per frequency
+    db = 10.0 * np.log10(mean_power / baseline)
+    values = np.empty((freqs.size, n_times))
+    for i in range(freqs.size):
+        values[i] = np.interp(times_out, centers_ms, db[:, i])
+    return TfMap(freqs, times_out, values)

@@ -19,13 +19,13 @@ import numpy as np
 
 from . import connectivity as conn_mod
 from . import dsp, io, stats
-from .core import (EegRecording, EpochSet, Montage, SynthSpec,
+from .core import (EegRecording, EpochSet, Montage, SynthSpec, TrialTimeline,
                    epoch_recording, require_finite, synth_dataset)
 from .csp import CspLdaClassifier, save_csp_lda
 from .errors import (ConfigError, DivergenceError, RangeError,
                      StratificationError)
-from .neural import (CnnClassifier, TrainConfig, predict_trial, save_network,
-                     slide_windows)
+from .neural import (OVERLAP, WIN_S, CnnClassifier, TrainConfig, predict_trial,
+                     save_network, slide_windows)
 from .seeding import child_rng
 
 CHANNEL_COUNTS = (2, 4, 8, 16, 20, 32, 64)
@@ -68,19 +68,11 @@ class EvalReport:
 
     def to_csv(self, path, channel_counts) -> None:
         """Rows = methods, columns = channel counts, cells = 'mean% (±std)'."""
-        methods = []
-        for e in self.entries:
-            if e.method not in methods:
-                methods.append(e.method)
+        cells = {(e.method, e.k_channels): e.cell() for e in self.entries}
         rows = ["method," + ",".join(f"{k}ch" for k in channel_counts)]
-        for m in methods:
-            cells = []
-            for k in channel_counts:
-                try:
-                    cells.append(self.entry(m, k).cell())
-                except KeyError:
-                    cells.append("")
-            rows.append(m + "," + ",".join(f'"{c}"' for c in cells))
+        for m in dict.fromkeys(e.method for e in self.entries):
+            rows.append(m + "," + ",".join(f'"{cells.get((m, k), "")}"'
+                                           for k in channel_counts))
         with open(path, "w") as f:
             f.write("\n".join(rows) + "\n")
 
@@ -170,7 +162,7 @@ def _evaluate(dataset: EpochSet, cells: list, folds: int, seeds, csp_m: int,
         accs[c].append(np.mean(preds == truths[s]))
         np.add.at(confusion[c], (truths[s], preds), 1)
     config = {"folds": folds, "seeds": list(seeds), "csp_m": csp_m,
-              "win_s": 2.0, "overlap": 0.5}  # slide_windows' defaults
+              "win_s": WIN_S, "overlap": OVERLAP}
     return [EvalEntry(m, int(k), a, c, config=dict(config))
             for (m, k), a, c in zip(cells, accs, confusion)]
 
@@ -355,19 +347,43 @@ def _int_at_least(lo: int) -> tuple:
     return lambda v: type(v) is int and v >= lo, f"an integer >= {lo}"
 
 
+def _ordered(v) -> bool:
+    """[a, b]: two finite numbers, a < b."""
+    return _list_of(_number)(v) and len(v) == 2 and v[0] < v[1]
+
+
+def _pair(lo: float, hi: float = math.inf) -> tuple:
+    """The rule of [a, b] with lo <= a < b <= hi."""
+    return (lambda v: _ordered(v) and lo <= v[0] and v[1] <= hi,
+            f"[a, b] with {lo:g} <= a < b"
+            + (f" <= {hi:g}" if hi < math.inf else ""))
+
+
+_WINDOWS = TrialTimeline.window_bounds_ms  # epoch_recording's phase bounds
+
 # <section>.<key> -> (test that takes any JSON value, what a valid value is)
 CONFIG_RULES = {
+    "preprocess.band": (lambda v: _ordered(v) and v[0] > 0,
+                        "[a, b] with 0 < a < b"),
+    "preprocess.downsample_factor": (
+        lambda v: v is None or type(v) is int and v >= 1,
+        "null or an integer >= 1"),
+    "epoch.imagery_window_ms": _pair(*_WINDOWS["imagery"]),
+    "epoch.rest_window_ms": _pair(*_WINDOWS["rest"]),
+    "connectivity.threshold": (lambda v: _number(v) and 0 <= v <= 1,
+                               "a number in [0, 1]"),
+    "ersp.channel": (lambda v: type(v) is str and v != "", "a channel name"),
+    "ersp.baseline_ms": _pair(*_WINDOWS["rest"]),  # the rest before onset
+    "ersp.f_range": _pair(0),
     "cnn.lr": (lambda v: _number(v) and v > 0, "a number > 0"),
     "cnn.batch_size": _int_at_least(1),
     "cnn.epochs": _int_at_least(1),
     "cnn.dropout": (lambda v: _number(v) and 0 <= v < 1, "a number in [0, 1)"),
     "cnn.patience": _int_at_least(1),
-    "cnn.min_delta": (lambda v: _number(v) and v >= 0, "a number >= 0"),
     "csp.m": _int_at_least(1),
     "cv.folds": _int_at_least(2),
     "cv.seeds": (_list_of(_seed), "a non-empty list of integers in [0, 2^64)"),
-    "stats.band": (lambda v: _list_of(_number)(v) and len(v) == 2
-                   and 0 <= v[0] < v[1], "[lo, hi] with 0 <= lo < hi"),
+    "stats.band": _pair(0),
     "stats.n_perm": _int_at_least(1),
     "stats.alpha": (lambda v: _number(v) and 0 < v < 1, "a number in (0, 1)"),
     "sweep.channel_counts": (_list_of(lambda k: type(k) is int and k >= 1),
@@ -375,6 +391,30 @@ CONFIG_RULES = {
     "sweep.methods": (_list_of(lambda m: m in ("cnn", "csp_lda")),
                       "a non-empty list of 'cnn' and 'csp_lda'"),
 }
+
+# checked when given; the synth section's other keys are free-form
+SYNTH_RULES = {"synth.fs": _int_at_least(1),
+               "synth.n_trials_per_class": _int_at_least(1)}
+
+
+def _check_synth_bounds(cfg: dict) -> None:
+    """Refuse values that the synthetic recording's rate and trial count
+    rule out, before the stages that would meet them write anything."""
+    fs = cfg["synth"].get("fs", SynthSpec.fs)
+    n_trials = cfg["synth"].get("n_trials_per_class", math.inf)
+    folds = cfg["cv"]["folds"]
+    if folds > n_trials:
+        raise ConfigError("cv.folds", f"cv.folds {folds} exceeds "
+                          f"synth.n_trials_per_class {n_trials}")
+    band = cfg["preprocess"]["band"]
+    if band[1] >= fs / 2:
+        raise ConfigError("preprocess.band", f"preprocess.band {band} must "
+                          f"end below synth.fs / 2 = {fs / 2:g} Hz")
+    band = cfg["stats"]["band"]
+    nyquist = (fs // _factor(cfg, fs)) / 2
+    if band[1] > nyquist:
+        raise ConfigError("stats.band", f"stats.band {band} must end at or "
+                          f"below the preprocessed Nyquist rate {nyquist:g} Hz")
 
 
 def validate_config(cfg: dict) -> dict:
@@ -397,21 +437,21 @@ def validate_config(cfg: dict) -> dict:
         if key in cfg and not (type(cfg[key]) is str and cfg[key]):
             raise ConfigError(key, f"{key} must be a non-empty path string, "
                               f"got {cfg[key]!r}")
-    merged = {key: {**default, **cfg.get(key, {})}
-              for key, default in DEFAULT_CONFIG.items()}
-    merged["seed"] = cfg["seed"]
-    for key in ("out", "synth", "input"):
-        if key in cfg:
-            merged[key] = cfg[key]
-    for section in sorted({name.split(".")[0] for name in CONFIG_RULES}):
-        for key, value in merged[section].items():
+    merged = {**cfg, **{key: {**default, **cfg.get(key, {})}
+                        for key, default in DEFAULT_CONFIG.items()}}
+    for section in DEFAULT_CONFIG:
+        for key in merged[section]:
             name = f"{section}.{key}"
             if name not in CONFIG_RULES:
                 raise ConfigError(name, f"unknown config key {name!r}")
-            valid, wanted = CONFIG_RULES[name]
-            if not valid(value):
-                raise ConfigError(name,
-                                  f"{name} must be {wanted}, got {value!r}")
+    for name, (valid, wanted) in {**CONFIG_RULES, **SYNTH_RULES}.items():
+        section, key = name.split(".")
+        given = merged.get(section, {})
+        if key in given and not valid(given[key]):
+            raise ConfigError(name, f"{name} must be {wanted}, "
+                              f"got {given[key]!r}")
+    if "synth" in merged:
+        _check_synth_bounds(merged)
     return merged
 
 
@@ -430,7 +470,7 @@ def synth_from_config(cfg: dict) -> SynthSpec:
             coupling=float(s.get("coupling", 1.0)),
             snr_db=float(s.get("snr_db", 10.0)),
             seed=cfg["seed"],
-            fs=int(s.get("fs", 250)),
+            fs=s.get("fs", SynthSpec.fs),
         )
     except KeyError as e:
         raise ConfigError(f"synth.{e.args[0]}") from e
@@ -481,15 +521,21 @@ def train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(seed=cfg["seed"], **cfg["cnn"])
 
 
+def _factor(cfg: dict, fs: int) -> int:
+    """preprocess.downsample_factor; null means max(1, fs // 250)."""
+    given = cfg["preprocess"]["downsample_factor"]
+    return max(1, fs // 250) if given is None else given
+
+
 def downsample_factor(cfg: dict, fs: int) -> int:
-    """preprocess.downsample_factor; null means max(1, fs // 250).
+    """The decimation factor of a validated config (see _factor).
 
     The factor, given or automatic, must divide fs: the preprocessed
     recording states its rate as the integer fs // factor.
     """
-    given = cfg["preprocess"]["downsample_factor"]
-    factor = max(1, fs // 250) if given is None else given
-    if type(factor) is not int or factor < 1 or fs % factor:
+    factor = _factor(cfg, fs)
+    if fs % factor:
+        given = cfg["preprocess"]["downsample_factor"]
         got = f"auto {factor}" if given is None else repr(given)
         raise ConfigError("preprocess.downsample_factor",
                           f"preprocess.downsample_factor must be null or a "
@@ -571,8 +617,8 @@ def ersp_stage(cfg: dict, rec: EegRecording, channel: str, emit) -> None:
                           f"in the montage")
     baseline = tuple(er["baseline_ms"])
     span = epoch_recording(rec, "onset", (baseline[0], 4500))
-    tf = dsp.ersp(span, baseline_ms=baseline, f_range=tuple(er["f_range"]),
-                  channels=[rec.montage.index(channel)])[0]
+    tf = dsp.ersp(span, rec.montage.index(channel), baseline_ms=baseline,
+                  f_range=tuple(er["f_range"]))
     tf.to_csv(emit(f"ersp_{channel}.csv"))
 
 

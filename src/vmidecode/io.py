@@ -115,15 +115,10 @@ def load_recording(path) -> EegRecording:
         if key not in header:
             raise FormatError(f"{path}: header missing {key!r}")
     data = _array(path, arrays, "data", 2)
-    names = header["channel_names"]
-    if data.shape[0] != len(names):
-        raise CorruptionError(
-            f"{path}: header names {len(names)} channels, "
-            f"data holds {data.shape[0]} rows"
-        )
     events = [(e["sample"], e["label"]) for e in header["events"]]
     try:
-        return EegRecording(Montage(tuple(names)), int(header["fs"]), data, events)
+        return EegRecording(Montage(tuple(header["channel_names"])),
+                            int(header["fs"]), data, events)
     except ValueError as e:
         raise CorruptionError(f"{path}: {e}") from e
 
@@ -134,9 +129,8 @@ def save_epochs(epochs: EpochSet, path) -> None:
         "t0_ms": float(epochs.t0_ms),
         "labels": [int(l) for l in epochs.labels],
         "source_trials": [int(s) for s in epochs.source_trials],
+        "channel_names": list(epochs.montage.channel_names),
     }
-    if epochs.montage is not None:
-        header["channel_names"] = list(epochs.montage.channel_names)
     write_container(path, header, {"tensor": np.asarray(epochs.tensor, "<f4")})
 
 
@@ -147,16 +141,15 @@ def load_epochs(path) -> EpochSet:
             raise FormatError(f"{path}: header missing {key!r}")
     tensor = _array(path, arrays, "tensor", 3)
     require_finite(tensor, f"{path}: epochs")
-    montage = None
-    if "channel_names" in header:
-        montage = Montage(tuple(header["channel_names"]))
+    # files of montage-less epochs from before names were always written
+    names = header.get("channel_names")
     src = header.get("source_trials")
     try:
         return EpochSet(
             np.asarray(header["labels"]), tensor,
             int(header["fs"]), float(header["t0_ms"]),
             source_trials=None if src is None else np.asarray(src),
-            montage=montage,
+            montage=None if names is None else Montage(tuple(names)),
         )
     except ValueError as e:
         raise CorruptionError(f"{path}: {e}") from e

@@ -8,8 +8,9 @@ gradient. Only a train-mode forward keeps what the backward pass needs
 (im2col matrices, centred batch-norm input, ELU output, dropout masks);
 eval mode keeps nothing. The architecture is a temporal convolution,
 a spatial convolution collapsing the channel axis, and two further
-conv + average-pool stages, ending in a 4-way softmax. All stochasticity
-(init, dropout masks, shuffling) derives from a single seed.
+conv + average-pool stages, ending in a softmax with one output per
+class. All stochasticity (init, dropout masks, shuffling) derives from a
+single seed.
 """
 
 import functools
@@ -21,6 +22,12 @@ from .core import EpochSet
 from .errors import (DivergenceError, RangeError, ShapeError)
 from .io import read_container, write_container
 from .seeding import child_rng
+
+# sliding-window augmentation: 2 s windows at 50 % overlap
+WIN_S = 2.0
+OVERLAP = 0.5
+# early stop: an epoch's loss must beat the best by this much to count
+MIN_DELTA = 1e-4
 
 
 def out_len(n_in: int, kernel: int, stride: int) -> int:
@@ -53,14 +60,9 @@ class ModelSpec:
         shape = (1, self.n_channels, self.input_samples)
         trace = []
         for spec in self.layers:
-            if spec.kind == "conv":
+            if spec.kind in ("conv", "avgpool"):
                 m, h, w = shape
-                shape = (spec.maps_out,
-                         out_len(h, spec.kernel[0], spec.stride[0]),
-                         out_len(w, spec.kernel[1], spec.stride[1]))
-            elif spec.kind == "avgpool":
-                m, h, w = shape
-                shape = (m,
+                shape = (spec.maps_out or m,  # a pool keeps the map count
                          out_len(h, spec.kernel[0], spec.stride[0]),
                          out_len(w, spec.kernel[1], spec.stride[1]))
             elif spec.kind == "flatten":
@@ -73,7 +75,7 @@ class ModelSpec:
 
 
 def build_model(n_channels: int, input_samples: int = 500,
-                dropout: float = 0.5) -> ModelSpec:
+                dropout: float = 0.5, n_classes: int = 4) -> ModelSpec:
     """The decoding CNN: 4 conv layers, 3 average pools, softmax head.
 
     Temporal conv (25 maps, 1x125), spatial conv (25 maps, n_channels x 1)
@@ -103,7 +105,7 @@ def build_model(n_channels: int, input_samples: int = 500,
         LayerSpec("activation"),
         LayerSpec("avgpool", kernel=(1, 4), stride=(1, 4)),
         LayerSpec("flatten"),
-        LayerSpec("dense", units=4),
+        LayerSpec("dense", units=n_classes),
         LayerSpec("softmax"),
     ]
     return ModelSpec(layers, n_channels, input_samples)
@@ -117,7 +119,6 @@ class TrainConfig:
     dropout: float = 0.5
     seed: int = 0
     patience: int = 10
-    min_delta: float = 1e-4
 
     def __post_init__(self):
         if self.lr < 0 or self.batch_size < 1 or self.epochs < 1:
@@ -448,15 +449,14 @@ class Network:
             raise RangeError("label outside class range")
         probs = self.layers[-1].probs
         b = probs.shape[0]
-        eps = 1e-12
-        loss = -np.log(probs[np.arange(b), labels] + eps).mean()
+        loss = _cross_entropy(probs, labels)
         grad = probs.copy()
         grad[np.arange(b), labels] -= 1.0
         grad /= b
         grad = grad.astype(self.dtype)
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
-        return float(loss)
+        return loss
 
     def parameters(self):
         """Yield (layer, attr name) for every trainable array."""
@@ -474,12 +474,14 @@ class Network:
                 yield layer, "running_var"
 
 
+def _cross_entropy(probs: np.ndarray, labels) -> float:
+    """Mean -log p(label) over a batch of class probabilities."""
+    return float(-np.log(probs[np.arange(len(labels)), labels] + 1e-12).mean())
+
+
 def loss_on_batch(net: Network, x, labels, train: bool = True) -> float:
     """Forward + cross-entropy without touching gradients (for FD checks)."""
-    probs = net.forward(x, train=train)
-    eps = 1e-12
-    return float(-np.log(
-        probs[np.arange(len(labels)), labels] + eps).mean())
+    return _cross_entropy(net.forward(x, train=train), labels)
 
 
 # a non-finite loss raises DivergenceError with its context; numpy's
@@ -531,7 +533,7 @@ def train(net: Network, windows: EpochSet, config: TrainConfig):
                 p -= (config.lr * mhat / (np.sqrt(vhat) + eps)).astype(p.dtype)
         epoch_loss = float(np.mean(losses))
         curve.append(epoch_loss)
-        if epoch_loss < best - config.min_delta:
+        if epoch_loss < best - MIN_DELTA:
             best = epoch_loss
             stall = 0
         else:
@@ -566,8 +568,8 @@ def predict_trial(window_probs: np.ndarray):
     return int(decision) if p.ndim == 2 else decision
 
 
-def slide_windows(epochs: EpochSet, win_s: float = 2.0,
-                  overlap: float = 0.5) -> EpochSet:
+def slide_windows(epochs: EpochSet, win_s: float = WIN_S,
+                  overlap: float = OVERLAP) -> EpochSet:
     """Sliding-window augmentation: 50%-overlapping windows, labels inherited.
 
     Windows are trial-major (trial 0's by start time, then trial 1's, ...);
@@ -602,7 +604,8 @@ class CnnClassifier:
     def fit(self, windows: EpochSet) -> "CnnClassifier":
         spec = build_model(windows.n_channels,
                            input_samples=windows.n_samples,
-                           dropout=self.config.dropout)
+                           dropout=self.config.dropout,
+                           n_classes=int(windows.labels.max()) + 1)
         self.net = Network(spec, seed=self.config.seed)
         self.loss_curve = train(self.net, windows, self.config)
         return self

@@ -28,9 +28,8 @@ def band_power(epochs: EpochSet, band_hz) -> np.ndarray:
     fs = epochs.fs
     if not 0.0 <= lo < hi <= fs / 2.0:
         raise RangeError(f"band ({lo}, {hi}) outside [0, {fs / 2}]")
-    seg_len = min(int(fs), epochs.n_samples)
     x = np.asarray(epochs.tensor, dtype=np.float64)
-    freqs, pxx = _welch_batch(x, fs, seg_len)
+    freqs, pxx = _welch_batch(x, fs)
     df = freqs[1] - freqs[0]
     mask = (freqs >= lo) & (freqs < hi)
     return pxx[..., mask].sum(axis=-1) * df
@@ -58,12 +57,8 @@ def _t_from_diffs(d: np.ndarray) -> np.ndarray:
     mean = d.mean(axis=-1)
     sd = d.std(axis=-1, ddof=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = mean / (sd / np.sqrt(n))
-    zero_sd = sd == 0
-    t = np.where(zero_sd & (mean > 0), np.inf, t)
-    t = np.where(zero_sd & (mean < 0), -np.inf, t)
-    t = np.where(zero_sd & (mean == 0), 0.0, t)
-    return t
+        t = mean / (sd / np.sqrt(n))  # mean / +0.0 is +/-inf
+    return np.where((sd == 0) & (mean == 0), 0.0, t)
 
 
 def paired_t(a, b) -> float:
@@ -111,8 +106,8 @@ class StatMap:
 
     t_values: np.ndarray
     p_values: np.ndarray
+    montage: Montage
     alpha: float = 0.01
-    montage: Montage = None
 
     @property
     def significant(self) -> np.ndarray:
@@ -120,10 +115,8 @@ class StatMap:
 
     def to_csv(self, path) -> None:
         rows = ["channel,t,p,significant"]
-        for i, (t, p, s) in enumerate(
-                zip(self.t_values, self.p_values, self.significant)):
-            name = (self.montage.channel_names[i]
-                    if self.montage is not None else f"ch{i}")
+        for name, t, p, s in zip(self.montage.channel_names, self.t_values,
+                                 self.p_values, self.significant):
             rows.append(f"{name},{t:.6g},{p:.6g},{int(s)}")
         with open(path, "w") as f:
             f.write("\n".join(rows) + "\n")

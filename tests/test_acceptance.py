@@ -237,13 +237,13 @@ def test_criterion_9_ersp_property():
     t = np.arange(n - onset) / fs
     tensor[:, 0, onset:] += 3.0 * np.sin(2 * np.pi * 10.0 * t)
     ep = EpochSet(np.zeros(24, dtype=int), tensor, fs, -500.0)
-    tf = ersp(ep, channels=[0])[0]
+    tf = ersp(ep, 0)
     f_mask = (tf.freqs_hz >= 8.0) & (tf.freqs_hz <= 12.0)
     burst = tf.values[np.ix_(f_mask, tf.times_ms >= 1000.0)].mean()
     pre = abs(tf.values[:, tf.times_ms < 400.0].mean())
     noise_ep = EpochSet(np.zeros(24, dtype=int),
                         rng.standard_normal((24, 1, n)), fs, -500.0)
-    quiet = np.abs(ersp(noise_ep, channels=[0])[0].values).mean()
+    quiet = np.abs(ersp(noise_ep, 0).values).mean()
     verdict(9, f"ERSP grid is 400 points, planted burst {burst:.1f} dB > +3, "
                f"pre-onset {pre:.2f} dB < 1, noise-only {quiet:.2f} dB < 1",
             tf.times_ms.shape == (400,) and burst > 3.0 and pre < 1.0

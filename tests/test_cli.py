@@ -6,6 +6,7 @@ import signal
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vmidecode import harness
@@ -195,7 +196,8 @@ def test_bad_downsample_factor_is_config_error(tmp_path, capsys, command,
     cfg.write_text(json.dumps({**json.loads(TINY.read_text()),
                                "preprocess": {"downsample_factor": factor}}))
     if command == "preprocess":
-        assert run("--config", cfg, "--out", tmp_path, "synth") == 0
+        # 0 and 2.5 break the rule, so synth with cfg would exit 2 too
+        assert run("--config", TINY, "--out", tmp_path, "synth") == 0
     assert run("--config", cfg, "--out", tmp_path, command) == 2
     assert "preprocess.downsample_factor" in capsys.readouterr().err
     assert not (tmp_path / "preprocessed.eegb").exists()
@@ -318,6 +320,23 @@ def test_class_ids_other_than_0_to_n_are_data_error(tmp_path, capsys, keys):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_three_class_cnn_report_has_a_3_by_3_confusion(tmp_path, capsys):
+    # the 4-unit dense head ended this report in an IndexError traceback
+    tiny = json.loads(TINY.read_text())
+    for key in ("planted_channels", "carrier_hz"):
+        tiny["synth"][key] = {c: tiny["synth"][key][c] for c in "012"}
+    tiny["sweep"] = {"channel_counts": [2, 8], "methods": ["cnn"]}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(tiny))
+    assert run("--config", cfg, "--out", tmp_path, "report") == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [e["k_channels"] for e in report] == [2, 8]
+    for e in report:
+        assert np.asarray(e["confusion"]).shape == (3, 3)
+        assert np.sum(e["confusion"]) == 9
+
+
 @pytest.mark.parametrize("key", ["out", "input"])
 def test_non_string_out_or_input_is_config_error(tmp_path, capsys, key):
     # "out": 5 ended synth in a TypeError traceback; "input": 5 made
@@ -354,7 +373,12 @@ def test_threads_flag_is_gone(tmp_path):
 @pytest.mark.parametrize("section, value", [
     ("cv", {"folds": "2"}), ("cv", {"seeds": 0}), ("stats", {"n_perm": 0}),
     ("sweep", {"bogus": 1}), ("csp", {"m": 0}), ("sweep", {"methods": ["svm"]}),
-    ("stats", {"band": [[1]]})])
+    ("stats", {"band": [[1]]}), ("preprocess", {"band": "ab"}),
+    ("epoch", {"imagery_window_ms": "ab"}), ("connectivity", {"threshold": "x"}),
+    ("ersp", {"f_range": "x"}), ("ersp", {"baseline_ms": [0]}),
+    ("cv", {"folds": 4}), ("stats", {"band": [0.5, 200]}),
+    ("preprocess", {"band": [0.5, 200]}), ("synth", {"fs": "250"}),
+    ("cnn", {"min_delta": 1e-4})])
 def test_bad_section_value_exits_2_before_any_stage(tmp_path, capsys, section,
                                                    value):
     # these ended in a traceback, in exit 3 after the earlier stages, in exit

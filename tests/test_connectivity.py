@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from vmidecode import (ChannelRanking, ConnectivityMatrix, EpochSet, Montage,
-                       per_class_plv, plv_matrix, rank_channels,
-                       select_channels, strong_edges)
+                       load_epochs, per_class_plv, plv_matrix, rank_channels,
+                       save_epochs, select_channels, stat_map, strong_edges)
 from vmidecode.connectivity import (edges_to_csv, phase_factors,
                                     plv_trial_matrices)
 from vmidecode.errors import RangeError, ShapeError
@@ -91,7 +91,8 @@ def test_plv_needs_samples():
 # Edges
 
 def _conn(values):
-    return ConnectivityMatrix(np.asarray(values, dtype=float))
+    return ConnectivityMatrix(np.asarray(values, dtype=float),
+                              Montage.numbered(len(values)))
 
 
 def test_strong_edges_empty_below_threshold():
@@ -227,3 +228,35 @@ def test_full_coupling_planted_pair_plv(small_imagery):
     assert per_class[1].values[4, 5] >= 0.95  # O1-O2 for class 1
     edges = strong_edges(per_class[1], 0.9)
     assert any({i, j} == {4, 5} for i, j, _ in edges)
+
+
+# ---------------------------------------------------------------------------
+# Epochs without a montage
+
+def test_montage_less_channel_names_follow_select(tmp_path):
+    # select dropped the missing montage, so the CSVs named channels 3 and 5
+    # ch0 and ch1 (and edges_to_csv wrote bare indices)
+    rng = np.random.default_rng(0)
+    labels = np.arange(8) % 2
+    imagery, rest = (EpochSet(labels, rng.standard_normal((8, 6, 500)),
+                              250, 500.0).select(channel_idx=[3, 5])
+                     for _ in range(2))
+    assert imagery.montage.channel_names == ("ch3", "ch5")
+    per_class = per_class_plv(imagery)
+    per_class[0].to_csv(tmp_path / "plv.csv")
+    rank_channels(per_class.values()).to_csv(tmp_path / "rank.csv")
+    edges_to_csv(strong_edges(per_class[0], 0.0), tmp_path / "edges.csv",
+                 montage=per_class[0].montage)
+    stat_map(imagery, rest, n_perm=16).to_csv(tmp_path / "stat.csv")
+
+    def column(name, i):
+        lines = (tmp_path / name).read_text().strip().split("\n")
+        return [line.split(",")[i] for line in lines[1:]]
+    assert (tmp_path / "plv.csv").read_text().startswith("channel,ch3,ch5\n")
+    assert column("plv.csv", 0) == ["ch3", "ch5"]
+    assert sorted(column("rank.csv", 2)) == ["ch3", "ch5"]
+    assert column("edges.csv", 0) + column("edges.csv", 1) == ["ch3", "ch5"]
+    assert column("stat.csv", 0) == ["ch3", "ch5"]
+    save_epochs(imagery, tmp_path / "e.eegb")
+    assert load_epochs(tmp_path / "e.eegb").montage.channel_names == (
+        "ch3", "ch5")

@@ -208,6 +208,14 @@ def test_epochset_select_keeps_alignment():
     np.testing.assert_array_equal(sub.tensor[0], ep.tensor[3][[0, 4]])
 
 
+def test_epochset_montage_names_every_channel():
+    tensor = np.zeros((2, 3, 10))
+    assert EpochSet([0, 1], tensor, 250, 0.0).montage == Montage.numbered(3)
+    assert Montage.numbered(3).channel_names == ("ch0", "ch1", "ch2")
+    with pytest.raises(ShapeError):
+        EpochSet([0, 1], tensor, 250, 0.0, montage=Montage(("a", "b")))
+
+
 # ---------------------------------------------------------------------------
 # Synthetic generator
 

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vmidecode import harness
-from vmidecode import (CspLdaClassifier, EpochSet, EvalEntry, EvalReport,
-                       TrainConfig, cross_validate, format_cell,
+from vmidecode import (CnnClassifier, CspLdaClassifier, EpochSet, EvalEntry,
+                       EvalReport, TrainConfig, cross_validate, format_cell,
                        predict_trial, slide_windows, stratified_folds, sweep)
 from vmidecode.errors import (ConfigError, DegenerateInputError,
                               DivergenceError, RangeError,
@@ -251,6 +251,38 @@ def test_report_json_round_trip(tmp_path):
         100.0 * np.mean(blob[0]["fold_accuracies"]))
 
 
+def _lookup_loop_csv(report, channel_counts) -> str:
+    """EvalReport.to_csv's former loop: methods in first-seen order, one
+    entry() lookup per cell, a KeyError for an empty cell."""
+    methods = []
+    for e in report.entries:
+        if e.method not in methods:
+            methods.append(e.method)
+    rows = ["method," + ",".join(f"{k}ch" for k in channel_counts)]
+    for m in methods:
+        cells = []
+        for k in channel_counts:
+            try:
+                cells.append(report.entry(m, k).cell())
+            except KeyError:
+                cells.append("")
+        rows.append(m + "," + ",".join(f'"{c}"' for c in cells))
+    return "\n".join(rows) + "\n"
+
+
+def test_report_csv_matches_the_lookup_loop(tmp_path):
+    z = np.zeros((4, 4))
+    report = EvalReport([EvalEntry("csp_lda", 8, [0.5, 0.75], z),
+                         EvalEntry("cnn", 8, [1.0, 0.5], z),
+                         EvalEntry("csp_lda", 2, [0.25, 0.5], z)])
+    for counts in [(2, 4, 8), (8,), (4,)]:
+        report.to_csv(tmp_path / "sweep.csv", channel_counts=counts)
+        assert (tmp_path / "sweep.csv").read_text() == _lookup_loop_csv(
+            report, counts)
+    assert (tmp_path / "sweep.csv").read_text() == (
+        'method,4ch\ncsp_lda,""\ncnn,""\n')
+
+
 def test_eval_entry_lookup():
     report = EvalReport([EvalEntry("cnn", 16, [1.0], np.zeros((4, 4)))])
     assert report.entry("cnn", 16).k_channels == 16
@@ -481,6 +513,7 @@ def test_synth_from_config_channels_subset():
                   "channels": ["Fp1", "Fp2", "O1", "O2"],
                   "planted_channels": {"0": ["Fp1"], "1": ["O1"]},
                   "carrier_hz": {"0": 5.0, "1": 9.0}},
+        "cv": {"folds": 2},  # the default 5 folds need 5 trials per class
     })
     spec = synth_from_config(cfg)
     assert len(spec.montage) == 4
@@ -512,6 +545,20 @@ def test_cnn_cross_validate_smoke():
                            train_config=TrainConfig(epochs=2, seed=0))
     assert len(entry.fold_accuracies) == 2
     assert entry.confusion.sum() == 16
+
+
+@pytest.mark.parametrize("n_classes", [3, 5])
+def test_cnn_cross_validate_has_one_output_per_class(n_classes):
+    # the dense head had 4 units: 3 classes ended in an IndexError from the
+    # confusion matrix, 5 in "label outside class range"
+    ep = _noise_epochs(2, np.arange(4 * n_classes) % n_classes)
+    entry = cross_validate(ep, "cnn", folds=2,
+                           train_config=TrainConfig(epochs=1))
+    assert entry.confusion.shape == (n_classes, n_classes)
+    assert entry.confusion.sum() == 4 * n_classes
+    clf = CnnClassifier(TrainConfig(epochs=1)).fit(slide_windows(ep))
+    assert clf.net.spec.shape_trace()[-1] == n_classes
+    assert clf.predict_scores(slide_windows(ep)).shape[1] == n_classes
 
 
 def test_synth_spec_from_small_config_round_trip():
@@ -559,10 +606,10 @@ def test_config_rules_take_any_json_value():
 
 def test_every_key_of_a_ruled_section_is_checked():
     sections = {name.split(".")[0] for name in harness.CONFIG_RULES}
-    assert sections == {"cnn", "csp", "cv", "stats", "sweep"}
+    assert sections == {"preprocess", "epoch", "connectivity", "ersp", "cnn",
+                        "csp", "cv", "stats", "sweep"}
     for section in sections:
-        defaults = {**DEFAULT_CONFIG[section], **(
-            {"min_delta": 1e-4} if section == "cnn" else {})}
+        defaults = DEFAULT_CONFIG[section]
         assert {f"{section}.{k}" for k in defaults} == {
             n for n in harness.CONFIG_RULES if n.startswith(section + ".")}
         with pytest.raises(ConfigError) as err:
@@ -575,12 +622,60 @@ def test_every_key_of_a_ruled_section_is_checked():
     ("cv.seeds", [-1]), ("csp.m", 0), ("stats.n_perm", 0),
     ("stats.alpha", 0), ("stats.band", [13.0, 0.5]), ("sweep.methods", []),
     ("sweep.methods", ["svm"]), ("sweep.channel_counts", [0]),
-    ("cnn.lr", float("inf"))])
+    ("cnn.lr", float("inf")), ("cnn.min_delta", 1e-4),
+    ("preprocess.band", [0, 13.0]), ("preprocess.band", "ab"),
+    ("preprocess.downsample_factor", 0), ("preprocess.downsample_factor", 2.0),
+    ("epoch.imagery_window_ms", [-500, 4500]),
+    ("epoch.imagery_window_ms", [500, 5500]), ("epoch.imagery_window_ms", "ab"),
+    ("epoch.rest_window_ms", [-4500, 500]), ("epoch.rest_window_ms", [0, 0]),
+    ("connectivity.threshold", "x"), ("connectivity.threshold", 1.5),
+    ("ersp.channel", ""), ("ersp.channel", 3), ("ersp.f_range", "x"),
+    ("ersp.f_range", [50, 3]), ("ersp.baseline_ms", [0]),
+    ("ersp.baseline_ms", [-500, 100]), ("ersp.baseline_ms", [-6000, 0])])
 def test_bad_section_value_is_config_error(name, value):
     section, key = name.split(".")
     with pytest.raises(ConfigError) as err:
         validate_config({"seed": 1, section: {key: value}})
     assert err.value.key == name
+
+
+def _synth_config(synth=None, **sections):
+    """A synth config of 3 trials per class at 250 Hz, 3-fold CV."""
+    return {"seed": 1, "cv": {"folds": 3},
+            "synth": {"n_trials_per_class": 3, "fs": 250, **(synth or {})},
+            **sections}
+
+
+@pytest.mark.parametrize("synth, sections, key", [
+    ({"fs": "250"}, {}, "synth.fs"), ({"fs": 0}, {}, "synth.fs"),
+    ({"n_trials_per_class": 2.0}, {}, "synth.n_trials_per_class"),
+    ({"n_trials_per_class": 0}, {}, "synth.n_trials_per_class"),
+    ({}, {"cv": {"folds": 4}}, "cv.folds"),
+    ({}, {"preprocess": {"band": [0.5, 125.0]}}, "preprocess.band"),
+    ({}, {"stats": {"band": [0.5, 125.5]}}, "stats.band"),
+    # auto factor 4: 1000 Hz is decimated to 250 Hz
+    ({"fs": 1000}, {"stats": {"band": [0.5, 126.0]}}, "stats.band"),
+    ({"fs": 1000}, {"preprocess": {"downsample_factor": 2},
+                    "stats": {"band": [0.5, 251.0]}}, "stats.band")])
+def test_values_the_synth_section_rules_out_are_config_errors(synth, sections,
+                                                              key):
+    # these exited 3 after the earlier stages had written their artifacts,
+    # and "fs": "250" passed through int()
+    with pytest.raises(ConfigError) as err:
+        validate_config(_synth_config(synth, **sections))
+    assert err.value.key == key and key in str(err.value)
+
+
+def test_synth_bounds_accept_their_edges_and_skip_input_configs():
+    validate_config(_synth_config(preprocess={"band": [0.5, 124.9]},
+                                  stats={"band": [0.5, 125.0]}))
+    validate_config(_synth_config({"fs": 1000}, stats={"band": [0, 125]},
+                                  preprocess={"band": [0.5, 499.0]}))
+    # a factor that does not divide fs is refused at the preprocess stage
+    validate_config(_synth_config({"fs": 1001}))
+    validate_config({"seed": 1, "input": "rec.eegb", "cv": {"folds": 50},
+                     "preprocess": {"band": [0.5, 900.0]},
+                     "stats": {"band": [0.5, 900.0]}})
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64, True, 1.0, "1"])

@@ -140,6 +140,24 @@ def test_epochs_dims_mismatch(tmp_path):
         load_epochs(path)
 
 
+def test_epochs_without_channel_names_load_numbered(tmp_path):
+    # montage-less epochs used to be saved without names
+    path = tmp_path / "e.eegb"
+    write_container(path, {"fs": 250, "t0_ms": 0.0, "labels": [0, 1]},
+                    {"tensor": np.zeros((2, 3, 50), dtype=np.float32)})
+    assert load_epochs(path).montage.channel_names == ("ch0", "ch1", "ch2")
+
+
+def test_epochs_channel_names_must_match_the_tensor(tmp_path):
+    path = tmp_path / "e.eegb"
+    header = {"fs": 250, "t0_ms": 0.0, "labels": [0, 1],
+              "channel_names": ["Fp1", "Fp2"]}
+    write_container(path, header,
+                    {"tensor": np.zeros((2, 3, 50), dtype=np.float32)})
+    with pytest.raises(CorruptionError):
+        load_epochs(path)
+
+
 def test_epochs_labels_tensor_mismatch(tmp_path):
     path = tmp_path / "e.eegb"
     header = {"fs": 250, "t0_ms": 0.0, "labels": [0, 1, 2]}

@@ -6,6 +6,7 @@ import pytest
 from vmidecode import (CnnClassifier, EpochSet, Network, TrainConfig,
                        build_model, load_network, predict_proba,
                        predict_trial, save_network, slide_windows)
+from vmidecode import neural
 from vmidecode.errors import DivergenceError, RangeError, ShapeError
 from vmidecode.neural import AvgPool, loss_on_batch, out_len, train
 
@@ -484,6 +485,16 @@ def test_early_stop_on_plateau():
     curve = train(net, windows, TrainConfig(lr=0.0, epochs=50, batch_size=8,
                                             seed=5, patience=3))
     assert len(curve) <= 5  # flat loss stops after patience epochs
+
+
+def test_early_stop_counts_gains_below_min_delta_as_stalls(monkeypatch):
+    assert neural.MIN_DELTA == 1e-4
+    cfg = TrainConfig(lr=0.0, epochs=6, batch_size=8, seed=5, patience=2)
+    # with -1e9 every epoch is a gain, with 1e9 only the first one is
+    for delta, n_epochs in ((-1e9, 6), (1e9, 3)):
+        monkeypatch.setattr(neural, "MIN_DELTA", delta)
+        assert len(train(_small_net(seed=5), _train_windows(), cfg)) == (
+            n_epochs)
 
 
 def test_train_config_validation():

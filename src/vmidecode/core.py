@@ -220,8 +220,6 @@ def epoch_recording(rec: EegRecording, phase: str, window_ms) -> EpochSet:
     """
     timeline = TrialTimeline()
     start_ms, end_ms = window_ms
-    if end_ms <= start_ms:
-        raise RangeError("window end must exceed start")
     if phase not in timeline.window_bounds_ms:
         raise RangeError(f"unknown phase {phase!r}")
     lo, hi = timeline.window_bounds_ms[phase]
@@ -235,9 +233,7 @@ def epoch_recording(rec: EegRecording, phase: str, window_ms) -> EpochSet:
 
     fs = rec.fs
     onset_off = round(timeline.imagery_offset_s * fs)
-    s0 = round(start_ms * fs / 1000.0)
-    s1 = round(end_ms * fs / 1000.0)
-    n_samp = s1 - s0
+    s0, s1 = window_samples(window_ms, fs)
     trial_len = round(timeline.total_s * fs)
 
     starts, labels = np.array(list(zip(*rec.events)), dtype=np.int64)
@@ -247,9 +243,18 @@ def epoch_recording(rec: EegRecording, phase: str, window_ms) -> EpochSet:
                          f"recording length")
     # row a of the (start, channel, sample) view is the epoch starting at a
     epochs = np.lib.stride_tricks.sliding_window_view(
-        rec.data, n_samp, axis=1).transpose(1, 0, 2)[starts + onset_off + s0]
+        rec.data, s1 - s0, axis=1).transpose(1, 0, 2)[starts + onset_off + s0]
     require_finite(epochs, f"recording's {phase} epochs")
     return EpochSet(labels, epochs, fs, float(start_ms), montage=rec.montage)
+
+
+def window_samples(window_ms, fs: int) -> tuple:
+    """(first, stop) sample of a [start, end) ms window from onset, at fs."""
+    s0, s1 = (round(t * fs / 1000.0) for t in window_ms)
+    if s1 - s0 < 2:
+        raise RangeError(f"window {list(window_ms)} ms spans {s1 - s0} "
+                         f"samples at {fs} Hz; it needs at least 2")
+    return s0, s1
 
 
 def require_finite(samples: np.ndarray, what: str) -> None:

@@ -149,6 +149,8 @@ def _welch_batch(x: np.ndarray, fs: float, seg_len: int = None):
         seg_len = min(int(fs), n)  # 1 s segments, or the whole series
     if seg_len > n:
         raise RangeError(f"segment length {seg_len} exceeds series length {n}")
+    if seg_len < 3:  # a Hann window of 2 samples is all zeros
+        raise RangeError(f"Welch segments need 3 samples, got {seg_len}")
     hop = max(1, int(round(seg_len * 0.5)))
     win = np.hanning(seg_len)
     u = (win ** 2).sum()
@@ -217,6 +219,9 @@ def ersp(epochs: EpochSet, channel: int, baseline_ms=(-500.0, 0.0),
     centers_ms = (starts + win / 2.0) / fs * 1000.0 + t0
     freqs_all = np.arange(win // 2 + 1) * fs / win
     f_keep = (freqs_all >= f_range[0]) & (freqs_all <= f_range[1])
+    if not f_keep.any():
+        raise RangeError(f"f_range {list(f_range)} Hz holds no STFT bin; the "
+                         f"bins are {fs / win:g} Hz apart")
     freqs = freqs_all[f_keep]
     # baseline membership goes by frame start: with a 256-sample window at
     # 250 Hz no frame *center* can precede onset inside a 500 ms baseline

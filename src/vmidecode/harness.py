@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from . import connectivity as conn_mod
-from . import dsp, io, stats
+from . import core, dsp, io, stats
 from .core import (EegRecording, EpochSet, Montage, SynthSpec, TrialTimeline,
                    epoch_recording, require_finite, synth_dataset)
 from .csp import CspLdaClassifier, save_csp_lda
@@ -304,22 +304,6 @@ def sweep(dataset: EpochSet, methods=("cnn", "csp_lda"),
 # ---------------------------------------------------------------------------
 # Config-driven pipeline
 
-DEFAULT_CONFIG = {
-    "preprocess": {"band": [0.5, 13.0], "downsample_factor": None},
-    "epoch": {"imagery_window_ms": [500, 4500],
-              "rest_window_ms": [-4500, -500]},
-    "connectivity": {"threshold": 0.9},
-    "stats": {"band": [0.5, 13.0], "n_perm": 10000, "alpha": 0.01},
-    "ersp": {"channel": "Oz", "baseline_ms": [-500, 0], "f_range": [3, 50]},
-    "cnn": {"lr": 1e-3, "batch_size": 16, "epochs": 100, "dropout": 0.5,
-            "patience": 10},
-    "csp": {"m": 2},
-    "cv": {"folds": 5, "seeds": [0]},
-    "sweep": {"channel_counts": list(CHANNEL_COUNTS),
-              "methods": ["cnn", "csp_lda"]},
-}
-
-
 def load_config(path) -> dict:
     with open(path) as f:
         try:
@@ -337,6 +321,10 @@ def _number(v) -> bool:
 def _seed(v) -> bool:
     """A root seed that seeding.derive_seed takes."""
     return type(v) is int and 0 <= v < 2 ** 64
+
+
+def _name(v) -> bool:
+    return type(v) is str and v != ""
 
 
 def _list_of(test):
@@ -359,42 +347,76 @@ def _pair(lo: float, hi: float = math.inf) -> tuple:
             + (f" <= {hi:g}" if hi < math.inf else ""))
 
 
-_WINDOWS = TrialTimeline.window_bounds_ms  # epoch_recording's phase bounds
+def _by_class(test):
+    """An object keyed by class ids "0", "1", ..., each value passing test."""
+    return lambda v: type(v) is dict and len(v) > 0 and all(
+        _name(k) and k.isascii() and k.isdecimal() and (k == "0" or k[0] != "0")
+        and test(x) for k, x in v.items())
 
-# <section>.<key> -> (test that takes any JSON value, what a valid value is)
+
+_WINDOWS = TrialTimeline.window_bounds_ms  # epoch_recording's phase bounds
+_GIVEN = object()  # the default of a key that is checked when given only
+
+# <name> or <section>.<key> -> (default, test that takes any JSON value,
+# what a valid value is)
 CONFIG_RULES = {
-    "preprocess.band": (lambda v: _ordered(v) and v[0] > 0,
+    "seed": (_GIVEN, _seed, "an integer in [0, 2^64)"),
+    "out": (_GIVEN, _name, "a non-empty path string"),
+    "input": (_GIVEN, _name, "a non-empty path string"),
+    "synth.fs": (_GIVEN, *_int_at_least(1)),
+    "synth.n_trials_per_class": (_GIVEN, *_int_at_least(1)),
+    "synth.channels": (_GIVEN, lambda v: _list_of(_name)(v)
+                       and len(set(v)) == len(v),
+                       "a non-empty list of distinct channel names"),
+    "synth.planted_channels": (_GIVEN, _by_class(_list_of(_name)),
+                               "an object of class ids '0', '1', ... to "
+                               "non-empty lists of channel names"),
+    "synth.carrier_hz": (_GIVEN, _by_class(lambda f: _number(f) and f > 0),
+                         "an object of class ids '0', '1', ... to numbers > 0"),
+    "synth.coupling": (_GIVEN, lambda v: _number(v) and 0 < v <= 1,
+                       "a number in (0, 1]"),
+    "synth.snr_db": (_GIVEN, _number, "a finite number"),
+    "preprocess.band": ([0.5, 13.0], lambda v: _ordered(v) and v[0] > 0,
                         "[a, b] with 0 < a < b"),
     "preprocess.downsample_factor": (
-        lambda v: v is None or type(v) is int and v >= 1,
+        None, lambda v: v is None or type(v) is int and v >= 1,
         "null or an integer >= 1"),
-    "epoch.imagery_window_ms": _pair(*_WINDOWS["imagery"]),
-    "epoch.rest_window_ms": _pair(*_WINDOWS["rest"]),
-    "connectivity.threshold": (lambda v: _number(v) and 0 <= v <= 1,
+    "epoch.imagery_window_ms": ([500, 4500], *_pair(*_WINDOWS["imagery"])),
+    "epoch.rest_window_ms": ([-4500, -500], *_pair(*_WINDOWS["rest"])),
+    "connectivity.threshold": (0.9, lambda v: _number(v) and 0 <= v <= 1,
                                "a number in [0, 1]"),
-    "ersp.channel": (lambda v: type(v) is str and v != "", "a channel name"),
-    "ersp.baseline_ms": _pair(*_WINDOWS["rest"]),  # the rest before onset
-    "ersp.f_range": _pair(0),
-    "cnn.lr": (lambda v: _number(v) and v > 0, "a number > 0"),
-    "cnn.batch_size": _int_at_least(1),
-    "cnn.epochs": _int_at_least(1),
-    "cnn.dropout": (lambda v: _number(v) and 0 <= v < 1, "a number in [0, 1)"),
-    "cnn.patience": _int_at_least(1),
-    "csp.m": _int_at_least(1),
-    "cv.folds": _int_at_least(2),
-    "cv.seeds": (_list_of(_seed), "a non-empty list of integers in [0, 2^64)"),
-    "stats.band": _pair(0),
-    "stats.n_perm": _int_at_least(1),
-    "stats.alpha": (lambda v: _number(v) and 0 < v < 1, "a number in (0, 1)"),
-    "sweep.channel_counts": (_list_of(lambda k: type(k) is int and k >= 1),
+    "ersp.channel": ("Oz", _name, "a channel name"),
+    "ersp.baseline_ms": ([-500, 0], *_pair(*_WINDOWS["rest"])),  # before onset
+    "ersp.f_range": ([3, 50], *_pair(0)),
+    "cnn.lr": (1e-3, lambda v: _number(v) and v > 0, "a number > 0"),
+    "cnn.batch_size": (16, *_int_at_least(1)),
+    "cnn.epochs": (100, *_int_at_least(1)),
+    "cnn.dropout": (0.5, lambda v: _number(v) and 0 <= v < 1,
+                    "a number in [0, 1)"),
+    "cnn.patience": (10, *_int_at_least(1)),
+    "csp.m": (2, *_int_at_least(1)),
+    "cv.folds": (5, *_int_at_least(2)),
+    "cv.seeds": ([0], _list_of(_seed),
+                 "a non-empty list of integers in [0, 2^64)"),
+    "stats.band": ([0.5, 13.0], *_pair(0)),
+    "stats.n_perm": (10000, *_int_at_least(1)),
+    "stats.alpha": (0.01, lambda v: _number(v) and 0 < v < 1,
+                    "a number in (0, 1)"),
+    "sweep.channel_counts": (list(CHANNEL_COUNTS),
+                             _list_of(lambda k: type(k) is int and k >= 1),
                              "a non-empty list of integers >= 1"),
-    "sweep.methods": (_list_of(lambda m: m in ("cnn", "csp_lda")),
+    "sweep.methods": (["cnn", "csp_lda"],
+                      _list_of(lambda m: m in ("cnn", "csp_lda")),
                       "a non-empty list of 'cnn' and 'csp_lda'"),
 }
+_SECTIONS = {name.split(".")[0] for name in CONFIG_RULES if "." in name}
 
-# checked when given; the synth section's other keys are free-form
-SYNTH_RULES = {"synth.fs": _int_at_least(1),
-               "synth.n_trials_per_class": _int_at_least(1)}
+# each section's defaults; synth has none, so it is never merged
+DEFAULT_CONFIG = {}
+for _rule, (_default, _, _) in CONFIG_RULES.items():
+    if _default is not _GIVEN:
+        _section, _key = _rule.split(".")
+        DEFAULT_CONFIG.setdefault(_section, {})[_key] = _default
 
 
 def _check_synth_bounds(cfg: dict) -> None:
@@ -411,10 +433,24 @@ def _check_synth_bounds(cfg: dict) -> None:
         raise ConfigError("preprocess.band", f"preprocess.band {band} must "
                           f"end below synth.fs / 2 = {fs / 2:g} Hz")
     band = cfg["stats"]["band"]
-    nyquist = (fs // _factor(cfg, fs)) / 2
-    if band[1] > nyquist:
+    rate = fs // downsample_factor(cfg, fs)
+    if band[1] > rate / 2:
         raise ConfigError("stats.band", f"stats.band {band} must end at or "
-                          f"below the preprocessed Nyquist rate {nyquist:g} Hz")
+                          f"below the preprocessed Nyquist rate {rate / 2:g} Hz")
+    for key in ("imagery_window_ms", "rest_window_ms"):
+        try:
+            core.window_samples(cfg["epoch"][key], rate)
+        except RangeError as e:
+            raise ConfigError(f"epoch.{key}", f"epoch.{key}: {e}") from e
+
+
+def _given(cfg: dict):
+    """(name, value) of every key cfg gives; a section's are <section>.<key>."""
+    for key, value in cfg.items():
+        if key in _SECTIONS and not isinstance(value, dict):
+            raise ConfigError(key, f"config key {key!r} must be an object")
+        yield from ({f"{key}.{k}": v for k, v in value.items()}
+                    if key in _SECTIONS else {key: value}).items()
 
 
 def validate_config(cfg: dict) -> dict:
@@ -423,57 +459,32 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("<root>", "config must be a JSON object")
     if "seed" not in cfg:
         raise ConfigError("seed")
-    if not _seed(cfg["seed"]):
-        raise ConfigError("seed", f"seed must be an integer in [0, 2^64), "
-                          f"got {cfg['seed']!r}")
-    known = {"seed", "out", "synth", "input", *DEFAULT_CONFIG}
-    for key in cfg:
-        if key not in known:
-            raise ConfigError(key, f"unknown config key {key!r}")
-    for key in (*DEFAULT_CONFIG, "synth"):
-        if not isinstance(cfg.get(key, {}), dict):
-            raise ConfigError(key, f"config key {key!r} must be an object")
-    for key in ("out", "input"):
-        if key in cfg and not (type(cfg[key]) is str and cfg[key]):
-            raise ConfigError(key, f"{key} must be a non-empty path string, "
-                              f"got {cfg[key]!r}")
+    for name, value in _given(cfg):
+        if name not in CONFIG_RULES:
+            raise ConfigError(name, f"unknown config key {name!r}")
+        _, valid, wanted = CONFIG_RULES[name]
+        if not valid(value):
+            raise ConfigError(name, f"{name} must be {wanted}, got {value!r}")
     merged = {**cfg, **{key: {**default, **cfg.get(key, {})}
                         for key, default in DEFAULT_CONFIG.items()}}
-    for section in DEFAULT_CONFIG:
-        for key in merged[section]:
-            name = f"{section}.{key}"
-            if name not in CONFIG_RULES:
-                raise ConfigError(name, f"unknown config key {name!r}")
-    for name, (valid, wanted) in {**CONFIG_RULES, **SYNTH_RULES}.items():
-        section, key = name.split(".")
-        given = merged.get(section, {})
-        if key in given and not valid(given[key]):
-            raise ConfigError(name, f"{name} must be {wanted}, "
-                              f"got {given[key]!r}")
     if "synth" in merged:
         _check_synth_bounds(merged)
     return merged
 
 
 def synth_from_config(cfg: dict) -> SynthSpec:
-    s = cfg.get("synth")
-    if s is None:
-        raise ConfigError("synth")
-    montage = (Montage(tuple(s["channels"])) if "channels" in s
-               else Montage.default())
-    try:
-        return SynthSpec(
-            n_trials_per_class=s["n_trials_per_class"],
-            montage=montage,
-            planted_channels={int(k): v for k, v in s["planted_channels"].items()},
-            carrier_hz={int(k): float(v) for k, v in s["carrier_hz"].items()},
-            coupling=float(s.get("coupling", 1.0)),
-            snr_db=float(s.get("snr_db", 10.0)),
-            seed=cfg["seed"],
-            fs=s.get("fs", SynthSpec.fs),
-        )
-    except KeyError as e:
-        raise ConfigError(f"synth.{e.args[0]}") from e
+    """The validated synth section as a SynthSpec, which defaults the rest."""
+    if "synth" not in cfg:
+        raise ConfigError("synth", "the synth stage needs a synth section")
+    args = {**cfg["synth"], "seed": cfg["seed"]}
+    for key in ("n_trials_per_class", "planted_channels", "carrier_hz"):
+        if key not in args:
+            raise ConfigError(f"synth.{key}", f"synth.{key} is required")
+    for key in ("planted_channels", "carrier_hz"):
+        args[key] = {int(c): v for c, v in args[key].items()}
+    if "channels" in args:
+        args["montage"] = Montage(tuple(args.pop("channels")))
+    return SynthSpec(**args)
 
 
 def sha256_file(path) -> str:
@@ -521,21 +532,15 @@ def train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(seed=cfg["seed"], **cfg["cnn"])
 
 
-def _factor(cfg: dict, fs: int) -> int:
-    """preprocess.downsample_factor; null means max(1, fs // 250)."""
-    given = cfg["preprocess"]["downsample_factor"]
-    return max(1, fs // 250) if given is None else given
-
-
 def downsample_factor(cfg: dict, fs: int) -> int:
-    """The decimation factor of a validated config (see _factor).
+    """A validated preprocess.downsample_factor; null means max(1, fs // 250).
 
     The factor, given or automatic, must divide fs: the preprocessed
     recording states its rate as the integer fs // factor.
     """
-    factor = _factor(cfg, fs)
+    given = cfg["preprocess"]["downsample_factor"]
+    factor = max(1, fs // 250) if given is None else given
     if fs % factor:
-        given = cfg["preprocess"]["downsample_factor"]
         got = f"auto {factor}" if given is None else repr(given)
         raise ConfigError("preprocess.downsample_factor",
                           f"preprocess.downsample_factor must be null or a "

@@ -41,8 +41,7 @@ def out_len(n_in: int, kernel: int, stride: int) -> int:
 class LayerSpec:
     kind: str                  # conv | avgpool | batchnorm | activation | dropout | flatten | dense | softmax
     maps_out: int = None
-    kernel: tuple = (1, 1)
-    stride: tuple = (1, 1)
+    kernel: tuple = (1, 1)     # a conv's stride is 1, a pool's its kernel
     rate: float = 0.5          # dropout only
     units: int = None          # dense only
 
@@ -63,8 +62,8 @@ class ModelSpec:
             if spec.kind in ("conv", "avgpool"):
                 m, h, w = shape
                 shape = (spec.maps_out or m,  # a pool keeps the map count
-                         out_len(h, spec.kernel[0], spec.stride[0]),
-                         out_len(w, spec.kernel[1], spec.stride[1]))
+                         *(out_len(n, k, k if spec.kind == "avgpool" else 1)
+                           for n, k in zip((h, w), spec.kernel)))
             elif spec.kind == "flatten":
                 shape = int(np.prod(shape))
             elif spec.kind == "dense":
@@ -80,7 +79,7 @@ def build_model(n_channels: int, input_samples: int = 500,
 
     Temporal conv (25 maps, 1x125), spatial conv (25 maps, n_channels x 1)
     collapsing the electrode axis, then 50- and 100-map 1x15 convs, each
-    pool 1x4 stride 1x4. Batch norm follows every conv, ELU follows every
+    pool 1x4. Batch norm follows every conv, ELU follows every
     batch norm, dropout precedes every conv block after the first.
     """
     if n_channels < 1:
@@ -93,17 +92,17 @@ def build_model(n_channels: int, input_samples: int = 500,
         LayerSpec("conv", maps_out=25, kernel=(n_channels, 1)),
         LayerSpec("batchnorm"),
         LayerSpec("activation"),
-        LayerSpec("avgpool", kernel=(1, 4), stride=(1, 4)),
+        LayerSpec("avgpool", kernel=(1, 4)),
         LayerSpec("dropout", rate=dropout),
         LayerSpec("conv", maps_out=50, kernel=(1, 15)),
         LayerSpec("batchnorm"),
         LayerSpec("activation"),
-        LayerSpec("avgpool", kernel=(1, 4), stride=(1, 4)),
+        LayerSpec("avgpool", kernel=(1, 4)),
         LayerSpec("dropout", rate=dropout),
         LayerSpec("conv", maps_out=100, kernel=(1, 15)),
         LayerSpec("batchnorm"),
         LayerSpec("activation"),
-        LayerSpec("avgpool", kernel=(1, 4), stride=(1, 4)),
+        LayerSpec("avgpool", kernel=(1, 4)),
         LayerSpec("flatten"),
         LayerSpec("dense", units=n_classes),
         LayerSpec("softmax"),
@@ -206,10 +205,7 @@ class Conv(_Layer):
 
 
 class AvgPool(_Layer):
-    def __init__(self, kernel, stride):
-        if tuple(stride) != tuple(kernel):
-            raise ShapeError(f"avgpool stride {stride} differs from its "
-                             f"kernel {kernel}")
+    def __init__(self, kernel):
         self.kernel = kernel
 
     def _tiles(self, x):
@@ -407,7 +403,7 @@ class Network:
                 layer = Conv(shape[0], ls.maps_out, ls.kernel, rng, self.dtype,
                              input_grad=li > 0)
             elif ls.kind == "avgpool":
-                layer = AvgPool(ls.kernel, ls.stride)
+                layer = AvgPool(ls.kernel)
             elif ls.kind == "batchnorm":
                 layer = BatchNorm(shape[0], self.dtype)
             elif ls.kind == "activation":
@@ -643,8 +639,9 @@ def save_network(net: Network, path, config: TrainConfig = None) -> None:
 
 def load_network(path) -> Network:
     header, arrays = read_container(path)
-    layers = [LayerSpec(**{**d, "kernel": tuple(d["kernel"]),
-                           "stride": tuple(d["stride"])})
+    # older checkpoints list each layer's stride, which its kind now implies
+    layers = [LayerSpec(**{k: tuple(v) if k == "kernel" else v
+                           for k, v in d.items() if k != "stride"})
               for d in header["layers"]]
     spec = ModelSpec(layers, header["n_channels"], header["input_samples"])
     net = Network(spec, seed=header["seed"])

@@ -32,6 +32,9 @@ def band_power(epochs: EpochSet, band_hz) -> np.ndarray:
     freqs, pxx = _welch_batch(x, fs)
     df = freqs[1] - freqs[0]
     mask = (freqs >= lo) & (freqs < hi)
+    if not mask.any():
+        raise RangeError(f"band [{lo}, {hi}) Hz holds no Welch bin; the bins "
+                         f"are {df:g} Hz apart")
     return pxx[..., mask].sum(axis=-1) * df
 
 

@@ -48,11 +48,11 @@ def reduced_model_spec(n_channels=2, width=40, dropout=0.0):
         LayerSpec("conv", maps_out=8, kernel=(n_channels, 1)),
         LayerSpec("batchnorm"),
         LayerSpec("activation"),
-        LayerSpec("avgpool", kernel=(1, 2), stride=(1, 2)),
+        LayerSpec("avgpool", kernel=(1, 2)),
         LayerSpec("conv", maps_out=12, kernel=(1, 5)),
         LayerSpec("batchnorm"),
         LayerSpec("activation"),
-        LayerSpec("avgpool", kernel=(1, 2), stride=(1, 2)),
+        LayerSpec("avgpool", kernel=(1, 2)),
         LayerSpec("flatten"),
         LayerSpec("dense", units=4),
         LayerSpec("softmax"),

@@ -1,13 +1,17 @@
 """CLI subcommands, exit codes and artifact determinism."""
 
+import contextlib
+import io as text_io
 import json
 import multiprocessing
 import signal
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vmidecode import harness
 from vmidecode.cli import main
@@ -222,10 +226,10 @@ def test_auto_downsample_factor_not_dividing_fs_is_config_error(tmp_path,
     tiny = json.loads(TINY.read_text())
     cfg.write_text(json.dumps({**tiny, "synth": {**tiny["synth"],
                                                  "fs": 1001}}))
-    assert run("--config", cfg, "--out", tmp_path, "synth") == 0
-    assert run("--config", cfg, "--out", tmp_path, "preprocess") == 2
+    # refused before synth writes a recording that preprocess would refuse
+    assert run("--config", cfg, "--out", tmp_path / "out", "synth") == 2
     assert "preprocess.downsample_factor" in capsys.readouterr().err
-    assert not (tmp_path / "preprocessed.eegb").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_divergence_exits_4_with_one_line(tmp_path, capsys):
@@ -261,13 +265,13 @@ def test_divergence_in_two_workers_names_the_earliest_cell(tmp_path, capsys,
     assert multiprocessing.active_children() == []
 
 
-def _put_nan(src, dst):
-    """Copy the 250 Hz recording at src to dst with one NaN sample, in the
-    first trial's imagery epoch (12.5 to 16.5 s)."""
+def _put_nan(src, dst, channel=3, sample=3200, value=float("nan")):
+    """Copy the 250 Hz recording at src to dst with one sample set to value,
+    by default a NaN in the first trial's imagery epoch (12.5 to 16.5 s)."""
     from vmidecode import EegRecording, io
     rec = io.load_recording(src)
     data = rec.data.copy()
-    data[3, 3200] = float("nan")
+    data[channel, sample] = value
     io.save_recording(EegRecording(rec.montage, rec.fs, data, rec.events), dst)
 
 
@@ -378,7 +382,18 @@ def test_threads_flag_is_gone(tmp_path):
     ("ersp", {"f_range": "x"}), ("ersp", {"baseline_ms": [0]}),
     ("cv", {"folds": 4}), ("stats", {"band": [0.5, 200]}),
     ("preprocess", {"band": [0.5, 200]}), ("synth", {"fs": "250"}),
-    ("cnn", {"min_delta": 1e-4})])
+    ("cnn", {"min_delta": 1e-4}),
+    # synth values that ended in tracebacks (the first seven), in exit 3,
+    # or in exit 0 with the key ignored or a recording 7 % non-finite
+    ("synth", {"coupling": "abc"}), ("synth", {"snr_db": "x"}),
+    ("synth", {"carrier_hz": {"0": "a", "1": 6.0, "2": 9.0, "3": 12.0}}),
+    ("synth", {"planted_channels": {"x": ["Fp1"]}}),
+    ("synth", {"carrier_hz": 5}), ("synth", {"planted_channels": ["Fp1"]}),
+    ("synth", {"channels": 5}), ("synth", {"coupling": 2}),
+    ("synth", {"bogus": 1}), ("synth", {"snr_db": float("inf")}),
+    # windows under two samples: report wrote 13 or 4 artifacts first
+    ("epoch", {"rest_window_ms": [-1, 0]}),
+    ("epoch", {"imagery_window_ms": [0, 1]})])
 def test_bad_section_value_exits_2_before_any_stage(tmp_path, capsys, section,
                                                    value):
     # these ended in a traceback, in exit 3 after the earlier stages, in exit
@@ -427,3 +442,96 @@ def test_dead_worker_exits_5_with_one_line(tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1 and err.startswith("worker error: ")
     assert not (tmp_path / "report.json").exists()
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("epoch", [{"rest_window_ms": [-1, 0]},
+                                   {"imagery_window_ms": [0, 1]}])
+def test_window_under_two_samples_of_an_input_is_data_error(tmp_path, capsys,
+                                                           epoch):
+    # report ended in a numpy ValueError traceback after 13 artifacts, or in
+    # exit 3 at PLV after 4
+    assert run("--config", TINY, "--out", tmp_path, "synth") == 0
+    tiny = json.loads(TINY.read_text())
+    del tiny["synth"]  # with it, the window is refused as a config error
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({**tiny, "epoch": epoch,
+                               "input": str(tmp_path / "recording.eegb")}))
+    capsys.readouterr()
+    assert run("--config", cfg, "--out", tmp_path / "out", "report") == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("data error: window ") and "needs at least 2" in err
+    assert not list((tmp_path / "out").glob("*_epochs.eegb"))
+
+
+@pytest.mark.parametrize("rest, error", [
+    ([-8, 0], "Welch segments need 3 samples, got 2"),
+    ([-76, 0], "band [0.5, 13.0) Hz holds no Welch bin")])
+def test_rest_window_without_a_band_bin_is_data_error(tmp_path, capsys, rest,
+                                                      error):
+    # 2 or 19 rest samples have no Welch bin in 0.5-13 Hz: the empty band
+    # summed to 0 and every channel came out significant, unplanted ones too
+    tiny = json.loads(TINY.read_text())
+    for c, name in zip("0123", ("Fp1", "O1", "Cz", "Oz")):
+        tiny["synth"]["planted_channels"][c] = [name]
+    tiny["epoch"] = {"rest_window_ms": rest}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(tiny))
+    assert run("--config", cfg, "--out", tmp_path, "synth") == 0
+    assert run("--config", cfg, "--out", tmp_path, "preprocess") == 0
+    capsys.readouterr()
+    assert run("--config", cfg, "--out", tmp_path, "stats") == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"data error: {error}")
+    assert not (tmp_path / "stat_map.csv").exists()
+
+
+@pytest.mark.parametrize("f_range", [[200, 300], [3.1, 3.2]])
+def test_ersp_range_without_a_bin_is_data_error(tiny_out, tmp_path, capsys,
+                                                f_range):
+    # the map was written with its time header and no frequency rows; 256-
+    # sample frames at 250 Hz have bins 0.98 Hz apart, none in [3.1, 3.2]
+    tiny = json.loads(TINY.read_text())
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({**tiny, "ersp": {"f_range": f_range}}))
+    (tiny_out / "ersp_Oz.csv").unlink(missing_ok=True)
+    assert run("--config", cfg, "--out", tiny_out, "ersp") == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"data error: f_range {f_range} Hz holds no STFT")
+    assert not (tiny_out / "ersp_Oz.csv").exists()
+
+
+# every subcommand that reads the file, the input recording through report
+READERS = ([("recording.eegb", c) for c in ("preprocess", "report")]
+           + [("preprocessed.eegb", c) for c in (
+               "connect", "select", "stats", "ersp", "psd", "train-cnn",
+               "train-csp", "sweep")])
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(reader=st.sampled_from(READERS),
+       value=st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+       channel=st.integers(0, 7), trial=st.integers(0, 11),
+       # within every trial's imagery epoch, which every reader cuts
+       sample=st.integers(round(12.5 * 250), round(16.5 * 250) - 1))
+def test_non_finite_sample_exits_3_with_one_line(tiny_out, reader, value,
+                                                 channel, trial, sample):
+    name, command = reader
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        _put_nan(tiny_out / name, out / name, channel,
+                 trial * 17 * 250 + sample, value)
+        cfg = TINY
+        if command == "report":
+            cfg = out / "c.json"
+            cfg.write_text(json.dumps({**json.loads(TINY.read_text()),
+                                       "input": str(out / name)}))
+        err = text_io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run("--config", cfg, "--out", out, command) == 3
+        assert err.getvalue().count("\n") == 1
+        assert err.getvalue().startswith("data error: ")
+        assert "non-finite" in err.getvalue()
+        assert not (out / "stat_map.csv").exists()

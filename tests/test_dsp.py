@@ -294,6 +294,14 @@ def test_welch_rejects_long_segment():
         welch_psd(np.zeros(100), 250.0, seg_len=200)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_welch_rejects_segments_under_3_samples(n):
+    # a 2-sample Hann window is all zeros: the psd was 0 / 0, and the psd
+    # stage wrote NaN for 2-sample epochs with exit 0
+    with pytest.raises(RangeError, match="need 3 samples"):
+        welch_psd(np.ones(n), 250.0)
+
+
 def test_spectrum_csv(tmp_path):
     spec = welch_psd(np.random.default_rng(0).standard_normal(500), 250.0)
     path = tmp_path / "psd.csv"

@@ -8,6 +8,7 @@ import pickle
 import signal
 import time
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -506,6 +507,19 @@ def test_synth_from_config_requires_block():
         synth_from_config(validate_config({"seed": 1}))
 
 
+@pytest.mark.parametrize("key", ["n_trials_per_class", "planted_channels",
+                                 "carrier_hz"])
+def test_synth_from_config_names_a_missing_key(key):
+    synth = {"n_trials_per_class": 2, "planted_channels": {"0": ["Fp1"]},
+             "carrier_hz": {"0": 5.0}}
+    del synth[key]
+    cfg = validate_config({"seed": 1, "synth": synth, "cv": {"folds": 2}})
+    with pytest.raises(ConfigError) as err:
+        synth_from_config(cfg)
+    assert (err.value.key, str(err.value)) == (f"synth.{key}",
+                                               f"synth.{key} is required")
+
+
 def test_synth_from_config_channels_subset():
     cfg = validate_config({
         "seed": 4,
@@ -593,25 +607,46 @@ JSON_VALUES = (None, True, False, 0, 1, 2, -1, 2 ** 64, 0.5, 1.0, -0.5,
                {}, {"a": 1})
 
 
+# the keys whose cross-key bounds a valid synth value can trip
+SYNTH_BOUND_KEYS = {"cv.folds", "preprocess.band", "stats.band",
+                    "preprocess.downsample_factor", "epoch.imagery_window_ms",
+                    "epoch.rest_window_ms"}
+
+
+def _config_with(name, value) -> dict:
+    """{"seed": 1} with the top-level or <section>.<key> name set to value."""
+    cfg = {"seed": 1}
+    section, _, key = name.rpartition(".")
+    if section:
+        cfg[section] = {key: value}
+    else:
+        cfg[name] = value
+    return cfg
+
+
+def _named_keys(name) -> set:
+    """The keys a ConfigError may name when name's value is bad."""
+    return {name} | (SYNTH_BOUND_KEYS if name.startswith("synth.") else set())
+
+
 def test_config_rules_take_any_json_value():
     # a rule that raised would end the CLI in a traceback, not exit 2
     for name in harness.CONFIG_RULES:
-        section, key = name.split(".")
         for value in JSON_VALUES:
             try:
-                validate_config({"seed": 1, section: {key: value}})
+                validate_config(_config_with(name, value))
             except ConfigError as e:
-                assert e.key == name, (name, value)
+                assert e.key in _named_keys(name), (name, value)
 
 
 def test_every_key_of_a_ruled_section_is_checked():
-    sections = {name.split(".")[0] for name in harness.CONFIG_RULES}
+    sections = {name.split(".")[0] for name in harness.CONFIG_RULES
+                if "." in name}
     assert sections == {"preprocess", "epoch", "connectivity", "ersp", "cnn",
-                        "csp", "cv", "stats", "sweep"}
+                        "csp", "cv", "stats", "sweep", "synth"}
+    # synth's keys have no default, so a config without it stays without
+    assert set(DEFAULT_CONFIG) == sections - {"synth"}
     for section in sections:
-        defaults = DEFAULT_CONFIG[section]
-        assert {f"{section}.{k}" for k in defaults} == {
-            n for n in harness.CONFIG_RULES if n.startswith(section + ".")}
         with pytest.raises(ConfigError) as err:
             validate_config({"seed": 1, section: {"bogus": 1}})
         assert err.value.key == f"{section}.bogus"
@@ -631,7 +666,12 @@ def test_every_key_of_a_ruled_section_is_checked():
     ("connectivity.threshold", "x"), ("connectivity.threshold", 1.5),
     ("ersp.channel", ""), ("ersp.channel", 3), ("ersp.f_range", "x"),
     ("ersp.f_range", [50, 3]), ("ersp.baseline_ms", [0]),
-    ("ersp.baseline_ms", [-500, 100]), ("ersp.baseline_ms", [-6000, 0])])
+    ("ersp.baseline_ms", [-500, 100]), ("ersp.baseline_ms", [-6000, 0]),
+    ("synth.channels", ["Fp1", "Fp1"]), ("synth.channels", []),
+    ("synth.planted_channels", {"01": ["Fp1"]}),
+    ("synth.planted_channels", {"0": []}), ("synth.planted_channels", {}),
+    ("synth.carrier_hz", {"0": 0}), ("synth.carrier_hz", {0: 3.0}),
+    ("synth.coupling", 0), ("synth.snr_db", float("nan"))])
 def test_bad_section_value_is_config_error(name, value):
     section, key = name.split(".")
     with pytest.raises(ConfigError) as err:
@@ -656,7 +696,13 @@ def _synth_config(synth=None, **sections):
     # auto factor 4: 1000 Hz is decimated to 250 Hz
     ({"fs": 1000}, {"stats": {"band": [0.5, 126.0]}}, "stats.band"),
     ({"fs": 1000}, {"preprocess": {"downsample_factor": 2},
-                    "stats": {"band": [0.5, 251.0]}}, "stats.band")])
+                    "stats": {"band": [0.5, 251.0]}}, "stats.band"),
+    # auto factor 4 does not divide 1001 Hz
+    ({"fs": 1001}, {}, "preprocess.downsample_factor"),
+    # windows under two samples at the preprocessed 250 Hz
+    ({"fs": 1000}, {"epoch": {"rest_window_ms": [-1, 0]}},
+     "epoch.rest_window_ms"),
+    ({}, {"epoch": {"imagery_window_ms": [0, 1]}}, "epoch.imagery_window_ms")])
 def test_values_the_synth_section_rules_out_are_config_errors(synth, sections,
                                                               key):
     # these exited 3 after the earlier stages had written their artifacts,
@@ -671,11 +717,45 @@ def test_synth_bounds_accept_their_edges_and_skip_input_configs():
                                   stats={"band": [0.5, 125.0]}))
     validate_config(_synth_config({"fs": 1000}, stats={"band": [0, 125]},
                                   preprocess={"band": [0.5, 499.0]}))
-    # a factor that does not divide fs is refused at the preprocess stage
-    validate_config(_synth_config({"fs": 1001}))
+    validate_config(_synth_config({"fs": 1000},
+                                  epoch={"rest_window_ms": [-8, 0]}))
     validate_config({"seed": 1, "input": "rec.eegb", "cv": {"folds": 50},
                      "preprocess": {"band": [0.5, 900.0]},
                      "stats": {"band": [0.5, 900.0]}})
+
+
+# the manifests' config_sha256, computed while DEFAULT_CONFIG was a literal:
+# a default mistyped in CONFIG_RULES would change every manifest
+MERGED_CONFIG_SHA256 = {
+    "tiny": "ad02fcbf5932f5ae97d7edaf8d8059f09a595fee0c8caa0667b39cc325e7f701",
+    "demo": "89a2b11e3a160a809b0bd2333d47672190e5693107153a89b75004d1db302782",
+    "analysis-64ch":
+        "fcb1fe05c5c3511dd7a91ad3c524a65205a4332f17212ae113b30380fd109caa",
+    "cnn-64ch":
+        "dca5d96459e79445e7368411253c2b9b4f49315049e23762e3ee2895e27bc959",
+    "report-8ch":
+        "03d614b9cc15c498b9d48cdf1b26fd27f5c96a9b93807347f10d3a6c024cbcbc",
+    # every section from its defaults
+    "seed-only":
+        "00c1806503b5b63901465a212b4cffc4645ab2b532d119239e39bd5125decaa0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MERGED_CONFIG_SHA256))
+def test_merged_config_hashes_are_pinned(name, tmp_path, monkeypatch):
+    repo = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(repo / "perfbench"))
+    import workloads
+    if name in workloads.WORKLOADS:
+        cfg = validate_config(
+            workloads.pipeline_config(workloads.WORKLOADS[name], 1))
+    elif name == "seed-only":
+        cfg = validate_config({"seed": 1})
+    else:
+        cfg = load_config(repo / "configs" / f"{name}.json")
+    write_manifest(tmp_path, cfg, [])
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["config_sha256"] == MERGED_CONFIG_SHA256[name]
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64, True, 1.0, "1"])
@@ -704,17 +784,9 @@ JSON = st.recursive(
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
-@given(name=st.sampled_from(sorted(harness.CONFIG_RULES)
-                            + ["seed", "out", "input"]),
-       value=JSON)
+@given(name=st.sampled_from(sorted(harness.CONFIG_RULES)), value=JSON)
 def test_any_json_value_validates_or_names_its_key(name, value):
-    cfg = {"seed": 1}
-    section, _, key = name.rpartition(".")
-    if section:
-        cfg[section] = {key: value}
-    else:
-        cfg[name] = value
     try:
-        validate_config(cfg)
+        validate_config(_config_with(name, value))
     except ConfigError as e:
-        assert e.key == name
+        assert e.key in _named_keys(name)

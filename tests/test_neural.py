@@ -138,19 +138,21 @@ def test_backward_rejects_bad_labels():
 
 
 def test_avgpool_preserves_mean():
-    pool = AvgPool((1, 4), (1, 4))
+    pool = AvgPool((1, 4))
     x = np.random.default_rng(6).standard_normal((2, 3, 1, 16))
     out = pool.forward(x, train=True)
     np.testing.assert_allclose(out.mean(), x.mean(), atol=1e-9)
 
 
-def test_avgpool_stride_must_equal_kernel():
-    with pytest.raises(ShapeError, match="stride"):
-        AvgPool((1, 4), (1, 2))
-    spec = reduced_model_spec()
-    spec.layers[7].stride = (1, 1)
-    with pytest.raises(ShapeError, match="stride"):
-        Network(spec, seed=0)
+@pytest.mark.parametrize("spec", [reduced_model_spec(),
+                                  build_model(4, input_samples=500)])
+def test_shape_trace_matches_every_layer_output(spec):
+    # the trace once honoured a conv stride that Conv.forward ignored
+    net = Network(spec, seed=0)
+    x = np.zeros((2, 1, spec.n_channels, spec.input_samples), np.float32)
+    for layer, shape in zip(net.layers, spec.shape_trace()):
+        x = layer.forward(x, train=False)
+        assert x.shape[1:] == (shape if isinstance(shape, tuple) else (shape,))
 
 
 @pytest.mark.parametrize("n_ch", [8, 64])
@@ -159,7 +161,7 @@ def test_avgpool_matches_direct_loops(n_ch):
     rng = np.random.default_rng(n_ch)
     x = rng.standard_normal((3, n_ch, 2, 23)).astype(np.float32)
     grad = rng.standard_normal((3, n_ch, 2, 5)).astype(np.float32)
-    pool = AvgPool((1, 4), (1, 4))
+    pool = AvgPool((1, 4))
     out = pool.forward(x, train=True)
     dx = pool.backward(grad)
 
@@ -566,6 +568,25 @@ def test_checkpoint_with_an_optimizer_in_its_config_loads(tmp_path):
     header["config"]["optimizer"] = "adam"
     write_container(path, header, arrays)
     back = load_network(path)
+    for (layer, name), (layer_b, _) in zip(net.state_arrays(),
+                                           back.state_arrays()):
+        np.testing.assert_array_equal(getattr(layer_b, name),
+                                      getattr(layer, name))
+
+
+def test_checkpoint_with_strides_in_its_layers_loads(tmp_path):
+    # checkpoints written while LayerSpec still had a stride field
+    from vmidecode.io import read_container, write_container
+    net = _small_net(seed=6)
+    path = tmp_path / "model.eegb"
+    save_network(net, path, config=TrainConfig(epochs=2, seed=6))
+    header, arrays = read_container(path)
+    for d in header["layers"]:
+        assert "stride" not in d
+        d["stride"] = d["kernel"] if d["kind"] == "avgpool" else [1, 1]
+    write_container(path, header, arrays)
+    back = load_network(path)
+    assert back.spec == net.spec
     for (layer, name), (layer_b, _) in zip(net.state_arrays(),
                                            back.state_arrays()):
         np.testing.assert_array_equal(getattr(layer_b, name),

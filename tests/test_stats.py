@@ -40,6 +40,18 @@ def test_band_power_validates_band():
         band_power(ep, (10.0, 200.0))
 
 
+@pytest.mark.parametrize("n", [19, 20])
+def test_band_power_refuses_a_band_without_a_bin(n):
+    # 19 samples at 250 Hz put the bins 13.2 Hz apart, none in [0.5, 13):
+    # the empty band summed to 0; 20 samples put one at 12.5 Hz
+    ep = EpochSet([0, 1], np.ones((2, 3, n)), 250, 0.0)
+    if n == 19:
+        with pytest.raises(RangeError, match="13.1579 Hz apart"):
+            band_power(ep, (0.5, 13.0))
+    else:
+        assert band_power(ep, (0.5, 13.0)).shape == (2, 3)
+
+
 # ---------------------------------------------------------------------------
 # Paired t
 

@@ -38,7 +38,7 @@ print(f"events: {len(rec.events)} trials, classes "
       f"{sorted(set(c for _, c in rec.events))}")
 
 # band-pass [0.5, 13] Hz; fs already 250 so no decimation
-clean = preprocess_recording(rec, factor=1)
+clean = preprocess_recording(rec)
 
 imagery = epoch_recording(clean, "imagery", (500, 4500))
 rest = epoch_recording(clean, "rest", (-4500, -500))

@@ -21,7 +21,7 @@ spec = SynthSpec(
     carrier_hz={0: 3.0, 1: 6.0, 2: 9.0, 3: 12.0},
     coupling=0.9, snr_db=10.0, seed=21, fs=250, montage=Montage(CHANNELS),
 )
-rec = preprocess_recording(synth_dataset(spec), factor=1)
+rec = preprocess_recording(synth_dataset(spec))
 imagery = epoch_recording(rec, "imagery", (500, 4500))
 
 counts = (2, 4, 8)

@@ -59,8 +59,6 @@ class ChannelRanking:
 
 def phase_factors(epochs: EpochSet) -> np.ndarray:
     """Unit-modulus instantaneous phase factors e^{i phi} per trial/channel."""
-    if epochs.n_samples < 2:
-        raise RangeError("PLV needs more than one sample per epoch")
     a = analytic_signal(np.asarray(epochs.tensor, dtype=np.float64))
     mag = np.abs(a)
     mag[mag == 0] = 1.0

@@ -1,7 +1,8 @@
 """Domain types, trial timeline, epoching and the synthetic-EEG generator.
 
-Amplitudes are microvolts throughout. Recordings run at 1000 Hz (raw) or
-250 Hz (after preprocessing). All types are immutable by convention after
+Amplitudes are microvolts throughout. Recordings are synthesized at 250 Hz
+(SynthSpec.fs); preprocessing keeps that rate and by default decimates a
+faster recording by fs // 250. All types are immutable by convention after
 construction; every operation here is pure given its seed.
 """
 
@@ -122,9 +123,10 @@ class EpochSet:
     """Labeled trials x channels x samples tensor cut from a recording.
 
     t0_ms is the epoch start relative to imagery onset. source_trials keeps
-    the originating trial index of each epoch (used for leakage control after
-    sliding-window augmentation). Without a montage the channels are named
-    ch0, ch1, ...; the names follow the channels through select.
+    the originating trial index of each epoch, also through sliding-window
+    augmentation: provenance, written to epoch files. Without a montage the
+    channels are named ch0, ch1, ...; the names follow the channels through
+    select.
     """
 
     labels: np.ndarray

@@ -1,11 +1,11 @@
-"""Numeric kernels: FFT, analytic signal, zero-phase band-pass, decimation,
-Welch PSD and ERSP time-frequency maps.
+"""Numeric kernels, one owner per signal rule: FFT, analytic signal,
+zero-phase band-pass, decimation, Welch PSD and ERSP time-frequency maps.
 
-The FFT is numpy's (pocketfft); ``fft`` keeps the package's empty-input
-guard and complex128 output, and the tests still check it against a naive
-DFT and Parseval. Real-input stages (analytic signal, Welch, ERSP) take the
-one-sided ``rfft``. Filtering uses scipy-designed Butterworth biquads with
-our own reflect-padded forward-backward pass.
+The FFT is numpy's (pocketfft) behind an empty-input guard, checked against
+a naive DFT and Parseval; the analytic signal is scipy's Hilbert transform
+behind a length guard. Welch and ERSP share one kernel, the ``rfft`` power
+of Hann-windowed frames. The band-pass runs scipy-designed Butterworth
+biquads forward and backward over a reflect-padded series.
 """
 
 from dataclasses import dataclass
@@ -28,20 +28,15 @@ def fft(x) -> np.ndarray:
 
 
 def analytic_signal(x) -> np.ndarray:
-    """Analytic signal of a real series (last axis).
+    """Analytic signal of a real series (last axis), by scipy.signal.hilbert.
 
     The real part equals the input; negative-frequency content is zero; the
     instantaneous phase is the complex argument of the output.
     """
     x = np.asarray(x, dtype=np.float64)
-    n = x.shape[-1]
-    if n < 4:
+    if x.shape[-1] < 4:
         raise RangeError("analytic_signal needs length >= 4")
-    # keep DC (and Nyquist, for even n), double the positive bins; ifft's
-    # zero-padding to n leaves the negative frequencies at zero
-    spec = np.fft.rfft(x)
-    spec[..., 1:(n + 1) // 2] *= 2.0
-    return np.fft.ifft(spec, n=n)
+    return sps.hilbert(x)
 
 
 # ---------------------------------------------------------------------------
@@ -55,23 +50,6 @@ def butter_bandpass_sos(lo_hz: float, hi_hz: float, fs: float) -> np.ndarray:
                       output="sos")
 
 
-def _filtfilt_sos(sos: np.ndarray, x: np.ndarray, padlen: int) -> np.ndarray:
-    """Forward-backward biquad-cascade filtering with reflect padding."""
-    n = x.shape[-1]
-    padlen = min(padlen, n - 1)
-    if padlen > 0:
-        left = 2 * x[..., :1] - x[..., padlen:0:-1]
-        right = 2 * x[..., -1:] - x[..., -2:-2 - padlen:-1]
-        ext = np.concatenate([left, x, right], axis=-1)
-    else:
-        ext = x
-    y = sps.sosfilt(sos, ext, axis=-1)
-    y = sps.sosfilt(sos, y[..., ::-1], axis=-1)[..., ::-1]
-    if padlen > 0:
-        y = y[..., padlen:-padlen]
-    return y
-
-
 def bandpass(x, lo_hz: float, hi_hz: float, fs: float):
     """Zero-phase order-4 Butterworth band-pass along the last axis.
 
@@ -80,10 +58,16 @@ def bandpass(x, lo_hz: float, hi_hz: float, fs: float):
     Edges are handled by reflect-padding 3x the filter order.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] == 0:
+    n = x.shape[-1]
+    if n == 0:
         raise EmptyInputError("bandpass of empty input")
     sos = butter_bandpass_sos(lo_hz, hi_hz, fs)
-    return _filtfilt_sos(sos, x, padlen=12)
+    p = min(12, n - 1)
+    left = 2 * x[..., :1] - x[..., p:0:-1]
+    right = 2 * x[..., -1:] - x[..., -2:-2 - p:-1]
+    y = sps.sosfilt(sos, np.concatenate([left, x, right], axis=-1), axis=-1)
+    y = sps.sosfilt(sos, y[..., ::-1], axis=-1)[..., ::-1]
+    return y[..., p:p + n]
 
 
 def bandpass_response(lo_hz, hi_hz, fs, f_eval):
@@ -111,9 +95,24 @@ def downsample(x, factor: int):
     return x[..., ::factor]
 
 
+def decimation_factor(fs: int, factor) -> int:
+    """factor, or max(1, fs // 250) when it is None: the largest factor that
+    keeps 250 Hz or more. A factor must divide fs, since a recording states
+    its rate as the integer fs // factor; any other is a RangeError.
+    """
+    auto = factor is None
+    factor = max(1, fs // 250) if auto else factor
+    if factor < 1 or fs % factor:
+        raise RangeError(f"{'auto ' if auto else ''}decimation factor "
+                         f"{factor} must be >= 1 and divide fs={fs}")
+    return factor
+
+
 def preprocess_recording(rec: EegRecording, band=(0.5, 13.0),
-                         factor: int = 4) -> EegRecording:
-    """Band-pass every channel and decimate; event indices are rescaled."""
+                         factor: int = None) -> EegRecording:
+    """Band-pass every channel and decimate by decimation_factor(rec.fs,
+    factor); event indices are rescaled."""
+    factor = decimation_factor(rec.fs, factor)
     data = bandpass(rec.data, band[0], band[1], rec.fs)
     data = downsample(data, factor).astype(np.float32)
     events = [(s // factor, l) for s, l in rec.events]
@@ -122,6 +121,13 @@ def preprocess_recording(rec: EegRecording, band=(0.5, 13.0),
 
 # ---------------------------------------------------------------------------
 # Spectral estimation
+
+def _hann_frame_power(x: np.ndarray, n_win: int, hop: int) -> np.ndarray:
+    """|rfft|^2 of Hann-windowed frames of n_win samples, hop apart, along
+    the last axis: shaped like x without it, plus frame and frequency axes."""
+    frames = np.lib.stride_tricks.sliding_window_view(x, n_win, axis=-1)
+    return np.abs(np.fft.rfft(frames[..., ::hop, :] * np.hanning(n_win))) ** 2
+
 
 @dataclass
 class Spectrum:
@@ -152,12 +158,8 @@ def _welch_batch(x: np.ndarray, fs: float, seg_len: int = None):
     if seg_len < 3:  # a Hann window of 2 samples is all zeros
         raise RangeError(f"Welch segments need 3 samples, got {seg_len}")
     hop = max(1, int(round(seg_len * 0.5)))
-    win = np.hanning(seg_len)
-    u = (win ** 2).sum()
-    segs = np.lib.stride_tricks.sliding_window_view(x, seg_len, axis=-1)
-    segs = segs[..., ::hop, :] * win
-    spec = np.fft.rfft(segs)
-    pxx = (np.abs(spec) ** 2).mean(axis=-2) / (fs * u)
+    u = (np.hanning(seg_len) ** 2).sum()
+    pxx = _hann_frame_power(x, seg_len, hop).mean(axis=-2) / (fs * u)
     pxx[..., 1:] *= 2.0
     if seg_len % 2 == 0:
         pxx[..., -1] /= 2.0
@@ -213,8 +215,6 @@ def ersp(epochs: EpochSet, channel: int, baseline_ms=(-500.0, 0.0),
     n_times = 400
     win = min(256, n)
     hop = max(1, (n - win) // (2 * n_times))
-
-    window = np.hanning(win)
     starts = np.arange(0, n - win + 1, hop)
     centers_ms = (starts + win / 2.0) / fs * 1000.0 + t0
     freqs_all = np.arange(win // 2 + 1) * fs / win
@@ -233,10 +233,7 @@ def ersp(epochs: EpochSet, channel: int, baseline_ms=(-500.0, 0.0),
     times_out = np.linspace(max(0.0, centers_ms[0]), end_ms, n_times)
 
     x = np.asarray(epochs.tensor[:, channel, :], dtype=np.float64)
-    frames = np.lib.stride_tricks.sliding_window_view(x, win, axis=-1)
-    frames = frames[:, ::hop, :] * window
-    power = np.abs(np.fft.rfft(frames)) ** 2
-    mean_power = power.mean(axis=0)[:, f_keep]          # frames x freqs
+    mean_power = _hann_frame_power(x, win, hop).mean(axis=0)[:, f_keep]
     baseline = mean_power[base_mask].mean(axis=0)       # per frequency
     db = 10.0 * np.log10(mean_power / baseline)
     values = np.empty((freqs.size, n_times))

@@ -12,9 +12,9 @@ class PipelineError(Exception):
 class ConfigError(PipelineError):
     """Invalid or incomplete configuration; names the offending key."""
 
-    def __init__(self, key, message=None):
+    def __init__(self, key, message):
         self.key = key
-        super().__init__(message or f"config error: {key}")
+        super().__init__(message)
 
     def __reduce__(self):
         # by default unpickling (from a pool worker) passes the message as key

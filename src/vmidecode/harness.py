@@ -458,7 +458,7 @@ def validate_config(cfg: dict) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("<root>", "config must be a JSON object")
     if "seed" not in cfg:
-        raise ConfigError("seed")
+        raise ConfigError("seed", "seed is required")
     for name, value in _given(cfg):
         if name not in CONFIG_RULES:
             raise ConfigError(name, f"unknown config key {name!r}")
@@ -533,19 +533,13 @@ def train_config(cfg: dict) -> TrainConfig:
 
 
 def downsample_factor(cfg: dict, fs: int) -> int:
-    """A validated preprocess.downsample_factor; null means max(1, fs // 250).
-
-    The factor, given or automatic, must divide fs: the preprocessed
-    recording states its rate as the integer fs // factor.
-    """
-    given = cfg["preprocess"]["downsample_factor"]
-    factor = max(1, fs // 250) if given is None else given
-    if fs % factor:
-        got = f"auto {factor}" if given is None else repr(given)
+    """dsp.decimation_factor of fs and preprocess.downsample_factor; a
+    factor it refuses is a ConfigError naming that key."""
+    try:
+        return dsp.decimation_factor(fs, cfg["preprocess"]["downsample_factor"])
+    except RangeError as e:
         raise ConfigError("preprocess.downsample_factor",
-                          f"preprocess.downsample_factor must be null or a "
-                          f"positive integer dividing fs={fs}, got {got}")
-    return factor
+                          f"preprocess.downsample_factor: {e}") from e
 
 
 def synth_stage(cfg: dict, emit) -> EegRecording:

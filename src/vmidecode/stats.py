@@ -75,14 +75,14 @@ def paired_t(a, b) -> float:
     return float(_t_from_diffs(a - b))
 
 
-def permutation_test(a, b, n_perm: int = 10000, seed: int = 0,
+def permutation_test(a, b, n_perm: int = 10000,
                      rng: np.random.Generator = None) -> float:
     """Two-sided p-value of the paired sign-flip permutation test.
 
     Exhaustive over all 2^n sign patterns when 2^n <= n_perm (p is the exact
     exceedance fraction, identity flip included); Monte Carlo with the
-    add-one estimator otherwise. NaN or Inf input raises
-    DegenerateInputError.
+    add-one estimator otherwise, drawing the flips from rng (default
+    child_rng(0, "perm")). NaN or Inf input raises DegenerateInputError.
     """
     a, b = _finite_pair(a, b, "permutation_test")
     if n_perm < 1:
@@ -96,7 +96,7 @@ def permutation_test(a, b, n_perm: int = 10000, seed: int = 0,
         t_perm = np.abs(_t_from_diffs(d * signs))
         return float(np.count_nonzero(t_perm >= t_obs) / 2 ** n)
     if rng is None:
-        rng = child_rng(seed, "perm")
+        rng = child_rng(0, "perm")
     signs = 1.0 - 2.0 * rng.integers(0, 2, size=(n_perm, n))
     t_perm = np.abs(_t_from_diffs(d * signs))
     exceed = int(np.count_nonzero(t_perm >= t_obs))

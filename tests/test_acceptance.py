@@ -19,6 +19,7 @@ from vmidecode import (EpochSet, Montage, SynthSpec, build_model,
 from vmidecode.csp import _mean_normalized_cov, csp_fit
 from vmidecode.dsp import preprocess_recording
 from vmidecode.harness import load_config, run_pipeline
+from vmidecode.seeding import child_rng
 
 from conftest import gradient_check
 
@@ -133,7 +134,8 @@ def test_criterion_5_permutation_oracle():
     a = rng.standard_normal(12) + 0.4
     b = rng.standard_normal(12)
     gap = abs(permutation_test(a, b, n_perm=10000)        # exhaustive, 2^12
-              - permutation_test(a, b, n_perm=4000, seed=0))  # Monte Carlo
+              - permutation_test(a, b, n_perm=4000,      # Monte Carlo
+                                 rng=child_rng(0, "perm")))
 
     ps = []
     for _ in range(1000):
@@ -197,7 +199,7 @@ def test_criterion_7_end_to_end_decode(demo_run):
             carrier_hz={int(c): float(v) for c, v in synth["carrier_hz"].items()},
             coupling=synth["coupling"], snr_db=synth["snr_db"],
             seed=seed, fs=synth["fs"])
-        rec = preprocess_recording(synth_dataset(spec), factor=1)
+        rec = preprocess_recording(synth_dataset(spec))
         imagery_s = epoch_recording(rec, "imagery", (500, 4500))
         ranking = rank_channels(per_class_plv(imagery_s).values())
         top = {montage.channel_names[i]

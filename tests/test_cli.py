@@ -42,10 +42,12 @@ def test_no_config_and_no_seed_is_config_error(tmp_path):
     assert run("--out", tmp_path, "synth") == 2
 
 
-def test_config_missing_seed(tmp_path):
+def test_config_missing_seed(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"cv": {"folds": 2}}))
     assert run("--config", cfg, "--out", tmp_path, "synth") == 2
+    # one line: it was "config error: config error: seed"
+    assert capsys.readouterr().err == "config error: seed is required\n"
 
 
 def test_config_unknown_key(tmp_path):

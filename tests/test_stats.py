@@ -5,6 +5,7 @@ import pytest
 
 from vmidecode import EpochSet, band_power, paired_t, permutation_test, stat_map
 from vmidecode.errors import DegenerateInputError, RangeError, ShapeError
+from vmidecode.seeding import child_rng
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +126,8 @@ def test_monte_carlo_close_to_exhaustive():
     a = rng.standard_normal(12) + 0.5
     b = rng.standard_normal(12)
     p_exact = permutation_test(a, b, n_perm=5000)       # 2^12 <= 5000
-    p_mc = permutation_test(a, b, n_perm=2000, seed=0)  # forced Monte Carlo
+    p_mc = permutation_test(a, b, n_perm=2000,  # forced Monte Carlo
+                            rng=child_rng(0, "perm"))
     assert abs(p_mc - p_exact) <= 0.02
 
 
@@ -134,7 +136,7 @@ def test_monte_carlo_p_never_zero():
     # add-one estimator keeps p > 0
     a = np.arange(20) + 100.0
     b = np.arange(20, dtype=float)
-    p = permutation_test(a, b, n_perm=999, seed=1)
+    p = permutation_test(a, b, n_perm=999, rng=child_rng(1, "perm"))
     assert 0.0 < p <= 1.0
     assert p == pytest.approx(1.0 / 1000.0)
 
@@ -167,9 +169,9 @@ def test_paired_tests_refuse_non_finite_input(bad):
     a, b = np.random.default_rng(7).standard_normal((2, 20))
     a[3] = bad
     with pytest.raises(DegenerateInputError):
-        permutation_test(a, b, n_perm=1000, seed=0)
+        permutation_test(a, b, n_perm=1000, rng=child_rng(0, "perm"))
     with pytest.raises(DegenerateInputError):
-        permutation_test(b, a, n_perm=1000, seed=0)
+        permutation_test(b, a, n_perm=1000, rng=child_rng(0, "perm"))
     with pytest.raises(DegenerateInputError):
         paired_t(a, b)
 
@@ -177,8 +179,8 @@ def test_paired_tests_refuse_non_finite_input(bad):
 def test_permutation_deterministic_for_seed():
     rng = np.random.default_rng(6)
     a, b = rng.standard_normal((2, 30))
-    assert permutation_test(a, b, n_perm=500, seed=9) == \
-        permutation_test(a, b, n_perm=500, seed=9)
+    assert permutation_test(a, b, n_perm=500, rng=child_rng(9, "perm")) == \
+        permutation_test(a, b, n_perm=500, rng=child_rng(9, "perm"))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ Each subcommand loads its inputs from the output directory, runs one stage
 of harness and writes manifest.json; report runs harness.run_pipeline, the
 in-memory chain synth, preprocess, connect, stats, psd, sweep (ersp, select
 and train-* are not part of it). Global flags: --config (JSON), --seed,
---out. Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric divergence,
-5 a cross-validation worker process died.
+--out; select takes -k, ersp maps ersp.channel. Exit codes: 0 ok, 2 config
+error, 3 data error, 4 numeric divergence, 5 a CV worker process died.
 """
 
 import argparse
@@ -37,9 +37,6 @@ def _parser() -> argparse.ArgumentParser:
         if name == "select":
             sp.add_argument("-k", type=int, default=16,
                             help="channel count to select")
-        if name == "ersp":
-            sp.add_argument("--channel", default=None,
-                            help="channel name (default from config)")
     return p
 
 
@@ -79,8 +76,7 @@ def _run(args) -> int:
         # a missing input file is an OSError: exit 3 like any data error
         rec = io.load_recording(os.path.join(out, "preprocessed.eegb"))
         if cmd == "ersp":
-            channel = args.channel or cfg["ersp"]["channel"]
-            harness.ersp_stage(cfg, rec, channel, emit)
+            harness.ersp_stage(cfg, rec, emit)
         else:
             imagery, rest = harness.epoch_stage(cfg, rec)
             if cmd == "connect":

@@ -50,7 +50,7 @@ def _mean_normalized_cov(tensor: np.ndarray) -> np.ndarray:
     return (c / tr[:, None, None]).sum(axis=0) / len(tensor)
 
 
-def csp_fit(class_a: EpochSet, class_b: EpochSet, m: int = 2) -> CspModel:
+def csp_fit(class_a: EpochSet, class_b: EpochSet, m: int) -> CspModel:
     """Fit CSP filters discriminating two epoch sets.
 
     Solves C_a w = lambda (C_a + C_b) w; eigenvalues lie in [0, 1] and are

@@ -97,14 +97,14 @@ def downsample(x, factor: int):
 
 def decimation_factor(fs: int, factor) -> int:
     """factor, or max(1, fs // 250) when it is None: the largest factor that
-    keeps 250 Hz or more. A factor must divide fs, since a recording states
-    its rate as the integer fs // factor; any other is a RangeError.
+    keeps 250 Hz or more. A factor must be an int dividing fs, since a
+    recording states its rate as fs // factor; any other is a RangeError.
     """
     auto = factor is None
-    factor = max(1, fs // 250) if auto else factor
-    if factor < 1 or fs % factor:
+    factor = max(1, int(fs) // 250) if auto else factor
+    if type(factor) is not int or factor < 1 or fs % factor:
         raise RangeError(f"{'auto ' if auto else ''}decimation factor "
-                         f"{factor} must be >= 1 and divide fs={fs}")
+                         f"{factor!r} must be an int >= 1 dividing fs={fs}")
     return factor
 
 
@@ -196,8 +196,8 @@ class TfMap:
             f.write("\n".join(rows) + "\n")
 
 
-def ersp(epochs: EpochSet, channel: int, baseline_ms=(-500.0, 0.0),
-         f_range=(3.0, 50.0)) -> TfMap:
+def ersp(epochs: EpochSet, channel: int, baseline_ms=(-500, 0),
+         f_range=(3, 50)) -> TfMap:
     """Event-related spectral perturbation of one channel (an index).
 
     Short-time FFT with a Hann window; trial-averaged power is referenced to

@@ -7,6 +7,7 @@ of a trial stay in the fold of their source trial.
 
 import ctypes
 import hashlib
+import inspect
 import json
 import math
 import multiprocessing
@@ -28,7 +29,17 @@ from .neural import (OVERLAP, WIN_S, CnnClassifier, TrainConfig, predict_trial,
                      save_network, slide_windows)
 from .seeding import child_rng
 
+
+def _defaults(owner) -> dict:
+    """The parameter defaults of a function or class, tuples as lists."""
+    return {name: list(p.default) if type(p.default) is tuple else p.default
+            for name, p in inspect.signature(owner).parameters.items()
+            if p.default is not p.empty}
+
+
 CHANNEL_COUNTS = (2, 4, 8, 16, 20, 32, 64)
+_FOLDS, _SEEDS = 5, (0,)  # cross_validate's and sweep's
+_CSP_M = _defaults(CspLdaClassifier)["m"]
 
 
 def format_cell(mean_pct: float, std_pct: float) -> str:
@@ -109,13 +120,11 @@ def stratified_folds(labels, n_folds: int, seed: int = 0) -> list:
     return [np.sort(np.asarray(f)) for f in folds]
 
 
-def _make_classifier(method: str, seed: int, csp_m: int,
-                     train_config: TrainConfig):
-    if method == "cnn":
-        return CnnClassifier(replace(train_config or TrainConfig(), seed=seed))
-    if method == "csp_lda":
-        return CspLdaClassifier(m=csp_m)
-    raise ConfigError("method", f"unknown method {method!r}")
+CLASSIFIERS = {  # method name -> classifier of (seed, csp_m, train_config)
+    "cnn": lambda seed, csp_m, tc: CnnClassifier(
+        replace(tc or TrainConfig(), seed=seed)),
+    "csp_lda": lambda seed, csp_m, tc: CspLdaClassifier(m=csp_m),
+}
 
 
 def fold_channel_ranking(train_epochs: EpochSet):
@@ -192,7 +201,9 @@ def _fit_cell(plan: _CvPlan, task: tuple) -> np.ndarray:
     train_w, test_w = (
         slide_windows(plan.dataset.select(trial_idx=idx, channel_idx=sel))
         for idx in (train_idx, test_idx))
-    clf = _make_classifier(method, seed, plan.csp_m, plan.train_config)
+    if method not in CLASSIFIERS:
+        raise ConfigError("method", f"unknown method {method!r}")
+    clf = CLASSIFIERS[method](seed, plan.csp_m, plan.train_config)
     try:
         scores = clf.fit(train_w).predict_scores(test_w)
     except DivergenceError as e:
@@ -279,7 +290,7 @@ def _run_cells(plan: _CvPlan, tasks: list) -> list:
 
 
 def cross_validate(dataset: EpochSet, method: str, k_channels: int = None,
-                   folds: int = 5, seeds=(0,), csp_m: int = 2,
+                   folds: int = _FOLDS, seeds=_SEEDS, csp_m: int = _CSP_M,
                    train_config: TrainConfig = None) -> EvalEntry:
     """Stratified cross-validation with in-fold channel selection.
 
@@ -291,9 +302,9 @@ def cross_validate(dataset: EpochSet, method: str, k_channels: int = None,
                      train_config)[0]
 
 
-def sweep(dataset: EpochSet, methods=("cnn", "csp_lda"),
-          channel_counts=CHANNEL_COUNTS, folds: int = 5, seeds=(0,),
-          csp_m: int = 2, train_config: TrainConfig = None) -> EvalReport:
+def sweep(dataset: EpochSet, methods=tuple(CLASSIFIERS),
+          channel_counts=CHANNEL_COUNTS, folds: int = _FOLDS, seeds=_SEEDS,
+          csp_m: int = _CSP_M, train_config: TrainConfig = None) -> EvalReport:
     """Full method x channel-count grid; rankings are shared across cells."""
     counts = [k for k in channel_counts if k <= dataset.n_channels]
     return EvalReport(_evaluate(dataset, [(m, k) for m in methods
@@ -356,9 +367,12 @@ def _by_class(test):
 
 _WINDOWS = TrialTimeline.window_bounds_ms  # epoch_recording's phase bounds
 _GIVEN = object()  # the default of a key that is checked when given only
+_PRE, _CONN, _ERSP, _CNN, _STATS, _SWEEP = map(_defaults, (
+    dsp.preprocess_recording, conn_mod.strong_edges, dsp.ersp, TrainConfig,
+    stats.stat_map, sweep))
 
 # <name> or <section>.<key> -> (default, test that takes any JSON value,
-# what a valid value is)
+# what a valid value is); a default is that of the code that uses the key
 CONFIG_RULES = {
     "seed": (_GIVEN, _seed, "an integer in [0, 2^64)"),
     "out": (_GIVEN, _name, "a non-empty path string"),
@@ -376,38 +390,40 @@ CONFIG_RULES = {
     "synth.coupling": (_GIVEN, lambda v: _number(v) and 0 < v <= 1,
                        "a number in (0, 1]"),
     "synth.snr_db": (_GIVEN, _number, "a finite number"),
-    "preprocess.band": ([0.5, 13.0], lambda v: _ordered(v) and v[0] > 0,
+    "preprocess.band": (_PRE["band"], lambda v: _ordered(v) and v[0] > 0,
                         "[a, b] with 0 < a < b"),
     "preprocess.downsample_factor": (
-        None, lambda v: v is None or type(v) is int and v >= 1,
+        _PRE["factor"], lambda v: v is None or type(v) is int and v >= 1,
         "null or an integer >= 1"),
     "epoch.imagery_window_ms": ([500, 4500], *_pair(*_WINDOWS["imagery"])),
     "epoch.rest_window_ms": ([-4500, -500], *_pair(*_WINDOWS["rest"])),
-    "connectivity.threshold": (0.9, lambda v: _number(v) and 0 <= v <= 1,
+    "connectivity.threshold": (_CONN["threshold"],
+                               lambda v: _number(v) and 0 <= v <= 1,
                                "a number in [0, 1]"),
     "ersp.channel": ("Oz", _name, "a channel name"),
-    "ersp.baseline_ms": ([-500, 0], *_pair(*_WINDOWS["rest"])),  # before onset
-    "ersp.f_range": ([3, 50], *_pair(0)),
-    "cnn.lr": (1e-3, lambda v: _number(v) and v > 0, "a number > 0"),
-    "cnn.batch_size": (16, *_int_at_least(1)),
-    "cnn.epochs": (100, *_int_at_least(1)),
-    "cnn.dropout": (0.5, lambda v: _number(v) and 0 <= v < 1,
+    "ersp.baseline_ms": (_ERSP["baseline_ms"], *_pair(*_WINDOWS["rest"])),
+    "ersp.f_range": (_ERSP["f_range"], *_pair(0)),
+    "cnn.lr": (_CNN["lr"], lambda v: _number(v) and v > 0, "a number > 0"),
+    "cnn.batch_size": (_CNN["batch_size"], *_int_at_least(1)),
+    "cnn.epochs": (_CNN["epochs"], *_int_at_least(1)),
+    "cnn.dropout": (_CNN["dropout"], lambda v: _number(v) and 0 <= v < 1,
                     "a number in [0, 1)"),
-    "cnn.patience": (10, *_int_at_least(1)),
-    "csp.m": (2, *_int_at_least(1)),
-    "cv.folds": (5, *_int_at_least(2)),
-    "cv.seeds": ([0], _list_of(_seed),
+    "cnn.patience": (_CNN["patience"], *_int_at_least(1)),
+    "csp.m": (_CSP_M, *_int_at_least(1)),
+    "cv.folds": (_SWEEP["folds"], *_int_at_least(2)),
+    "cv.seeds": (_SWEEP["seeds"], _list_of(_seed),
                  "a non-empty list of integers in [0, 2^64)"),
-    "stats.band": ([0.5, 13.0], *_pair(0)),
-    "stats.n_perm": (10000, *_int_at_least(1)),
-    "stats.alpha": (0.01, lambda v: _number(v) and 0 < v < 1,
+    "stats.band": (_STATS["band"], *_pair(0)),
+    "stats.n_perm": (_STATS["n_perm"], *_int_at_least(1)),
+    "stats.alpha": (_STATS["alpha"], lambda v: _number(v) and 0 < v < 1,
                     "a number in (0, 1)"),
-    "sweep.channel_counts": (list(CHANNEL_COUNTS),
+    "sweep.channel_counts": (_SWEEP["channel_counts"],
                              _list_of(lambda k: type(k) is int and k >= 1),
                              "a non-empty list of integers >= 1"),
-    "sweep.methods": (["cnn", "csp_lda"],
-                      _list_of(lambda m: m in ("cnn", "csp_lda")),
-                      "a non-empty list of 'cnn' and 'csp_lda'"),
+    "sweep.methods": (_SWEEP["methods"],
+                      _list_of(lambda m: _name(m) and m in CLASSIFIERS),
+                      "a non-empty list of "
+                      + " and ".join(map(repr, CLASSIFIERS))),
 }
 _SECTIONS = {name.split(".")[0] for name in CONFIG_RULES if "." in name}
 
@@ -437,11 +453,15 @@ def _check_synth_bounds(cfg: dict) -> None:
     if band[1] > rate / 2:
         raise ConfigError("stats.band", f"stats.band {band} must end at or "
                           f"below the preprocessed Nyquist rate {rate / 2:g} Hz")
-    for key in ("imagery_window_ms", "rest_window_ms"):
+    for key in ("rest_window_ms", "imagery_window_ms"):
         try:
-            core.window_samples(cfg["epoch"][key], rate)
+            s0, s1 = core.window_samples(cfg["epoch"][key], rate)
         except RangeError as e:
             raise ConfigError(f"epoch.{key}", f"epoch.{key}: {e}") from e
+    win = int(round(WIN_S * rate))  # slide_windows' window length
+    if s1 - s0 < win:  # key, s0 and s1 are the imagery window's, checked last
+        raise ConfigError(f"epoch.{key}", f"epoch.{key} spans {s1 - s0} "
+                          f"samples; a {WIN_S:g} s CNN/CSP window needs {win}")
 
 
 def _given(cfg: dict):
@@ -608,9 +628,10 @@ def psd_stage(imagery: EpochSet, emit) -> None:
         dsp.welch_psd(x, imagery.fs).to_csv(emit(f"psd_class{c}.csv"))
 
 
-def ersp_stage(cfg: dict, rec: EegRecording, channel: str, emit) -> None:
-    """ERSP map of one channel, baseline start to 4500 ms after onset."""
+def ersp_stage(cfg: dict, rec: EegRecording, emit) -> None:
+    """ERSP map of ersp.channel, baseline start to 4500 ms after onset."""
     er = cfg["ersp"]
+    channel = er["channel"]
     if channel not in rec.montage.channel_names:
         raise ConfigError("ersp.channel", f"ersp.channel {channel!r} is not "
                           f"in the montage")
@@ -624,7 +645,7 @@ def ersp_stage(cfg: dict, rec: EegRecording, channel: str, emit) -> None:
 def train_stage(cfg: dict, imagery: EpochSet, method: str, emit) -> None:
     """Fit one classifier on all imagery windows and save its checkpoint."""
     tc = train_config(cfg) if method == "cnn" else None
-    clf = _make_classifier(method, cfg["seed"], cfg["csp"]["m"], tc)
+    clf = CLASSIFIERS[method](cfg["seed"], cfg["csp"]["m"], tc)
     clf.fit(slide_windows(imagery))
     if method == "cnn":
         save_network(clf.net, emit("cnn_model.eegb"), config=tc)

@@ -38,11 +38,27 @@ def out_len(n_in: int, kernel: int, stride: int) -> int:
 
 
 @dataclass
+class TrainConfig:
+    lr: float = 1e-3
+    batch_size: int = 16
+    epochs: int = 100
+    dropout: float = 0.5
+    seed: int = 0
+    patience: int = 10
+
+    def __post_init__(self):
+        if self.lr < 0 or self.batch_size < 1 or self.epochs < 1:
+            raise RangeError("non-positive training hyperparameter")
+        if not 0.0 <= self.dropout < 1.0:
+            raise RangeError(f"dropout {self.dropout} outside [0, 1)")
+
+
+@dataclass
 class LayerSpec:
     kind: str                  # conv | avgpool | batchnorm | activation | dropout | flatten | dense | softmax
     maps_out: int = None
     kernel: tuple = (1, 1)     # a conv's stride is 1, a pool's its kernel
-    rate: float = 0.5          # dropout only
+    rate: float = TrainConfig.dropout  # dropout only
     units: int = None          # dense only
 
 
@@ -52,7 +68,7 @@ class ModelSpec:
 
     layers: list
     n_channels: int
-    input_samples: int = 500
+    input_samples: int
 
     def shape_trace(self):
         """(maps, height, width) after each layer; dense layers yield ints."""
@@ -74,7 +90,8 @@ class ModelSpec:
 
 
 def build_model(n_channels: int, input_samples: int = 500,
-                dropout: float = 0.5, n_classes: int = 4) -> ModelSpec:
+                dropout: float = TrainConfig.dropout,
+                n_classes: int = 4) -> ModelSpec:
     """The decoding CNN: 4 conv layers, 3 average pools, softmax head.
 
     Temporal conv (25 maps, 1x125), spatial conv (25 maps, n_channels x 1)
@@ -108,22 +125,6 @@ def build_model(n_channels: int, input_samples: int = 500,
         LayerSpec("softmax"),
     ]
     return ModelSpec(layers, n_channels, input_samples)
-
-
-@dataclass
-class TrainConfig:
-    lr: float = 1e-3
-    batch_size: int = 16
-    epochs: int = 100
-    dropout: float = 0.5
-    seed: int = 0
-    patience: int = 10
-
-    def __post_init__(self):
-        if self.lr < 0 or self.batch_size < 1 or self.epochs < 1:
-            raise RangeError("non-positive training hyperparameter")
-        if not 0.0 <= self.dropout < 1.0:
-            raise RangeError(f"dropout {self.dropout} outside [0, 1)")
 
 
 # ---------------------------------------------------------------------------

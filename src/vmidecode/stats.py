@@ -16,6 +16,8 @@ from .dsp import _welch_batch
 from .errors import DegenerateInputError, RangeError, ShapeError
 from .seeding import child_rng
 
+N_PERM = 10000  # permutation_test's and stat_map's draw count
+
 
 def band_power(epochs: EpochSet, band_hz) -> np.ndarray:
     """Per-trial, per-channel signal power integrated over a frequency band.
@@ -75,7 +77,7 @@ def paired_t(a, b) -> float:
     return float(_t_from_diffs(a - b))
 
 
-def permutation_test(a, b, n_perm: int = 10000,
+def permutation_test(a, b, n_perm: int = N_PERM,
                      rng: np.random.Generator = None) -> float:
     """Two-sided p-value of the paired sign-flip permutation test.
 
@@ -110,7 +112,7 @@ class StatMap:
     t_values: np.ndarray
     p_values: np.ndarray
     montage: Montage
-    alpha: float = 0.01
+    alpha: float
 
     @property
     def significant(self) -> np.ndarray:
@@ -126,7 +128,8 @@ class StatMap:
 
 
 def stat_map(imagery: EpochSet, rest: EpochSet, band=(0.5, 13.0),
-             n_perm: int = 10000, seed: int = 0, alpha: float = 0.01) -> StatMap:
+             n_perm: int = N_PERM, seed: int = 0,
+             alpha: float = 0.01) -> StatMap:
     """Band-power contrast of paired imagery and rest epochs, per channel.
 
     Trials are paired by index; each channel's permutation test draws its

@@ -120,8 +120,7 @@ def test_stats_emits_stat_map(tiny_out):
 
 
 def test_ersp_emits_map(tiny_out):
-    assert run("--config", TINY, "--out", tiny_out, "ersp",
-               "--channel", "Oz") == 0
+    assert run("--config", TINY, "--out", tiny_out, "ersp") == 0
     lines = (tiny_out / "ersp_Oz.csv").read_text().strip().split("\n")
     assert len(lines[0].split(",")) == 401  # frequency column + 400 times
 
@@ -365,10 +364,18 @@ def test_synth_section_must_be_an_object(tmp_path, capsys):
 
 
 def test_unknown_ersp_channel_is_config_error(tiny_out, capsys):
-    assert run("--config", TINY, "--out", tiny_out, "ersp",
-               "--channel", "Xx") == 2
+    cfg = tiny_out / "c.json"
+    cfg.write_text(json.dumps({**json.loads(TINY.read_text()),
+                               "ersp": {"channel": "Xx"}}))
+    assert run("--config", cfg, "--out", tiny_out, "ersp") == 2
     assert "ersp.channel" in capsys.readouterr().err
     assert not (tiny_out / "ersp_Xx.csv").exists()
+
+
+def test_ersp_channel_flag_is_gone(tiny_out):
+    # ersp.channel in the config is the one way to choose the channel
+    with pytest.raises(SystemExit):
+        run("--config", TINY, "--out", tiny_out, "ersp", "--channel", "Oz")
 
 
 def test_threads_flag_is_gone(tmp_path):
@@ -395,7 +402,12 @@ def test_threads_flag_is_gone(tmp_path):
     ("synth", {"bogus": 1}), ("synth", {"snr_db": float("inf")}),
     # windows under two samples: report wrote 13 or 4 artifacts first
     ("epoch", {"rest_window_ms": [-1, 0]}),
-    ("epoch", {"imagery_window_ms": [0, 1]})])
+    ("epoch", {"imagery_window_ms": [0, 1]}),
+    # imagery windows under one 2 s CNN/CSP window (500 samples): report
+    # exited 3 at sweep after 18 artifacts (375 samples), or at connect
+    # after 4 (3 samples, under the analytic signal's 4)
+    ("epoch", {"imagery_window_ms": [500, 2000]}),
+    ("epoch", {"imagery_window_ms": [0, 12]})])
 def test_bad_section_value_exits_2_before_any_stage(tmp_path, capsys, section,
                                                    value):
     # these ended in a traceback, in exit 3 after the earlier stages, in exit

@@ -64,9 +64,9 @@ def test_csp_class_swap_reverses_filters():
 def test_csp_validation():
     ep_a, ep_b = _variance_classes()
     with pytest.raises(ShapeError):
-        csp_fit(ep_a, ep_b.select(channel_idx=[0, 1]))
+        csp_fit(ep_a, ep_b.select(channel_idx=[0, 1]), m=1)
     with pytest.raises(RangeError):
-        csp_fit(ep_a.select(trial_idx=[0]), ep_b)
+        csp_fit(ep_a.select(trial_idx=[0]), ep_b, m=1)
 
 
 def test_csp_features_scale_invariant():

@@ -228,6 +228,14 @@ def test_preprocess_refuses_factor_not_dividing_fs(small_recording):
         preprocess_recording(small_recording, factor=3)
 
 
+@pytest.mark.parametrize("factor", [2.5, 5.0, True])
+def test_preprocess_refuses_factor_not_an_int(small_recording, factor):
+    # 2.5 and 5.0 divide 250 but ended in a TypeError from slicing, and
+    # decimation_factor returned True as the factor
+    with pytest.raises(RangeError):
+        preprocess_recording(small_recording, factor=factor)
+
+
 def test_preprocess_rescales_fs_and_events():
     from vmidecode import EegRecording, Montage
     from conftest import SMALL_CHANNELS

@@ -2,6 +2,7 @@
 interpreter, so a change to the public API cannot leave them broken; the
 README's config table names every config rule."""
 
+import json
 import os
 import re
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from vmidecode.harness import CONFIG_RULES
+from vmidecode.harness import CONFIG_RULES, DEFAULT_CONFIG
 
 REPO = Path(__file__).resolve().parents[1]
 DEMOS = sorted((REPO / "demos").glob("*.py"))
@@ -39,3 +40,10 @@ def test_readme_config_table_names_exactly_the_config_rules():
     keys = {key for cell in re.findall(r"^\| (.*?) \|", table, re.M)
             for key in re.findall(r"`([^`]+)`", cell)}
     assert keys == set(CONFIG_RULES)
+    # the table restates the defaults: each must appear in its row
+    for cell, default in re.findall(r"^\| (.*?) \| (.*?) \|", table, re.M):
+        for key in re.findall(r"`([^`]+)`", cell):
+            section, _, name = key.partition(".")
+            if name in DEFAULT_CONFIG.get(section, {}):
+                value = json.dumps(DEFAULT_CONFIG[section][name])
+                assert value.replace('"', "") in default.replace("`", ""), key

@@ -702,7 +702,10 @@ def _synth_config(synth=None, **sections):
     # windows under two samples at the preprocessed 250 Hz
     ({"fs": 1000}, {"epoch": {"rest_window_ms": [-1, 0]}},
      "epoch.rest_window_ms"),
-    ({}, {"epoch": {"imagery_window_ms": [0, 1]}}, "epoch.imagery_window_ms")])
+    ({}, {"epoch": {"imagery_window_ms": [0, 1]}}, "epoch.imagery_window_ms"),
+    # 499 samples at the preprocessed 250 Hz, under one 2 s CNN/CSP window
+    ({"fs": 1000}, {"epoch": {"imagery_window_ms": [500, 2496]}},
+     "epoch.imagery_window_ms")])
 def test_values_the_synth_section_rules_out_are_config_errors(synth, sections,
                                                               key):
     # these exited 3 after the earlier stages had written their artifacts,
@@ -719,6 +722,8 @@ def test_synth_bounds_accept_their_edges_and_skip_input_configs():
                                   preprocess={"band": [0.5, 499.0]}))
     validate_config(_synth_config({"fs": 1000},
                                   epoch={"rest_window_ms": [-8, 0]}))
+    # exactly one 2 s CNN/CSP window of 500 samples
+    validate_config(_synth_config(epoch={"imagery_window_ms": [500, 2500]}))
     validate_config({"seed": 1, "input": "rec.eegb", "cv": {"folds": 50},
                      "preprocess": {"band": [0.5, 900.0]},
                      "stats": {"band": [0.5, 900.0]}})

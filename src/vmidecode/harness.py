@@ -120,7 +120,9 @@ def stratified_folds(labels, n_folds: int, seed: int = 0) -> list:
     return [np.sort(np.asarray(f)) for f in folds]
 
 
-CLASSIFIERS = {  # method name -> classifier of (seed, csp_m, train_config)
+# method name -> classifier of (seed, csp_m, train_config); the order is
+# _run_cells' scheduling order, costliest fit first
+CLASSIFIERS = {
     "cnn": lambda seed, csp_m, tc: CnnClassifier(
         replace(tc or TrainConfig(), seed=seed)),
     "csp_lda": lambda seed, csp_m, tc: CspLdaClassifier(m=csp_m),
@@ -267,16 +269,18 @@ def _run_cells(plan: _CvPlan, tasks: list) -> list:
     workers. Fork (not spawn) lets the workers inherit plan, with its
     epochs and rankings, instead of re-importing the package and unpickling
     it; only tasks and prediction arrays cross the pipes. Tasks are submitted
-    longest first (CNN before CSP-LDA, larger k first) so that no long fit
-    starts last. Results are read in task order, so the error raised is that
-    of the earliest failing task, whichever finished first; a worker that
-    dies raises BrokenProcessPool.
+    longest first (methods in CLASSIFIERS order, then larger k first) so
+    that no long fit starts last. Results are read in task order, so the
+    error raised is that of the earliest failing task, whichever finished
+    first; a worker that dies raises BrokenProcessPool.
     """
     workers = _worker_count(len(tasks))
     if workers <= 1:
         return list(map(partial(_fit_cell, plan), tasks))
-    longest_first = sorted(tasks, key=lambda t: (plan.cells[t[1]][0] != "cnn",
-                                                 -plan.cells[t[1]][1]))
+    # an unknown method sorts last; its task raises the ConfigError
+    rank = {m: i for i, m in enumerate(CLASSIFIERS)}
+    longest_first = sorted(tasks, key=lambda t: (
+        rank.get(plan.cells[t[1]][0], len(rank)), -plan.cells[t[1]][1]))
     with ProcessPoolExecutor(workers,
                              mp_context=multiprocessing.get_context("fork"),
                              initializer=_start_worker,

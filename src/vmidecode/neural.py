@@ -2,18 +2,22 @@
 
 Layers operate on contiguous batch x maps x height x width arrays with
 explicit forward/backward passes; gradients are checked against central
-finite differences in the test suite. Convolutions multiply each sample's
-im2col matrix by the weights; the network's first conv computes no input
-gradient. Only a train-mode forward keeps what the backward pass needs
-(im2col matrices, centred batch-norm input, ELU output, dropout masks);
-eval mode keeps nothing. The architecture is a temporal convolution,
-a spatial convolution collapsing the channel axis, and two further
-conv + average-pool stages, ending in a softmax with one output per
-class. All stochasticity (init, dropout masks, shuffling) derives from a
-single seed.
+finite differences in the test suite. The network's first conv
+(TemporalConv) multiplies the overlapping blocks of every input row at once
+by a banded Toeplitz matrix of its weights and computes no input gradient;
+the later convs multiply each sample's im2col matrix by the weights. Only a
+train-mode forward keeps what the backward pass needs (the first conv's row
+blocks, the later convs' im2col matrices, centred batch-norm input, ELU
+output, dropout masks); eval mode keeps nothing. The architecture is a
+temporal convolution, a spatial convolution collapsing the channel axis,
+and two further conv + average-pool stages, ending in a softmax with one
+output per class. All stochasticity (init, dropout masks, shuffling)
+derives from a single seed.
 """
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -28,6 +32,8 @@ WIN_S = 2.0
 OVERLAP = 0.5
 # early stop: an epoch's loss must beat the best by this much to count
 MIN_DELTA = 1e-4
+# output positions per row block of the first conv: 376 = 4 x 94
+BLOCK = 94
 
 
 def out_len(n_in: int, kernel: int, stride: int) -> int:
@@ -47,8 +53,15 @@ class TrainConfig:
     patience: int = 10
 
     def __post_init__(self):
-        if self.lr < 0 or self.batch_size < 1 or self.epochs < 1:
-            raise RangeError("non-positive training hyperparameter")
+        # the bounds of the cnn section of harness.CONFIG_RULES
+        if not (isinstance(self.lr, numbers.Real) and math.isfinite(self.lr)
+                and self.lr > 0):
+            raise RangeError(f"lr {self.lr!r} is not a finite number > 0")
+        for name in ("batch_size", "epochs", "patience"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool) \
+                    or v < 1:
+                raise RangeError(f"{name} {v!r} is not an integer >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise RangeError(f"dropout {self.dropout} outside [0, 1)")
 
@@ -147,10 +160,10 @@ class Conv(_Layer):
     multiplied by the weights straight into a contiguous output. It is a
     view of the input where the geometry allows (the spatial conv), else a
     copy, and it is kept for the weight gradient only in train mode. The
-    network's first conv (input_grad=False) returns no input gradient.
+    network's first conv is a TemporalConv, which builds no im2col matrix.
     """
 
-    def __init__(self, maps_in, maps_out, kernel, rng, dtype, input_grad=True):
+    def __init__(self, maps_in, maps_out, kernel, rng, dtype):
         kh, kw = kernel
         fan_in = maps_in * kh * kw
         limit = np.sqrt(6.0 / (fan_in + maps_out))
@@ -158,7 +171,6 @@ class Conv(_Layer):
                              size=(maps_out, maps_in, kh, kw)).astype(dtype)
         self.b = np.zeros(maps_out, dtype=dtype)
         self.params = ("w", "b")
-        self.input_grad = input_grad
 
     def forward(self, x, train):
         mo, mi, kh, kw = self.w.shape
@@ -189,8 +201,6 @@ class Conv(_Layer):
         self.dw = sum(gi @ ci.T for gi, ci in zip(g, self._cols)).reshape(
             self.w.shape)
         self._cols = None
-        if not self.input_grad:
-            return None
         # column gradients (B, maps_in, kh, kw, ho, wo), added back tap by tap
         dcols = np.matmul(self.w.reshape(mo, -1).T, g).reshape(
             b, mi, kh, kw, ho, wo)
@@ -203,6 +213,71 @@ class Conv(_Layer):
             for j in range(kw):
                 dx[:, :, i:i + ho, j:j + wo] += dcols[:, :, i, j]
         return dx
+
+
+def _pad_tail(a, n):
+    """a with its last axis zero-padded to length n."""
+    pad = n - a.shape[-1]
+    return a if pad == 0 else np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, pad)])
+
+
+def _band(kw):
+    """Where a (BLOCK + kw - 1, maps, BLOCK) Toeplitz array holds tap t of
+    output position j: [j + t, :, j], indexed out as (BLOCK, kw, maps)."""
+    j = np.arange(BLOCK)[:, None]
+    return j + np.arange(kw), slice(None), j
+
+
+class TemporalConv(Conv):
+    """The network's first conv: one input map, a (1, kw) kernel, stride 1.
+
+    Every input row is cut into blocks of BLOCK + kw - 1 samples that overlap
+    by kw - 1, its tail zero-padded to whole blocks. One GEMM multiplies all
+    blocks by a (BLOCK + kw - 1, maps x BLOCK) banded Toeplitz matrix of the
+    weights, rebuilt on every forward because the optimiser updates the
+    weights in place; the zeros off the band add nothing. Train mode keeps
+    only the blocks, from which the weight gradient is one GEMM and a sum
+    along the band. Nothing consumes the gradient of the network's input, so
+    backward returns None.
+    """
+
+    def __init__(self, maps_out, kernel, rng, dtype):
+        if kernel[0] != 1:
+            raise ShapeError(f"the first conv's kernel must be (1, kw), got "
+                             f"{tuple(kernel)}")
+        super().__init__(1, maps_out, kernel, rng, dtype)
+
+    def forward(self, x, train):
+        mo, _, _, kw = self.w.shape
+        b, _, h, w_in = x.shape
+        wo = out_len(w_in, kw, 1)
+        nb = -(-wo // BLOCK)
+        rows = _pad_tail(x.reshape(b * h, w_in), nb * BLOCK + kw - 1)
+        blocks = np.lib.stride_tricks.sliding_window_view(
+            rows, BLOCK + kw - 1, axis=1)[:, ::BLOCK].reshape(b * h * nb, -1)
+        toeplitz = np.zeros((BLOCK + kw - 1, mo, BLOCK), dtype=self.w.dtype)
+        toeplitz[_band(kw)] = self.w.reshape(mo, kw).T
+        # rows (window, electrode, block), columns (map, position)
+        out = (blocks @ toeplitz.reshape(BLOCK + kw - 1, -1)).reshape(
+            b, h, nb, mo, BLOCK).transpose(0, 3, 1, 2, 4).reshape(
+            b, mo, h, nb * BLOCK)
+        out = np.ascontiguousarray(out[..., :wo])
+        out += self.b[:, None, None]
+        self._blocks = blocks if train else None
+        return out
+
+    def backward(self, grad):
+        mo, _, _, kw = self.w.shape
+        b, _, h, wo = grad.shape
+        nb = -(-wo // BLOCK)
+        self.db = grad.reshape(b, mo, h * wo).sum(axis=(0, 2))
+        # the gradient regrouped like the forward product; zero past wo
+        g = _pad_tail(grad, nb * BLOCK).reshape(b, mo, h, nb, BLOCK).transpose(
+            0, 2, 3, 1, 4).reshape(b * h * nb, mo * BLOCK)
+        band = (self._blocks.T @ g).reshape(BLOCK + kw - 1, mo, BLOCK)
+        self.dw = band[_band(kw)].sum(axis=0).T.reshape(self.w.shape)
+        self._blocks = None
+        return None
 
 
 class AvgPool(_Layer):
@@ -400,9 +475,10 @@ class Network:
         for li, (ls, shape) in enumerate(zip(spec.layers, shapes)):
             if ls.kind == "conv":
                 rng = child_rng(seed, "init", li)
-                # nothing consumes the gradient of the network's input
-                layer = Conv(shape[0], ls.maps_out, ls.kernel, rng, self.dtype,
-                             input_grad=li > 0)
+                layer = (TemporalConv(ls.maps_out, ls.kernel, rng, self.dtype)
+                         if li == 0 else
+                         Conv(shape[0], ls.maps_out, ls.kernel, rng,
+                              self.dtype))
             elif ls.kind == "avgpool":
                 layer = AvgPool(ls.kernel)
             elif ls.kind == "batchnorm":

@@ -246,6 +246,68 @@ def test_conv_input_gradient_matches_finite_differences(x_shape, w_shape):
         assert abs(fd / (2 * eps) - dx[idx]) < 1e-6
 
 
+@pytest.mark.parametrize("x_shape, w_shape", [
+    ((2, 1, 3, 40), (8, 1, 1, 7)),      # 34 positions: under one block
+    ((2, 1, 3, 500), (4, 1, 1, 125)),   # 376 positions: four whole blocks
+    ((2, 1, 3, 300), (4, 1, 1, 125)),   # 176 positions: a padded last block
+])
+def test_temporal_conv_forward_matches_direct_correlation(x_shape, w_shape):
+    from vmidecode.neural import TemporalConv
+    rng = np.random.default_rng(8)
+    conv = TemporalConv(w_shape[0], w_shape[2:], rng, np.float64)
+    conv.b = rng.standard_normal(w_shape[0])
+    x = rng.standard_normal(x_shape)
+    for train in (True, False):
+        out = conv.forward(x, train)
+        assert out.flags.c_contiguous
+        np.testing.assert_allclose(out, _direct_correlation(x, conv.w, conv.b),
+                                   rtol=1e-12, atol=1e-12)
+
+
+def _conv_pair(maps, kw, dtype):
+    """An im2col Conv and a TemporalConv with the same weights and bias."""
+    from vmidecode.neural import Conv, TemporalConv
+    conv = Conv(1, maps, (1, kw), np.random.default_rng(13), dtype)
+    temporal = TemporalConv(maps, (1, kw), np.random.default_rng(13), dtype)
+    conv.b = temporal.b = np.random.default_rng(14).standard_normal(
+        maps).astype(dtype)
+    np.testing.assert_array_equal(conv.w, temporal.w)
+    return conv, temporal
+
+
+@pytest.mark.parametrize("width, kw", [(40, 7), (500, 125), (300, 125)])
+def test_temporal_conv_gradients_match_im2col(width, kw):
+    conv, temporal = _conv_pair(6, kw, np.float64)
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((3, 1, 4, width))
+    grad = rng.standard_normal(conv.forward(x, True).shape)
+    temporal.forward(x, True)
+    conv.backward(grad)
+    assert temporal.backward(grad) is None
+    for name in ("dw", "db"):
+        ref = getattr(conv, name)
+        assert getattr(temporal, name).shape == ref.shape
+        assert (np.abs(getattr(temporal, name) - ref).max()
+                <= 1e-12 * np.abs(ref).max())
+
+
+def test_temporal_conv_forward_is_the_im2col_product_in_float32():
+    # the zeros off the Toeplitz band add nothing and the taps are summed
+    # in the same order, so with this BLAS build the report bytes do not
+    # depend on which of the two computed the first conv
+    conv, temporal = _conv_pair(25, 125, np.float32)
+    x = np.random.default_rng(16).standard_normal(
+        (16, 1, 64, 500)).astype(np.float32)
+    np.testing.assert_array_equal(temporal.forward(x, False),
+                                  conv.forward(x, False))
+
+
+def test_temporal_conv_refuses_a_kernel_taller_than_one_row():
+    from vmidecode.neural import TemporalConv
+    with pytest.raises(ShapeError):
+        TemporalConv(4, (2, 7), np.random.default_rng(0), np.float64)
+
+
 def test_dropout_masks_follow_the_named_stream():
     from vmidecode.neural import Dropout
     from vmidecode.seeding import child_rng
@@ -268,16 +330,16 @@ def test_dropout_masks_follow_the_named_stream():
 
 
 def test_first_conv_returns_no_input_gradient():
+    from vmidecode.neural import TemporalConv
     spec = reduced_model_spec()
     net = Network(spec, seed=0, dtype=np.float64)
     x = np.random.default_rng(10).standard_normal((3, 1, 2, 40))
-    convs = [layer for layer, ls in zip(net.layers, spec.layers)
-             if ls.kind == "conv"]
-    assert not convs[0].input_grad
-    assert all(c.input_grad for c in convs[1:])
+    conv0 = net.layers[0]
+    assert isinstance(conv0, TemporalConv)
+    assert not any(isinstance(layer, TemporalConv) for layer in net.layers[1:])
     net.forward(x, train=True)
-    assert convs[0].backward(np.zeros((3,) + spec.shape_trace()[0])) is None
-    assert convs[0].dw.shape == convs[0].w.shape
+    assert conv0.backward(np.zeros((3,) + spec.shape_trace()[0])) is None
+    assert conv0.dw.shape == conv0.w.shape
 
 
 def test_eval_forward_keeps_no_training_caches():
@@ -388,6 +450,15 @@ def _small_net(seed=0):
     return Network(reduced_model_spec(dropout=0.25), seed=seed)
 
 
+def _zero_lr_config(**kwargs):
+    """A config whose Adam steps are all zero. TrainConfig refuses lr=0,
+    since such a fit trains nothing; these tests use it to hold the
+    parameters still while the training loop runs."""
+    cfg = TrainConfig(**kwargs)
+    cfg.lr = 0.0
+    return cfg
+
+
 def test_training_learns_separable_data():
     windows = _train_windows()
     net = _small_net()
@@ -416,9 +487,8 @@ def test_zero_learning_rate_freezes_parameters():
     windows = _train_windows()
     net = Network(reduced_model_spec(dropout=0.0), seed=2)
     before = [np.asarray(getattr(l, n)).copy() for l, n in net.parameters()]
-    curve = train(net, windows, TrainConfig(lr=0.0, epochs=2,
-                                            batch_size=windows.n_trials,
-                                            seed=2))
+    curve = train(net, windows, _zero_lr_config(
+        epochs=2, batch_size=windows.n_trials, seed=2))
     for (l, n), b in zip(net.parameters(), before):
         np.testing.assert_array_equal(getattr(l, n), b)
     assert abs(curve[0] - curve[1]) < 1e-6
@@ -460,11 +530,12 @@ def test_divergence_carries_context_and_no_numpy_warning():
 
 
 def test_non_finite_weights_after_the_last_step_diverge():
-    # one step whose loss is finite and whose update is not
+    # one step whose loss is finite and whose update is not: a finite lr
+    # whose step overflows float32
     windows = _train_windows()
     net = _small_net(seed=4)
     with pytest.raises(DivergenceError) as err:
-        train(net, windows, TrainConfig(lr=np.inf, epochs=1,
+        train(net, windows, TrainConfig(lr=1e300, epochs=1,
                                         batch_size=windows.n_trials, seed=4))
     assert err.value.epoch == 0 and np.isfinite(err.value.last_loss)
 
@@ -484,14 +555,14 @@ def test_overflowing_predictions_are_divergence():
 def test_early_stop_on_plateau():
     windows = _train_windows()
     net = _small_net(seed=5)
-    curve = train(net, windows, TrainConfig(lr=0.0, epochs=50, batch_size=8,
-                                            seed=5, patience=3))
+    curve = train(net, windows, _zero_lr_config(epochs=50, batch_size=8,
+                                                seed=5, patience=3))
     assert len(curve) <= 5  # flat loss stops after patience epochs
 
 
 def test_early_stop_counts_gains_below_min_delta_as_stalls(monkeypatch):
     assert neural.MIN_DELTA == 1e-4
-    cfg = TrainConfig(lr=0.0, epochs=6, batch_size=8, seed=5, patience=2)
+    cfg = _zero_lr_config(epochs=6, batch_size=8, seed=5, patience=2)
     # with -1e9 every epoch is a gain, with 1e9 only the first one is
     for delta, n_epochs in ((-1e9, 6), (1e9, 3)):
         monkeypatch.setattr(neural, "MIN_DELTA", delta)
@@ -499,13 +570,15 @@ def test_early_stop_counts_gains_below_min_delta_as_stalls(monkeypatch):
             n_epochs)
 
 
-def test_train_config_validation():
+@pytest.mark.parametrize("kwargs", [
+    {"lr": -1.0}, {"lr": 0}, {"lr": float("nan")}, {"batch_size": 0},
+    {"batch_size": 2.5}, {"epochs": True}, {"patience": 0}, {"patience": -3},
+    {"dropout": 1.0},
+], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+def test_train_config_validation(kwargs):
+    # the values the cnn rows of harness.CONFIG_RULES refuse
     with pytest.raises(RangeError):
-        TrainConfig(lr=-1.0)
-    with pytest.raises(RangeError):
-        TrainConfig(batch_size=0)
-    with pytest.raises(RangeError):
-        TrainConfig(dropout=1.0)
+        TrainConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------

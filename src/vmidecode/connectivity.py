@@ -130,11 +130,15 @@ def select_channels(ranking: ChannelRanking, k: int) -> list:
     return ranking.indices()[:k]
 
 
+def class_plv(trial_plv: np.ndarray, labels: np.ndarray,
+              montage: Montage) -> dict:
+    """One PLV matrix per class label, in label order: the mean of that
+    class's rows of trial_plv (per-trial matrices, one row per label)."""
+    return {c: _mean_plv(trial_plv[np.nonzero(labels == c)[0]], montage)
+            for c in sorted(set(int(l) for l in labels))}
+
+
 def per_class_plv(epochs: EpochSet) -> dict:
     """One trial-averaged PLV matrix per class label, in label order."""
-    trial_plv = plv_trial_matrices(epochs)
-    out = {}
-    for c in sorted(set(int(l) for l in epochs.labels)):
-        idx = np.nonzero(epochs.labels == c)[0]
-        out[c] = _mean_plv(trial_plv[idx], epochs.montage)
-    return out
+    return class_plv(plv_trial_matrices(epochs), epochs.labels,
+                     epochs.montage)

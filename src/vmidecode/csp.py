@@ -40,31 +40,30 @@ class LdaModel:
     priors: np.ndarray
 
 
-def _mean_normalized_cov(tensor: np.ndarray) -> np.ndarray:
-    """Mean over trials of per-trial covariance C / trace(C)."""
+def _normalized_covs(tensor: np.ndarray) -> np.ndarray:
+    """Per-trial covariance C / trace(C), trials x channels x channels."""
     x = tensor - tensor.mean(axis=2, keepdims=True)
     c = x @ x.transpose(0, 2, 1)
     tr = np.trace(c, axis1=1, axis2=2)
     if np.any(tr <= 0):
         raise DegenerateInputError("trial with zero variance")
-    return (c / tr[:, None, None]).sum(axis=0) / len(tensor)
+    return c / tr[:, None, None]
 
 
-def csp_fit(class_a: EpochSet, class_b: EpochSet, m: int) -> CspModel:
-    """Fit CSP filters discriminating two epoch sets.
+def _mean_cov(covs: np.ndarray) -> np.ndarray:
+    return covs.sum(axis=0) / len(covs)
 
-    Solves C_a w = lambda (C_a + C_b) w; eigenvalues lie in [0, 1] and are
-    sorted descending. The returned filters whiten the composite covariance:
-    W (C_a + C_b) W^T = I. m is clamped to 1..n_channels // 2.
-    """
-    if class_a.n_channels != class_b.n_channels:
-        raise ShapeError("class epoch sets must share channels")
-    if class_a.n_trials < 2 or class_b.n_trials < 2:
-        raise RangeError("csp_fit needs >= 2 trials per class")
-    n_ch = class_a.n_channels
+
+def _mean_normalized_cov(tensor: np.ndarray) -> np.ndarray:
+    """Mean over trials of per-trial covariance C / trace(C)."""
+    return _mean_cov(_normalized_covs(tensor))
+
+
+def _csp_model(ca: np.ndarray, cb: np.ndarray, m: int) -> CspModel:
+    """The CSP filters of two mean normalized covariances; m is clamped to
+    1..n_channels // 2."""
+    n_ch = ca.shape[0]
     m = max(1, min(m, n_ch // 2))
-    ca = _mean_normalized_cov(np.asarray(class_a.tensor, dtype=np.float64))
-    cb = _mean_normalized_cov(np.asarray(class_b.tensor, dtype=np.float64))
     comp = ca + cb
     try:
         # eigh normalizes eigenvectors against comp, so W comp W^T = I
@@ -84,6 +83,25 @@ def csp_fit(class_a: EpochSet, class_b: EpochSet, m: int) -> CspModel:
     return CspModel(filters=vecs[:, keep].T.copy(),
                     eigenvalues=vals[keep].copy(),
                     n_channels=n_ch, m=m)
+
+
+_TOO_FEW = "csp_fit needs >= 2 trials per class"
+
+
+def csp_fit(class_a: EpochSet, class_b: EpochSet, m: int) -> CspModel:
+    """Fit CSP filters discriminating two epoch sets.
+
+    Solves C_a w = lambda (C_a + C_b) w; eigenvalues lie in [0, 1] and are
+    sorted descending. The returned filters whiten the composite covariance:
+    W (C_a + C_b) W^T = I. m is clamped to 1..n_channels // 2.
+    """
+    if class_a.n_channels != class_b.n_channels:
+        raise ShapeError("class epoch sets must share channels")
+    if class_a.n_trials < 2 or class_b.n_trials < 2:
+        raise RangeError(_TOO_FEW)
+    ca, cb = (_mean_normalized_cov(np.asarray(e.tensor, dtype=np.float64))
+              for e in (class_a, class_b))
+    return _csp_model(ca, cb, m)
 
 
 def csp_features(model: CspModel, epochs: EpochSet) -> np.ndarray:
@@ -152,16 +170,20 @@ class CspLdaClassifier:
         self.models_ = []
 
     def fit(self, windows: EpochSet) -> "CspLdaClassifier":
-        self.classes_ = np.unique(windows.labels)
+        """csp_fit of each class against the rest, then LDA on its features;
+        each window's normalized covariance is computed once."""
+        self.classes_, counts = np.unique(windows.labels, return_counts=True)
         self.models_ = []
+        # the smallest "rest" is the complement of the largest class
+        if counts.min() < 2 or windows.n_trials - counts.max() < 2:
+            raise RangeError(_TOO_FEW)
+        covs = _normalized_covs(np.asarray(windows.tensor, dtype=np.float64))
         for c in self.classes_:
-            pos = np.nonzero(windows.labels == c)[0]
-            neg = np.nonzero(windows.labels != c)[0]
-            csp = csp_fit(windows.select(trial_idx=pos),
-                          windows.select(trial_idx=neg), m=self.m)
+            is_c = windows.labels == c
+            csp = _csp_model(_mean_cov(covs[is_c]), _mean_cov(covs[~is_c]),
+                             self.m)
             feats = csp_features(csp, windows)
-            binary = (windows.labels == c).astype(np.int64)
-            lda = lda_fit(feats, binary)
+            lda = lda_fit(feats, is_c.astype(np.int64))
             self.models_.append((csp, lda))
         return self
 

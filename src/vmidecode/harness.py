@@ -121,7 +121,11 @@ def stratified_folds(labels, n_folds: int, seed: int = 0) -> list:
 
 
 # method name -> classifier of (seed, csp_m, train_config); the order is
-# _run_cells' scheduling order, costliest fit first
+# _run_cells' scheduling order, costliest fit first. Only "cnn" fits repay a
+# forked worker (a fresh worker's page faults made its first k = 64 CSP-LDA
+# fit take 0.29 s, against 0.10 s in the calling process), so _run_cells
+# sizes its pool by the cnn tasks alone and runs a sweep without any in the
+# calling process.
 CLASSIFIERS = {
     "cnn": lambda seed, csp_m, tc: CnnClassifier(
         replace(tc or TrainConfig(), seed=seed)),
@@ -130,20 +134,24 @@ CLASSIFIERS = {
 
 
 def fold_channel_ranking(train_epochs: EpochSet):
-    """Train-fold-only channel ranking from per-class PLV matrices."""
-    per_class = conn_mod.per_class_plv(train_epochs)
-    return conn_mod.rank_channels(per_class.values())
+    """Channel ranking of one fold's training epochs, by their per-class PLV
+    matrices. _evaluate ranks the training rows of one PLV pass over all
+    trials instead, which gives the same ranking."""
+    return conn_mod.rank_channels(
+        conn_mod.per_class_plv(train_epochs).values())
 
 
 def _evaluate(dataset: EpochSet, cells: list, folds: int, seeds, csp_m: int,
-              train_config: TrainConfig) -> list:
+              train_config: TrainConfig, trial_plv=None) -> list:
     """One EvalEntry per (method, k_channels) cell, all on the same folds.
 
-    k_channels None means the full montage. Each fold's channel ranking is
-    computed once, on its training trials, and shared by every cell. Every
-    (seed, fold, cell) fit is one task for _run_cells; the entries are built
-    from the tasks' predictions in task order, so they do not depend on the
-    worker count.
+    k_channels None means the full montage. The per-trial PLV matrices
+    (trial_plv, plv_trial_matrices(dataset) when not given) are computed once;
+    each fold's channel ranking is the ranking of its training rows, in
+    ascending trial order, and is shared by every cell. Every (seed, fold,
+    cell) fit is one task for _run_cells; the entries are built from the
+    tasks' predictions in task order, so they do not depend on the worker
+    count.
     """
     require_finite(dataset.tensor, "cross-validation epochs")
     classes = np.unique(dataset.labels)
@@ -156,13 +164,17 @@ def _evaluate(dataset: EpochSet, cells: list, folds: int, seeds, csp_m: int,
     if any(k > n_ch for _, k in cells):
         raise RangeError(f"k_channels {max(k for _, k in cells)} "
                          f"exceeds montage")
+    ranked = any(k < n_ch for _, k in cells)
+    if ranked and trial_plv is None:
+        trial_plv = conn_mod.plv_trial_matrices(dataset)
     splits, truths = [], []
     for seed in seeds:
         for fold, test_idx in enumerate(
                 stratified_folds(dataset.labels, folds, seed=seed)):
             train_idx = np.setdiff1d(np.arange(dataset.n_trials), test_idx)
-            ranking = (fold_channel_ranking(dataset.select(trial_idx=train_idx))
-                       if any(k < n_ch for _, k in cells) else None)
+            ranking = (conn_mod.rank_channels(conn_mod.class_plv(
+                trial_plv[train_idx], dataset.labels[train_idx],
+                dataset.montage).values()) if ranked else None)
             splits.append((seed, fold, train_idx, test_idx, ranking))
             truths.append(dataset.labels[test_idx])
     plan = _CvPlan(dataset, splits, cells, csp_m, train_config)
@@ -265,16 +277,18 @@ def _pooled_cell(task: tuple) -> np.ndarray:
 def _run_cells(plan: _CvPlan, tasks: list) -> list:
     """_fit_cell(plan, task) for every task, in task order.
 
-    With more than one CPU and task the tasks run in a pool of forked
-    workers. Fork (not spawn) lets the workers inherit plan, with its
-    epochs and rankings, instead of re-importing the package and unpickling
-    it; only tasks and prediction arrays cross the pipes. Tasks are submitted
-    longest first (methods in CLASSIFIERS order, then larger k first) so
-    that no long fit starts last. Results are read in task order, so the
-    error raised is that of the earliest failing task, whichever finished
-    first; a worker that dies raises BrokenProcessPool.
+    With more than one CPU and cnn task, every task, CSP-LDA ones included,
+    runs in a pool of forked workers, at most one per cnn task (CLASSIFIERS);
+    otherwise all run in the calling process. Fork (not spawn) lets the
+    workers inherit plan, with its epochs and rankings, instead of
+    re-importing the package and unpickling it; only tasks and prediction
+    arrays cross the pipes. Tasks are submitted longest first (methods in
+    CLASSIFIERS order, then larger k first) so that no long fit starts last.
+    Results are read in task order, so the error raised is that of the
+    earliest failing task, whichever finished first; a worker that dies
+    raises BrokenProcessPool.
     """
-    workers = _worker_count(len(tasks))
+    workers = _worker_count(sum(plan.cells[c][0] == "cnn" for _, c in tasks))
     if workers <= 1:
         return list(map(partial(_fit_cell, plan), tasks))
     # an unknown method sorts last; its task raises the ConfigError
@@ -306,13 +320,19 @@ def cross_validate(dataset: EpochSet, method: str, k_channels: int = None,
                      train_config)[0]
 
 
+def _grid(dataset: EpochSet, methods, channel_counts) -> list:
+    """The (method, k) cells of a sweep, method-major; counts above the
+    montage are dropped."""
+    return [(m, k) for m in methods for k in channel_counts
+            if k <= dataset.n_channels]
+
+
 def sweep(dataset: EpochSet, methods=tuple(CLASSIFIERS),
           channel_counts=CHANNEL_COUNTS, folds: int = _FOLDS, seeds=_SEEDS,
           csp_m: int = _CSP_M, train_config: TrainConfig = None) -> EvalReport:
     """Full method x channel-count grid; rankings are shared across cells."""
-    counts = [k for k in channel_counts if k <= dataset.n_channels]
-    return EvalReport(_evaluate(dataset, [(m, k) for m in methods
-                                          for k in counts],
+    return EvalReport(_evaluate(dataset, _grid(dataset, methods,
+                                               channel_counts),
                                 folds, seeds, csp_m, train_config))
 
 
@@ -589,9 +609,12 @@ def epoch_stage(cfg: dict, rec: EegRecording) -> tuple:
             epoch_recording(rec, "rest", tuple(ep["rest_window_ms"])))
 
 
-def connect_stage(cfg: dict, imagery: EpochSet, emit) -> dict:
-    """Per-class PLV matrices and their strong edges; returns the matrices."""
-    per_class = conn_mod.per_class_plv(imagery)
+def connect_stage(cfg: dict, imagery: EpochSet, emit, trial_plv=None) -> dict:
+    """Per-class PLV matrices and their strong edges; returns the matrices.
+    trial_plv is plv_trial_matrices(imagery), computed here when not given."""
+    if trial_plv is None:
+        trial_plv = conn_mod.plv_trial_matrices(imagery)
+    per_class = conn_mod.class_plv(trial_plv, imagery.labels, imagery.montage)
     for c, cm in per_class.items():
         cm.to_csv(emit(f"plv_class{c}.csv"))
         conn_mod.edges_to_csv(
@@ -657,12 +680,15 @@ def train_stage(cfg: dict, imagery: EpochSet, method: str, emit) -> None:
         save_csp_lda(clf, emit("csp_model.eegb"))
 
 
-def sweep_stage(cfg: dict, imagery: EpochSet, emit) -> None:
+def sweep_stage(cfg: dict, imagery: EpochSet, emit, trial_plv=None) -> None:
+    """sweep with the config's settings; trial_plv is
+    plv_trial_matrices(imagery), computed when a ranking needs it if not
+    given."""
     counts = tuple(cfg["sweep"]["channel_counts"])
-    report = sweep(imagery, methods=tuple(cfg["sweep"]["methods"]),
-                   channel_counts=counts, folds=cfg["cv"]["folds"],
-                   seeds=tuple(cfg["cv"]["seeds"]), csp_m=cfg["csp"]["m"],
-                   train_config=train_config(cfg))
+    report = EvalReport(_evaluate(
+        imagery, _grid(imagery, cfg["sweep"]["methods"], counts),
+        cfg["cv"]["folds"], tuple(cfg["cv"]["seeds"]), cfg["csp"]["m"],
+        train_config(cfg), trial_plv))
     report.to_csv(emit("sweep.csv"), channel_counts=counts)
     report.to_json(emit("report.json"))
 
@@ -683,9 +709,11 @@ def run_pipeline(cfg: dict, out_dir) -> list:
     imagery, rest = epoch_stage(cfg, rec)
     io.save_epochs(imagery, emit("imagery_epochs.eegb"))
     io.save_epochs(rest, emit("rest_epochs.eegb"))
-    rank_stage(connect_stage(cfg, imagery, emit), emit)
+    # one PLV pass serves the connect stage and every fold ranking
+    trial_plv = conn_mod.plv_trial_matrices(imagery)
+    rank_stage(connect_stage(cfg, imagery, emit, trial_plv), emit)
     stats_stage(cfg, imagery, rest, emit)
     psd_stage(imagery, emit)
-    sweep_stage(cfg, imagery, emit)
+    sweep_stage(cfg, imagery, emit, trial_plv)
     write_manifest(out_dir, cfg, artifacts)
     return artifacts + ["manifest.json"]

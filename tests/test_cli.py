@@ -445,10 +445,17 @@ def test_dead_worker_exits_5_with_one_line(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(harness, "_worker_count",
                         lambda n_tasks: min(2, n_tasks))
     monkeypatch.setattr(harness, "_fit_cell", die_in_worker)
+    # a sweep with cnn fits runs in the pool; a CSP-only one would run
+    # die_in_worker in this process
+    cfg = tmp_path / "c.json"
+    tiny = json.loads(TINY.read_text())
+    cfg.write_text(json.dumps({**tiny, "sweep": {"channel_counts": [2],
+                                                 "methods": ["cnn",
+                                                             "csp_lda"]}}))
     previous = signal.signal(signal.SIGALRM, fail_on_alarm)
     signal.alarm(60)  # a hang fails the test instead of the whole run
     try:
-        assert run("--config", TINY, "--out", tmp_path, "report") == 5
+        assert run("--config", cfg, "--out", tmp_path, "report") == 5
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

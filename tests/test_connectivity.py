@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vmidecode import harness
 from vmidecode import (ChannelRanking, ConnectivityMatrix, EpochSet, Montage,
                        load_epochs, per_class_plv, plv_matrix, rank_channels,
                        save_epochs, select_channels, stat_map, strong_edges)
@@ -260,3 +261,17 @@ def test_montage_less_channel_names_follow_select(tmp_path):
     save_epochs(imagery, tmp_path / "e.eegb")
     assert load_epochs(tmp_path / "e.eegb").montage.channel_names == (
         "ch3", "ch5")
+
+
+def test_connect_stage_matrices_match_per_class_plv(small_imagery, tmp_path):
+    got = harness.connect_stage(
+        {"connectivity": {"threshold": 0.9}}, small_imagery,
+        harness.emitter(tmp_path, []), plv_trial_matrices(small_imagery))
+    want = per_class_plv(small_imagery)
+    assert list(got) == list(want) == [0, 1, 2, 3]
+    for c, cm in got.items():
+        np.testing.assert_array_equal(cm.values, want[c].values)
+        # rows of the one PLV pass equal a pass over the class alone
+        alone = plv_matrix(small_imagery.select(
+            trial_idx=np.nonzero(small_imagery.labels == c)[0]))
+        np.testing.assert_array_equal(cm.values, alone.values)

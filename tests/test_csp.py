@@ -238,6 +238,49 @@ def test_ovr_classifier_separates_planted_classes():
     assert (preds == windows.labels).mean() >= 0.9
 
 
+def _four_class_float32_windows(n_ch, n_per_class=6, seed=0):
+    """Four classes of float32 windows, class c louder on channel c % n_ch."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((4, n_per_class, n_ch, 500)).astype(np.float32)
+    for c in range(4):
+        x[c, :, c % n_ch] *= 2 + c
+    labels = np.repeat(np.arange(4), n_per_class)
+    order = rng.permutation(labels.size)
+    return EpochSet(labels[order], x.reshape(-1, n_ch, 500)[order], 250, 500.0)
+
+
+@pytest.mark.parametrize("n_ch", [2, 8])
+def test_ovr_fit_matches_per_class_csp_fit(n_ch):
+    windows = _four_class_float32_windows(n_ch)
+    clf = CspLdaClassifier(m=2).fit(windows)
+    for c, (csp, lda) in zip(range(4), clf.models_):
+        is_c = windows.labels == c
+        want = csp_fit(windows.select(trial_idx=np.nonzero(is_c)[0]),
+                       windows.select(trial_idx=np.nonzero(~is_c)[0]), m=2)
+        want_lda = lda_fit(csp_features(want, windows), is_c.astype(np.int64))
+        assert csp.m == want.m == min(2, n_ch // 2)
+        np.testing.assert_array_equal(csp.filters, want.filters)
+        np.testing.assert_array_equal(csp.eigenvalues, want.eigenvalues)
+        np.testing.assert_array_equal(lda.weights, want_lda.weights)
+        np.testing.assert_array_equal(lda.biases, want_lda.biases)
+
+
+def test_ovr_fit_refusals_match_csp_fit():
+    windows = _four_class_float32_windows(4)
+    labels = windows.labels
+    first_3, first_1 = (np.nonzero(labels == c)[0][:1] for c in (3, 1))
+    one_window_of_class_3 = np.union1d(np.nonzero(labels < 3)[0], first_3)
+    a_rest_of_one_window = np.union1d(np.nonzero(labels == 0)[0], first_1)
+    for idx in (one_window_of_class_3, a_rest_of_one_window):
+        with pytest.raises(RangeError, match="needs >= 2 trials per class"):
+            CspLdaClassifier().fit(windows.select(trial_idx=idx))
+    tensor = windows.tensor.copy()
+    tensor[7] = 3.0
+    with pytest.raises(DegenerateInputError,
+                       match="^trial with zero variance$"):
+        CspLdaClassifier().fit(EpochSet(windows.labels, tensor, 250, 500.0))
+
+
 def test_ovr_model_round_trip(tmp_path):
     windows = _four_class_windows()
     clf = CspLdaClassifier(m=1).fit(windows)

@@ -215,6 +215,27 @@ def test_cross_validate_refuses_class_ids_other_than_0_to_n(classes,
         cross_validate(ep, "csp_lda", folds=2)
 
 
+@pytest.mark.parametrize("folds", [2, 5])
+def test_fold_rankings_match_rankings_of_the_selected_training_trials(
+        small_imagery, folds, monkeypatch):
+    plans = []
+
+    def no_fit(plan, tasks):
+        plans.append(plan)
+        return [np.zeros(len(plan.splits[s][3]), dtype=np.int64)
+                for s, _ in tasks]
+    monkeypatch.setattr(harness, "_run_cells", no_fit)
+    sweep(small_imagery, methods=("csp_lda",), channel_counts=(2,),
+          folds=folds, seeds=(0, 1))
+    (plan,) = plans
+    assert len(plan.splits) == 2 * folds
+    for _, _, train_idx, _, ranking in plan.splits:
+        want = harness.fold_channel_ranking(
+            small_imagery.select(trial_idx=train_idx))
+        assert ranking.order == want.order
+        assert ranking.montage == want.montage
+
+
 # ---------------------------------------------------------------------------
 # Sweep and report
 
@@ -468,6 +489,27 @@ def test_dead_worker_is_broken_process_pool(small_imagery, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
+def test_csp_only_sweep_and_pipeline_start_no_process(small_imagery,
+                                                      monkeypatch, tmp_path):
+    _force_workers(monkeypatch, 2)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _no_pool)
+    report = sweep(small_imagery, methods=("csp_lda",), channel_counts=(2, 8),
+                   folds=2, seeds=(0, 1))
+    assert all(len(e.fold_accuracies) == 4 for e in report.entries)
+    tiny = Path(__file__).resolve().parents[1] / "configs" / "tiny.json"
+    assert "report.json" in harness.run_pipeline(
+        json.loads(tiny.read_text()), tmp_path)  # its sweep is CSP-only
+    assert multiprocessing.active_children() == []
+    # one cnn cell puts the whole sweep in the pool
+    with pytest.raises(AssertionError, match="pool was started"):
+        sweep(small_imagery, methods=("cnn", "csp_lda"), channel_counts=(2,),
+              folds=2)
+
+
 def _blas_threads_after_cap():
     """In a worker: OpenBLAS threads after asking for 2, then capping."""
     with open("/proc/self/maps") as f:
@@ -585,8 +627,10 @@ def test_config_error_from_a_pool_worker_keeps_key_and_message(
         small_imagery, monkeypatch):
     # unpickled from its message alone it read "config error: unknown ..."
     _force_workers(monkeypatch, 2)
+    # the cnn cell puts the sweep, svm tasks included, in the pool
     with pytest.raises(ConfigError) as err:
-        sweep(small_imagery, methods=("svm",), channel_counts=(2, 8), folds=2)
+        sweep(small_imagery, methods=("cnn", "svm"), channel_counts=(2,),
+              folds=2, train_config=TrainConfig(epochs=1, batch_size=16))
     assert (err.value.key, str(err.value)) == ("method",
                                                "unknown method 'svm'")
     assert multiprocessing.active_children() == []

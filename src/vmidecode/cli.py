@@ -5,13 +5,12 @@ of harness and writes manifest.json; report runs harness.run_pipeline, the
 in-memory chain synth, preprocess, connect, stats, psd, sweep (ersp, select
 and train-* are not part of it). Global flags: --config (JSON), --seed,
 --out; select takes -k, ersp maps ersp.channel. Exit codes: 0 ok, 2 config
-error, 3 data error, 4 numeric divergence, 5 a CV worker process died.
+error, 3 data error, 4 numeric divergence.
 """
 
 import argparse
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 
 from . import harness, io
 from .errors import ConfigError, DataError, DivergenceError, PipelineError
@@ -20,7 +19,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGENCE = 4
-EXIT_WORKER = 5
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -113,9 +111,6 @@ def main(argv=None) -> int:
     except PipelineError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except BrokenProcessPool as e:
-        print(f"worker error: {e}", file=sys.stderr)
-        return EXIT_WORKER
 
 
 if __name__ == "__main__":

@@ -200,8 +200,12 @@ class SynthSpec:
     def __post_init__(self):
         if not 0.0 < self.coupling <= 1.0:
             raise RangeError("coupling must be in (0, 1]")
-        if self.n_trials_per_class < 1:
-            raise RangeError("n_trials_per_class must be >= 1")
+        n = self.n_trials_per_class
+        if type(n) is not int or n < 1:  # type(): True is not a count
+            raise RangeError(f"n_trials_per_class must be an integer >= 1, "
+                             f"got {n!r}")
+        if self.fs < 1:
+            raise RangeError(f"fs must be >= 1, got {self.fs!r}")
         for cls, names in self.planted_channels.items():
             for name in names:
                 if name not in self.montage.channel_names:

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 CLI exit codes map onto this hierarchy: ConfigError -> 2, DataError -> 3,
-DivergenceError -> 4; a dead pool worker's BrokenProcessPool -> 5.
+DivergenceError -> 4.
 """
 
 
@@ -15,10 +15,6 @@ class ConfigError(PipelineError):
     def __init__(self, key, message):
         self.key = key
         super().__init__(message)
-
-    def __reduce__(self):
-        # by default unpickling (from a pool worker) passes the message as key
-        return type(self), (self.key, self.args[0])
 
 
 class DataError(PipelineError):

@@ -10,11 +10,10 @@ import hashlib
 import inspect
 import json
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -105,6 +104,8 @@ class EvalReport:
 
 def stratified_folds(labels, n_folds: int, seed: int = 0) -> list:
     """Deterministic stratified fold assignment; returns a list of index arrays."""
+    if n_folds < 2:
+        raise RangeError(f"need at least 2 folds, got {n_folds}")
     labels = np.asarray(labels)
     rng = child_rng(seed, "folds")
     folds = [[] for _ in range(n_folds)]
@@ -122,10 +123,9 @@ def stratified_folds(labels, n_folds: int, seed: int = 0) -> list:
 
 # method name -> classifier of (seed, csp_m, train_config); the order is
 # _run_cells' scheduling order, costliest fit first. Only "cnn" fits repay a
-# forked worker (a fresh worker's page faults made its first k = 64 CSP-LDA
-# fit take 0.29 s, against 0.10 s in the calling process), so _run_cells
-# sizes its pool by the cnn tasks alone and runs a sweep without any in the
-# calling process.
+# pool thread (two threads made a 64-channel pipeline run with a CSP-only
+# sweep about 3 % slower, not faster), so _run_cells sizes its pool by the
+# cnn tasks alone and runs a sweep without any in the calling thread.
 CLASSIFIERS = {
     "cnn": lambda seed, csp_m, tc: CnnClassifier(
         replace(tc or TrainConfig(), seed=seed)),
@@ -153,6 +153,9 @@ def _evaluate(dataset: EpochSet, cells: list, folds: int, seeds, csp_m: int,
     tasks' predictions in task order, so they do not depend on the worker
     count.
     """
+    unknown = [m for m, _ in cells if m not in CLASSIFIERS]
+    if unknown:
+        raise ConfigError("method", f"unknown method {unknown[0]!r}")
     require_finite(dataset.tensor, "cross-validation epochs")
     classes = np.unique(dataset.labels)
     if not np.array_equal(classes, np.arange(classes.size)):
@@ -191,7 +194,7 @@ def _evaluate(dataset: EpochSet, cells: list, folds: int, seeds, csp_m: int,
 
 
 # ---------------------------------------------------------------------------
-# Cross-validation tasks and the process pool that runs them
+# Cross-validation tasks and the thread pool that runs them
 
 @dataclass(frozen=True)
 class _CvPlan:
@@ -215,8 +218,6 @@ def _fit_cell(plan: _CvPlan, task: tuple) -> np.ndarray:
     train_w, test_w = (
         slide_windows(plan.dataset.select(trial_idx=idx, channel_idx=sel))
         for idx in (train_idx, test_idx))
-    if method not in CLASSIFIERS:
-        raise ConfigError("method", f"unknown method {method!r}")
     clf = CLASSIFIERS[method](seed, plan.csp_m, plan.train_config)
     try:
         scores = clf.fit(train_w).predict_scores(test_w)
@@ -229,7 +230,8 @@ def _fit_cell(plan: _CvPlan, task: tuple) -> np.ndarray:
 
 def _worker_count(n_tasks: int) -> int:
     """One worker per CPU this process may run on, and no idle ones; one,
-    so no process is forked, where os.sched_getaffinity is missing."""
+    so every task runs in the calling thread, where os.sched_getaffinity is
+    missing."""
     if not hasattr(os, "sched_getaffinity"):
         return 1
     return min(len(os.sched_getaffinity(0)), n_tasks)
@@ -240,66 +242,58 @@ _BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_",
                      "openblas_set_num_threads64_", "openblas_set_num_threads")
 
 
-def _one_blas_thread() -> None:
+@contextmanager
+def _one_blas_thread():
     """Cap every OpenBLAS loaded in this process at one thread, so pool
-    workers do not oversubscribe the CPUs; a no-op where none is found."""
+    threads do not oversubscribe the CPUs, and restore each one's previous
+    count on exit; a no-op where none is found."""
     try:
         with open("/proc/self/maps") as f:
             paths = {line.split()[-1] for line in f
                      if "openblas" in line.lower()}
     except OSError:
-        return
+        paths = set()
+    restore = []
     for path in sorted(paths):
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        fn = next((getattr(lib, name) for name in _BLAS_SET_THREADS
-                   if hasattr(lib, name)), None)
-        if fn is not None:
-            fn.argtypes, fn.restype = [ctypes.c_int], None
-            fn(1)
-
-
-_plan = None  # the _CvPlan of the pool this worker process belongs to
-
-
-def _start_worker(plan: _CvPlan) -> None:
-    global _plan
-    _plan = plan
-    _one_blas_thread()
-
-
-def _pooled_cell(task: tuple) -> np.ndarray:
-    return _fit_cell(_plan, task)
+        name = next((n for n in _BLAS_SET_THREADS if hasattr(lib, n)), None)
+        if name is not None:
+            set_threads = getattr(lib, name)
+            get_threads = getattr(lib, name.replace("set_num", "get_num"))
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.restype = ctypes.c_int
+            restore.append((set_threads, get_threads()))
+            set_threads(1)
+    try:
+        yield
+    finally:
+        for set_threads, count in restore:
+            set_threads(count)
 
 
 def _run_cells(plan: _CvPlan, tasks: list) -> list:
     """_fit_cell(plan, task) for every task, in task order.
 
     With more than one CPU and cnn task, every task, CSP-LDA ones included,
-    runs in a pool of forked workers, at most one per cnn task (CLASSIFIERS);
-    otherwise all run in the calling process. Fork (not spawn) lets the
-    workers inherit plan, with its epochs and rankings, instead of
-    re-importing the package and unpickling it; only tasks and prediction
-    arrays cross the pipes. Tasks are submitted longest first (methods in
-    CLASSIFIERS order, then larger k first) so that no long fit starts last.
-    Results are read in task order, so the error raised is that of the
-    earliest failing task, whichever finished first; a worker that dies
-    raises BrokenProcessPool.
+    runs on a pool of threads of this process, at most one per cnn task
+    (CLASSIFIERS), while every OpenBLAS is capped at one thread; the fits
+    spend their time in numpy and BLAS calls that release the GIL. Otherwise
+    all run in the calling thread. Tasks are submitted longest first (methods
+    in CLASSIFIERS order, then larger k first) so that no long fit starts
+    last. Results are read in task order, so the error raised is that of the
+    earliest failing task, whichever finished first.
     """
     workers = _worker_count(sum(plan.cells[c][0] == "cnn" for _, c in tasks))
     if workers <= 1:
-        return list(map(partial(_fit_cell, plan), tasks))
-    # an unknown method sorts last; its task raises the ConfigError
+        return [_fit_cell(plan, t) for t in tasks]
     rank = {m: i for i, m in enumerate(CLASSIFIERS)}
     longest_first = sorted(tasks, key=lambda t: (
-        rank.get(plan.cells[t[1]][0], len(rank)), -plan.cells[t[1]][1]))
-    with ProcessPoolExecutor(workers,
-                             mp_context=multiprocessing.get_context("fork"),
-                             initializer=_start_worker,
-                             initargs=(plan,)) as pool:
-        futures = {t: pool.submit(_pooled_cell, t) for t in longest_first}
+        rank[plan.cells[t[1]][0]], -plan.cells[t[1]][1]))
+    with _one_blas_thread(), ThreadPoolExecutor(workers) as pool:
+        futures = {t: pool.submit(_fit_cell, plan, t) for t in longest_first}
         try:
             return [futures[t].result() for t in tasks]
         except BaseException:

@@ -136,6 +136,8 @@ def stat_map(imagery: EpochSet, rest: EpochSet, band=(0.5, 13.0),
     RNG stream from (seed, channel), so results do not depend on execution
     order.
     """
+    if not 0 < alpha < 1:
+        raise RangeError(f"alpha must be in (0, 1), got {alpha!r}")
     if imagery.n_trials != rest.n_trials:
         raise ShapeError("imagery and rest must have equal trial counts")
     if imagery.n_channels != rest.n_channels:

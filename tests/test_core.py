@@ -268,3 +268,17 @@ def test_synth_spec_validation():
     with pytest.raises(RangeError):
         small_spec(planted_channels={0: ["Fp1"], 1: ["O1"]},
                    carrier_hz={0: 5.0})  # class 1 missing a carrier
+
+
+@pytest.mark.parametrize("override, message", [
+    # 2.5 synthesised 2 trials per class, fs 0 ended in numpy's "Invalid
+    # number of FFT data points (0)", fs -250 in "negative dimensions are
+    # not allowed"
+    ({"n_trials_per_class": 2.5}, "n_trials_per_class must be an integer"),
+    ({"n_trials_per_class": True}, "n_trials_per_class must be an integer"),
+    ({"fs": 0}, "fs must be >= 1"),
+    ({"fs": -250}, "fs must be >= 1"),
+])
+def test_synth_spec_refuses_what_the_config_rules_refuse(override, message):
+    with pytest.raises(RangeError, match=message):
+        small_spec(**override)

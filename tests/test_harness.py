@@ -2,12 +2,10 @@
 
 import ctypes
 import json
-import multiprocessing
 import os
-import pickle
-import signal
+import sys
+import threading
 import time
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +23,7 @@ from vmidecode.harness import (DEFAULT_CONFIG, downsample_factor, load_config,
                                synth_from_config, train_config,
                                validate_config, write_manifest)
 
-from conftest import die_in_worker, fail_on_alarm, small_spec
+from conftest import small_spec
 
 
 def _variance_epochs(n_per_class=8, n_ch=8, seed=0):
@@ -419,8 +417,20 @@ def test_cross_validate_refuses_non_finite_epochs():
         cross_validate(ep, "csp_lda", k_channels=2, folds=2)
 
 
+@pytest.mark.parametrize("method", ["csp_lda", "cnn"])
+@pytest.mark.parametrize("folds", [0, 1])
+def test_cross_validate_refuses_fewer_than_2_folds(folds, method):
+    # 0 ended in numpy's "number sections must be larger than 0", 1 in a
+    # "zero-size array to reduction operation" on the empty test fold
+    ep = _variance_epochs(n_per_class=4, n_ch=4)
+    with pytest.raises(RangeError, match=f"^need at least 2 folds, got "
+                                         f"{folds}$"):
+        cross_validate(ep, method, folds=folds,
+                       train_config=TrainConfig(epochs=1))
+
+
 # ---------------------------------------------------------------------------
-# CV tasks in a process pool
+# CV tasks on a thread pool
 
 def _force_workers(monkeypatch, workers):
     monkeypatch.setattr(harness, "_worker_count",
@@ -436,10 +446,11 @@ def _pool_sweep(dataset, **cnn):
 def test_sweep_report_is_byte_identical_for_1_and_2_workers(
         small_imagery, monkeypatch, tmp_path):
     blobs = []
+    threads = threading.enumerate()
     for workers in (1, 2):
         _force_workers(monkeypatch, workers)
         _pool_sweep(small_imagery).to_json(tmp_path / f"r{workers}.json")
-        assert multiprocessing.active_children() == []
+        assert threading.enumerate() == threads
         blobs.append((tmp_path / f"r{workers}.json").read_bytes())
     assert blobs[0] == blobs[1]
     report = json.loads(blobs[0])
@@ -448,16 +459,36 @@ def test_sweep_report_is_byte_identical_for_1_and_2_workers(
     assert all(len(e["fold_accuracies"]) == 4 for e in report)
 
 
+def test_sweep_on_more_threads_than_cpus_matches_one_worker(small_imagery,
+                                                          monkeypatch):
+    # every thread reads the same plan; a fit that wrote to shared state
+    # would show with more threads than CPUs and frequent thread switches
+    _force_workers(monkeypatch, 1)
+    want = _pool_sweep(small_imagery)
+    _force_workers(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = _pool_sweep(small_imagery)
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(want.entries, got.entries, strict=True):
+        assert (a.method, a.k_channels) == (b.method, b.k_channels)
+        assert a.fold_accuracies == b.fold_accuracies
+        np.testing.assert_array_equal(a.confusion, b.confusion)
+
+
 def test_pool_divergence_names_the_earliest_task_and_leaves_no_workers(
         small_imagery, monkeypatch):
     _force_workers(monkeypatch, 2)
+    threads = threading.enumerate()
     with pytest.raises(DivergenceError) as err:
         _pool_sweep(small_imagery, lr=1e30)
     # k = 8 tasks start first, but (seed 0, fold 0, cnn k 2) comes first in
     # task order
     e = err.value
     assert (e.cv_seed, e.fold, e.n_channels) == (0, 0, 2)
-    assert multiprocessing.active_children() == []
+    assert threading.enumerate() == threads
 
 
 def _fail_earliest_task_last(plan, task):
@@ -470,65 +501,61 @@ def test_pool_raises_the_error_of_the_earliest_task(small_imagery,
                                                     monkeypatch):
     _force_workers(monkeypatch, 2)
     monkeypatch.setattr(harness, "_fit_cell", _fail_earliest_task_last)
+    threads = threading.enumerate()
     with pytest.raises(RangeError, match=r"^task \(0, 0\)$"):
         _pool_sweep(small_imagery)
-    assert multiprocessing.active_children() == []
-
-
-def test_dead_worker_is_broken_process_pool(small_imagery, monkeypatch):
-    _force_workers(monkeypatch, 2)
-    monkeypatch.setattr(harness, "_fit_cell", die_in_worker)
-    previous = signal.signal(signal.SIGALRM, fail_on_alarm)
-    signal.alarm(60)  # a hang fails the test instead of the whole run
-    try:
-        with pytest.raises(BrokenProcessPool):
-            _pool_sweep(small_imagery)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert multiprocessing.active_children() == []
+    assert threading.enumerate() == threads
 
 
 def _no_pool(*args, **kwargs):
-    raise AssertionError("a process pool was started")
+    raise AssertionError("a thread pool was started")
 
 
 def test_csp_only_sweep_and_pipeline_start_no_process(small_imagery,
                                                       monkeypatch, tmp_path):
     _force_workers(monkeypatch, 2)
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", _no_pool)
     report = sweep(small_imagery, methods=("csp_lda",), channel_counts=(2, 8),
                    folds=2, seeds=(0, 1))
     assert all(len(e.fold_accuracies) == 4 for e in report.entries)
     tiny = Path(__file__).resolve().parents[1] / "configs" / "tiny.json"
     assert "report.json" in harness.run_pipeline(
         json.loads(tiny.read_text()), tmp_path)  # its sweep is CSP-only
-    assert multiprocessing.active_children() == []
-    # one cnn cell puts the whole sweep in the pool
+    # one cnn cell puts the whole sweep on the pool
     with pytest.raises(AssertionError, match="pool was started"):
         sweep(small_imagery, methods=("cnn", "csp_lda"), channel_counts=(2,),
               folds=2)
 
 
-def _blas_threads_after_cap():
-    """In a worker: OpenBLAS threads after asking for 2, then capping."""
+def _blas_thread_counts():
+    """(get_num_threads, set_num_threads) of every OpenBLAS loaded here."""
     with open("/proc/self/maps") as f:
-        path = next(line.split()[-1] for line in f
-                    if "openblas" in line.lower())
-    lib = ctypes.CDLL(path)
-    name = next(n for n in harness._BLAS_SET_THREADS if hasattr(lib, n))
-    getattr(lib, name)(2)
-    harness._one_blas_thread()
-    get = getattr(lib, name.replace("set_num_threads", "get_num_threads"))
-    get.restype = ctypes.c_int
-    return get()
+        paths = sorted({line.split()[-1] for line in f
+                        if "openblas" in line.lower()})
+    libs = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        name = next(n for n in harness._BLAS_SET_THREADS if hasattr(lib, n))
+        get = getattr(lib, name.replace("set_num", "get_num"))
+        get.restype = ctypes.c_int
+        libs.append((get, getattr(lib, name)))
+    assert libs, "no OpenBLAS is loaded"
+    return libs
 
 
 def test_worker_blas_is_capped_at_one_thread():
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(
-            1, mp_context=multiprocessing.get_context("fork")) as pool:
-        assert pool.submit(_blas_threads_after_cap).result(timeout=60) == 1
+    import scipy.linalg  # noqa: F401  scipy's own OpenBLAS, where it has one
+    libs = _blas_thread_counts()
+    before = [get() for get, _ in libs]
+    try:
+        for _, set_threads in libs:
+            set_threads(2)
+        with harness._one_blas_thread():
+            assert [get() for get, _ in libs] == [1] * len(libs)
+        assert [get() for get, _ in libs] == [2] * len(libs)
+    finally:
+        for (_, set_threads), count in zip(libs, before):
+            set_threads(count)
 
 
 def test_worker_count_follows_the_affinity_mask():
@@ -625,23 +652,17 @@ def test_synth_spec_from_small_config_round_trip():
 
 def test_config_error_from_a_pool_worker_keeps_key_and_message(
         small_imagery, monkeypatch):
-    # unpickled from its message alone it read "config error: unknown ..."
+    # an unknown method used to be refused by its own task, after the
+    # split's cnn fit; now no fit starts
+    def no_fit(plan, task):
+        raise AssertionError("a fit ran")
     _force_workers(monkeypatch, 2)
-    # the cnn cell puts the sweep, svm tasks included, in the pool
+    monkeypatch.setattr(harness, "_fit_cell", no_fit)
     with pytest.raises(ConfigError) as err:
         sweep(small_imagery, methods=("cnn", "svm"), channel_counts=(2,),
               folds=2, train_config=TrainConfig(epochs=1, batch_size=16))
     assert (err.value.key, str(err.value)) == ("method",
                                                "unknown method 'svm'")
-    assert multiprocessing.active_children() == []
-
-
-def test_config_error_pickle_round_trip():
-    for e in (ConfigError("cnn.lr", "cnn.lr must be a number > 0, got 0"),
-              ConfigError("seed", "seed is required")):
-        back = pickle.loads(pickle.dumps(e))
-        assert (type(back), back.key, str(back)) == (ConfigError, e.key,
-                                                      str(e))
 
 
 # one of each JSON type, and the edge values of the rules' ranges

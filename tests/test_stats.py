@@ -215,6 +215,14 @@ def test_stat_map_identical_inputs_not_significant():
     np.testing.assert_array_equal(sm.t_values, 0.0)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 5, -0.01, float("nan")])
+def test_stat_map_refuses_alpha_outside_0_1(alpha):
+    # alpha 5 or 1.0 marked every channel significant
+    imagery, rest = _paired_sets()
+    with pytest.raises(RangeError, match=r"alpha must be in \(0, 1\)"):
+        stat_map(imagery, rest, n_perm=16, alpha=alpha)
+
+
 def test_stat_map_refuses_nan_channel():
     imagery, rest = _paired_sets()
     imagery.tensor[4, 2, 100] = np.nan

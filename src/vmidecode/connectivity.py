@@ -7,6 +7,7 @@ import numpy as np
 from .core import EpochSet, Montage
 from .dsp import analytic_signal
 from .errors import RangeError, ShapeError
+from .io import write_text
 
 
 @dataclass
@@ -31,8 +32,7 @@ class ConnectivityMatrix:
         rows = ["channel," + ",".join(names)]
         for name, row in zip(names, self.values):
             rows.append(name + "," + ",".join(f"{v:.6f}" for v in row))
-        with open(path, "w") as f:
-            f.write("\n".join(rows) + "\n")
+        write_text(path, "\n".join(rows) + "\n")
 
 
 @dataclass
@@ -53,8 +53,7 @@ class ChannelRanking:
         for r, (idx, score) in enumerate(self.order):
             rows.append(f"{r},{idx},{self.montage.channel_names[idx]},"
                         f"{score:.6f}")
-        with open(path, "w") as f:
-            f.write("\n".join(rows) + "\n")
+        write_text(path, "\n".join(rows) + "\n")
 
 
 def phase_factors(epochs: EpochSet) -> np.ndarray:
@@ -103,8 +102,7 @@ def edges_to_csv(edges, path, montage: Montage) -> None:
     names = montage.channel_names
     rows = ["src,dst,plv"]
     rows += [f"{names[i]},{names[j]},{v:.6f}" for i, j, v in edges]
-    with open(path, "w") as f:
-        f.write("\n".join(rows) + "\n")
+    write_text(path, "\n".join(rows) + "\n")
 
 
 def rank_channels(conns) -> ChannelRanking:

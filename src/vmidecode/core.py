@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DegenerateInputError, EmptyInputError, RangeError,
-                     ShapeError)
+                     ShapeError, check, integer, number)
 from .seeding import child_rng
 
 # 64-electrode cap, 10/20 international system, in recording order.
@@ -30,6 +30,15 @@ DEFAULT_CHANNELS = (
 )
 
 CLASS_NAMES = ("phone", "door", "eat", "pour")
+# a name is one CSV field as written, unquoted
+CHANNEL_NAME = (lambda v: isinstance(v, str) and v != ""
+                and not set(v) & set(',"\r\n'),
+                "a non-empty string without a comma, quote or line break")
+# SynthSpec's value rules
+SYNTH_RULES = {"n_trials_per_class": integer(1), "fs": integer(1),
+               "coupling": (lambda v: number(v) and 0 < v <= 1,
+                            "a number in (0, 1]"),
+               "snr_db": (number, "a finite number")}
 
 
 @dataclass(frozen=True)
@@ -41,6 +50,8 @@ class Montage:
     def __post_init__(self):
         names = tuple(self.channel_names)
         object.__setattr__(self, "channel_names", names)
+        for name in names:
+            check("channel name", name, CHANNEL_NAME)
         if len(set(names)) != len(names):
             raise ShapeError("duplicate channel names in montage")
 
@@ -102,8 +113,7 @@ class EegRecording:
             raise ShapeError(
                 f"data must be {len(self.montage)} x samples, got {self.data.shape}"
             )
-        if self.fs <= 0:
-            raise RangeError("fs must be positive")
+        check("fs", self.fs, integer(1))
         self.events = [(int(s), int(l)) for s, l in self.events]
         for s, _ in self.events:
             if not 0 <= s < self.n_samples:
@@ -198,14 +208,8 @@ class SynthSpec:
     montage: Montage = field(default_factory=Montage.default)
 
     def __post_init__(self):
-        if not 0.0 < self.coupling <= 1.0:
-            raise RangeError("coupling must be in (0, 1]")
-        n = self.n_trials_per_class
-        if type(n) is not int or n < 1:  # type(): True is not a count
-            raise RangeError(f"n_trials_per_class must be an integer >= 1, "
-                             f"got {n!r}")
-        if self.fs < 1:
-            raise RangeError(f"fs must be >= 1, got {self.fs!r}")
+        for name, rule in SYNTH_RULES.items():
+            check(name, getattr(self, name), rule)
         for cls, names in self.planted_channels.items():
             for name in names:
                 if name not in self.montage.channel_names:

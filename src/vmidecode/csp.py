@@ -14,10 +14,11 @@ import scipy.linalg
 
 from .core import EpochSet
 from .errors import (DegenerateInputError, FormatError, RangeError,
-                     ShapeError)
+                     ShapeError, check, integer)
 from .io import read_container, write_container
 
 RIDGE = 1e-6
+M_RULE = integer(1)  # CspLdaClassifier's m
 
 
 @dataclass
@@ -165,6 +166,7 @@ class CspLdaClassifier:
     """
 
     def __init__(self, m: int = 2):
+        check("m", m, M_RULE)
         self.m = m
         self.classes_ = None
         self.models_ = []

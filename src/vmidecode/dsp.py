@@ -14,7 +14,8 @@ import numpy as np
 import scipy.signal as sps
 
 from .core import EegRecording, EpochSet
-from .errors import EmptyInputError, RangeError
+from .errors import EmptyInputError, RangeError, check, integer
+from .io import write_text
 
 # ---------------------------------------------------------------------------
 # FFT
@@ -89,8 +90,7 @@ def downsample(x, factor: int):
     signal below the new Nyquist (the pipeline calls this after the
     0.5-13 Hz band-pass).
     """
-    if factor < 1:
-        raise RangeError("downsample factor must be >= 1")
+    check("factor", factor, integer(1))
     x = np.asarray(x)
     return x[..., ::factor]
 
@@ -139,8 +139,7 @@ class Spectrum:
     def to_csv(self, path) -> None:
         rows = ["frequency_hz,power"]
         rows += [f"{f:.6g},{p:.10g}" for f, p in zip(self.freqs_hz, self.power)]
-        with open(path, "w") as f:
-            f.write("\n".join(rows) + "\n")
+        write_text(path, "\n".join(rows) + "\n")
 
 
 def _welch_batch(x: np.ndarray, fs: float, seg_len: int = None):
@@ -192,8 +191,7 @@ class TfMap:
         rows = [head]
         for f, row in zip(self.freqs_hz, self.values):
             rows.append(f"{f:.6g}," + ",".join(f"{v:.6g}" for v in row))
-        with open(path, "w") as f:
-            f.write("\n".join(rows) + "\n")
+        write_text(path, "\n".join(rows) + "\n")
 
 
 def ersp(epochs: EpochSet, channel: int, baseline_ms=(-500, 0),

@@ -2,7 +2,13 @@
 
 CLI exit codes map onto this hierarchy: ConfigError -> 2, DataError -> 3,
 DivergenceError -> 4.
+
+A value rule is a (test, wanted) pair, owned by the code that enforces it
+(with check); harness.CONFIG_RULES reads it from there.
 """
+
+import math
+import numbers
 
 
 class PipelineError(Exception):
@@ -31,6 +37,25 @@ class CorruptionError(DataError):
 
 class RangeError(DataError, ValueError):
     """Argument outside its valid range (bad band, bad window, k too large)."""
+
+
+def number(v) -> bool:
+    """A finite real; true and false are not numbers."""
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and (isinstance(v, numbers.Integral) or math.isfinite(v)))
+
+
+def integer(lo: int) -> tuple:
+    """The rule of an integer >= lo; true and false are not integers."""
+    return (lambda v: isinstance(v, numbers.Integral)
+            and not isinstance(v, bool) and v >= lo), f"an integer >= {lo}"
+
+
+def check(name: str, value, rule: tuple) -> None:
+    """Raise RangeError unless value passes rule, a (test, wanted) pair."""
+    test, wanted = rule
+    if not test(value):
+        raise RangeError(f"{name} must be {wanted}, got {value!r}")
 
 
 class ShapeError(DataError, ValueError):

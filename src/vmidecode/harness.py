@@ -19,14 +19,15 @@ import numpy as np
 
 from . import connectivity as conn_mod
 from . import core, dsp, io, stats
-from .core import (EegRecording, EpochSet, Montage, SynthSpec, TrialTimeline,
-                   epoch_recording, require_finite, synth_dataset)
-from .csp import CspLdaClassifier, save_csp_lda
+from .core import (CHANNEL_NAME, SYNTH_RULES, EegRecording, EpochSet, Montage,
+                   SynthSpec, TrialTimeline, epoch_recording, require_finite,
+                   synth_dataset)
+from .csp import M_RULE, CspLdaClassifier, save_csp_lda
 from .errors import (ConfigError, DivergenceError, RangeError,
-                     StratificationError)
-from .neural import (OVERLAP, WIN_S, CnnClassifier, TrainConfig, predict_trial,
-                     save_network, slide_windows)
-from .seeding import child_rng
+                     StratificationError, check, integer, number)
+from .neural import (OVERLAP, TRAIN_RULES, WIN_S, CnnClassifier, TrainConfig,
+                     predict_trial, save_network, slide_windows)
+from .seeding import SEED_RULE, child_rng
 
 
 def _defaults(owner) -> dict:
@@ -38,6 +39,7 @@ def _defaults(owner) -> dict:
 
 CHANNEL_COUNTS = (2, 4, 8, 16, 20, 32, 64)
 _FOLDS, _SEEDS = 5, (0,)  # cross_validate's and sweep's
+FOLDS_RULE = integer(2)  # stratified_folds' n_folds
 _CSP_M = _defaults(CspLdaClassifier)["m"]
 
 
@@ -83,39 +85,30 @@ class EvalReport:
         for m in dict.fromkeys(e.method for e in self.entries):
             rows.append(m + "," + ",".join(f'"{cells.get((m, k), "")}"'
                                            for k in channel_counts))
-        with open(path, "w") as f:
-            f.write("\n".join(rows) + "\n")
+        io.write_text(path, "\n".join(rows) + "\n")
 
     def to_json(self, path) -> None:
-        blob = []
-        for e in self.entries:
-            blob.append({
-                "method": e.method,
-                "k_channels": e.k_channels,
-                "fold_accuracies": [float(a) for a in e.fold_accuracies],
-                "mean_pct": e.mean_pct,
-                "std_pct": e.std_pct,
-                "confusion": e.confusion.tolist(),
-                "config": e.config,
-            })
-        with open(path, "w") as f:
-            json.dump(blob, f, indent=2, sort_keys=True)
+        blob = [{"method": e.method, "k_channels": e.k_channels,
+                 "fold_accuracies": [float(a) for a in e.fold_accuracies],
+                 "mean_pct": e.mean_pct, "std_pct": e.std_pct,
+                 "confusion": e.confusion.tolist(), "config": e.config}
+                for e in self.entries]
+        io.write_text(path, json.dumps(blob, indent=2, sort_keys=True))
 
 
 def stratified_folds(labels, n_folds: int, seed: int = 0) -> list:
     """Deterministic stratified fold assignment; returns a list of index arrays."""
-    if n_folds < 2:
-        raise RangeError(f"need at least 2 folds, got {n_folds}")
+    check("n_folds", n_folds, FOLDS_RULE)
     labels = np.asarray(labels)
     rng = child_rng(seed, "folds")
+    classes, counts = np.unique(labels, return_counts=True)
+    if (counts < n_folds).any():  # before n_folds lists are made
+        c = np.argmax(counts < n_folds)
+        raise StratificationError(
+            f"class {classes[c]} has {counts[c]} trials for {n_folds} folds")
     folds = [[] for _ in range(n_folds)]
-    for c in np.unique(labels):
-        idx = np.nonzero(labels == c)[0]
-        if idx.size < n_folds:
-            raise StratificationError(
-                f"class {c} has {idx.size} trials for {n_folds} folds"
-            )
-        idx = rng.permutation(idx)
+    for c in classes:
+        idx = rng.permutation(np.nonzero(labels == c)[0])
         for f, chunk in enumerate(np.array_split(idx, n_folds)):
             folds[f].extend(chunk.tolist())
     return [np.sort(np.asarray(f)) for f in folds]
@@ -334,22 +327,12 @@ def sweep(dataset: EpochSet, methods=tuple(CLASSIFIERS),
 # Config-driven pipeline
 
 def load_config(path) -> dict:
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         try:
             cfg = json.load(f)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise ConfigError("<file>", f"config is not valid JSON: {e}") from e
     return validate_config(cfg)
-
-
-def _number(v) -> bool:
-    """A finite JSON number; type(), not isinstance, keeps true/false out."""
-    return type(v) is int or type(v) is float and math.isfinite(v)
-
-
-def _seed(v) -> bool:
-    """A root seed that seeding.derive_seed takes."""
-    return type(v) is int and 0 <= v < 2 ** 64
 
 
 def _name(v) -> bool:
@@ -360,13 +343,15 @@ def _list_of(test):
     return lambda v: type(v) is list and len(v) > 0 and all(map(test, v))
 
 
-def _int_at_least(lo: int) -> tuple:
-    return lambda v: type(v) is int and v >= lo, f"an integer >= {lo}"
+def _list_rule(rule: tuple) -> tuple:
+    """The rule of a non-empty list whose items each pass rule."""
+    return _list_of(rule[0]), "a non-empty list of " + rule[1].replace(
+        "an integer", "integers")
 
 
 def _ordered(v) -> bool:
     """[a, b]: two finite numbers, a < b."""
-    return _list_of(_number)(v) and len(v) == 2 and v[0] < v[1]
+    return _list_of(number)(v) and len(v) == 2 and v[0] < v[1]
 
 
 def _pair(lo: float, hi: float = math.inf) -> tuple:
@@ -392,22 +377,18 @@ _PRE, _CONN, _ERSP, _CNN, _STATS, _SWEEP = map(_defaults, (
 # <name> or <section>.<key> -> (default, test that takes any JSON value,
 # what a valid value is); a default is that of the code that uses the key
 CONFIG_RULES = {
-    "seed": (_GIVEN, _seed, "an integer in [0, 2^64)"),
+    "seed": (_GIVEN, *SEED_RULE),
     "out": (_GIVEN, _name, "a non-empty path string"),
     "input": (_GIVEN, _name, "a non-empty path string"),
-    "synth.fs": (_GIVEN, *_int_at_least(1)),
-    "synth.n_trials_per_class": (_GIVEN, *_int_at_least(1)),
-    "synth.channels": (_GIVEN, lambda v: _list_of(_name)(v)
+    **{f"synth.{key}": (_GIVEN, *rule) for key, rule in SYNTH_RULES.items()},
+    "synth.channels": (_GIVEN, lambda v: _list_of(CHANNEL_NAME[0])(v)
                        and len(set(v)) == len(v),
                        "a non-empty list of distinct channel names"),
     "synth.planted_channels": (_GIVEN, _by_class(_list_of(_name)),
                                "an object of class ids '0', '1', ... to "
                                "non-empty lists of channel names"),
-    "synth.carrier_hz": (_GIVEN, _by_class(lambda f: _number(f) and f > 0),
+    "synth.carrier_hz": (_GIVEN, _by_class(lambda f: number(f) and f > 0),
                          "an object of class ids '0', '1', ... to numbers > 0"),
-    "synth.coupling": (_GIVEN, lambda v: _number(v) and 0 < v <= 1,
-                       "a number in (0, 1]"),
-    "synth.snr_db": (_GIVEN, _number, "a finite number"),
     "preprocess.band": (_PRE["band"], lambda v: _ordered(v) and v[0] > 0,
                         "[a, b] with 0 < a < b"),
     "preprocess.downsample_factor": (
@@ -416,28 +397,19 @@ CONFIG_RULES = {
     "epoch.imagery_window_ms": ([500, 4500], *_pair(*_WINDOWS["imagery"])),
     "epoch.rest_window_ms": ([-4500, -500], *_pair(*_WINDOWS["rest"])),
     "connectivity.threshold": (_CONN["threshold"],
-                               lambda v: _number(v) and 0 <= v <= 1,
+                               lambda v: number(v) and 0 <= v <= 1,
                                "a number in [0, 1]"),
-    "ersp.channel": ("Oz", _name, "a channel name"),
+    "ersp.channel": ("Oz", CHANNEL_NAME[0], "a channel name"),
     "ersp.baseline_ms": (_ERSP["baseline_ms"], *_pair(*_WINDOWS["rest"])),
     "ersp.f_range": (_ERSP["f_range"], *_pair(0)),
-    "cnn.lr": (_CNN["lr"], lambda v: _number(v) and v > 0, "a number > 0"),
-    "cnn.batch_size": (_CNN["batch_size"], *_int_at_least(1)),
-    "cnn.epochs": (_CNN["epochs"], *_int_at_least(1)),
-    "cnn.dropout": (_CNN["dropout"], lambda v: _number(v) and 0 <= v < 1,
-                    "a number in [0, 1)"),
-    "cnn.patience": (_CNN["patience"], *_int_at_least(1)),
-    "csp.m": (_CSP_M, *_int_at_least(1)),
-    "cv.folds": (_SWEEP["folds"], *_int_at_least(2)),
-    "cv.seeds": (_SWEEP["seeds"], _list_of(_seed),
-                 "a non-empty list of integers in [0, 2^64)"),
+    **{f"cnn.{key}": (_CNN[key], *rule) for key, rule in TRAIN_RULES.items()},
+    "csp.m": (_CSP_M, *M_RULE),
+    "cv.folds": (_SWEEP["folds"], *FOLDS_RULE),
+    "cv.seeds": (_SWEEP["seeds"], *_list_rule(SEED_RULE)),
     "stats.band": (_STATS["band"], *_pair(0)),
-    "stats.n_perm": (_STATS["n_perm"], *_int_at_least(1)),
-    "stats.alpha": (_STATS["alpha"], lambda v: _number(v) and 0 < v < 1,
-                    "a number in (0, 1)"),
-    "sweep.channel_counts": (_SWEEP["channel_counts"],
-                             _list_of(lambda k: type(k) is int and k >= 1),
-                             "a non-empty list of integers >= 1"),
+    **{f"stats.{key}": (_STATS[key], *rule)
+       for key, rule in stats.STAT_RULES.items()},
+    "sweep.channel_counts": (_SWEEP["channel_counts"], *_list_rule(integer(1))),
     "sweep.methods": (_SWEEP["methods"],
                       _list_of(lambda m: _name(m) and m in CLASSIFIERS),
                       "a non-empty list of "
@@ -547,8 +519,7 @@ def write_manifest(out_dir, cfg: dict, artifacts: list) -> str:
                       for name in sorted(artifacts)},
     }
     path = f"{out_dir}/manifest.json"
-    with open(path, "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
+    io.write_text(path, json.dumps(manifest, indent=2, sort_keys=True))
     return path
 
 
@@ -629,8 +600,7 @@ def select_stage(imagery: EpochSet, k: int, emit) -> None:
     ranking = rank_stage(conn_mod.per_class_plv(imagery), emit)
     names = [imagery.montage.channel_names[i]
              for i in conn_mod.select_channels(ranking, k)]
-    with open(emit(f"selected_{k}ch.txt"), "w") as f:
-        f.write("\n".join(names) + "\n")
+    io.write_text(emit(f"selected_{k}ch.txt"), "\n".join(names) + "\n")
 
 
 def stats_stage(cfg: dict, imagery: EpochSet, rest: EpochSet, emit) -> None:

@@ -1,4 +1,4 @@
-"""EEGB on-disk container.
+"""EEGB on-disk container, and the writer of every text artifact.
 
 Layout: 4-byte magic "EEGB", 1-byte version (2), u32 little-endian length of
 a UTF-8 JSON header, the header, then the payload. The header's "arrays"
@@ -22,6 +22,13 @@ from .errors import CorruptionError, FormatError
 MAGIC = b"EEGB"
 VERSION = 2
 DTYPES = ("<f4", "<f8", "<i8")
+
+
+def write_text(path, text: str) -> None:
+    """Write a text artifact (CSV, JSON, a name list) as UTF-8 with LF line
+    ends, whatever the host's locale and platform."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(text)
 
 
 def write_container(path, header: dict, arrays: dict) -> None:

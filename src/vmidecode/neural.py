@@ -5,7 +5,7 @@ explicit forward/backward passes; gradients are checked against central
 finite differences in the test suite. The network's first conv
 (TemporalConv) multiplies the overlapping blocks of every input row at once
 by a banded Toeplitz matrix of its weights and computes no input gradient;
-the later convs multiply each sample's im2col matrix by the weights. Only a
+the later convs multiply the stacked im2col matrices by the weights. Only a
 train-mode forward keeps what the backward pass needs (the first conv's row
 blocks, the later convs' im2col matrices, centred batch-norm input, ELU
 output, dropout masks); eval mode keeps nothing. The architecture is a
@@ -16,14 +16,13 @@ derives from a single seed.
 """
 
 import functools
-import math
-import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from .core import EpochSet
-from .errors import (DivergenceError, RangeError, ShapeError)
+from .errors import (DivergenceError, RangeError, ShapeError, check,
+                     integer, number)
 from .io import read_container, write_container
 from .seeding import child_rng
 
@@ -34,6 +33,12 @@ OVERLAP = 0.5
 MIN_DELTA = 1e-4
 # output positions per row block of the first conv: 376 = 4 x 94
 BLOCK = 94
+# TrainConfig's value rules
+TRAIN_RULES = {"lr": (lambda v: number(v) and v > 0, "a number > 0"),
+               "batch_size": integer(1), "epochs": integer(1),
+               "dropout": (lambda v: number(v) and 0 <= v < 1,
+                           "a number in [0, 1)"),
+               "patience": integer(1)}
 
 
 def out_len(n_in: int, kernel: int, stride: int) -> int:
@@ -53,17 +58,8 @@ class TrainConfig:
     patience: int = 10
 
     def __post_init__(self):
-        # the bounds of the cnn section of harness.CONFIG_RULES
-        if not (isinstance(self.lr, numbers.Real) and math.isfinite(self.lr)
-                and self.lr > 0):
-            raise RangeError(f"lr {self.lr!r} is not a finite number > 0")
-        for name in ("batch_size", "epochs", "patience"):
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool) \
-                    or v < 1:
-                raise RangeError(f"{name} {v!r} is not an integer >= 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise RangeError(f"dropout {self.dropout} outside [0, 1)")
+        for name, rule in TRAIN_RULES.items():
+            check(name, getattr(self, name), rule)
 
 
 @dataclass
@@ -112,8 +108,7 @@ def build_model(n_channels: int, input_samples: int = 500,
     pool 1x4. Batch norm follows every conv, ELU follows every
     batch norm, dropout precedes every conv block after the first.
     """
-    if n_channels < 1:
-        raise RangeError("n_channels must be >= 1")
+    check("n_channels", n_channels, integer(1))
     layers = [
         LayerSpec("conv", maps_out=25, kernel=(1, 125)),
         LayerSpec("batchnorm"),
@@ -156,11 +151,11 @@ class _Layer:
 class Conv(_Layer):
     """Valid 2-D convolution (correlation), stride 1.
 
-    Each sample's im2col matrix (kernel taps x output positions) is
-    multiplied by the weights straight into a contiguous output. It is a
-    view of the input where the geometry allows (the spatial conv), else a
-    copy, and it is kept for the weight gradient only in train mode. The
-    network's first conv is a TemporalConv, which builds no im2col matrix.
+    One stacked matmul multiplies every sample's im2col matrix (kernel taps
+    x output positions) by the weights. The matrices are a view of the
+    input where the geometry allows (the spatial conv), else a copy, and
+    are kept for the weight gradient only in train mode. The network's
+    first conv is a TemporalConv, which builds no im2col matrix.
     """
 
     def __init__(self, maps_in, maps_out, kernel, rng, dtype):
@@ -177,18 +172,12 @@ class Conv(_Layer):
         b, _, h, w_in = x.shape
         ho = out_len(h, kh, 1)
         wo = out_len(w_in, kw, 1)
-        # (B, maps_in, kh, kw, ho, wo): sample i's columns are wv[i] as a matrix
-        wv = np.lib.stride_tricks.sliding_window_view(
-            x, (kh, kw), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3)
-        w2 = self.w.reshape(mo, -1)
-        out = np.empty((b, mo, ho * wo), dtype=np.result_type(x, self.w))
-        cols = []
-        for i in range(b):
-            c = wv[i].reshape(mi * kh * kw, ho * wo)
-            np.matmul(w2, c, out=out[i])
-            out[i] += self.b[:, None]
-            if train:
-                cols.append(c)
+        # (B, taps, positions): sample i's im2col matrix is cols[i]
+        cols = np.lib.stride_tricks.sliding_window_view(
+            x, (kh, kw), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3).reshape(
+            b, mi * kh * kw, ho * wo)
+        out = np.matmul(self.w.reshape(mo, -1), cols)
+        out += self.b[:, None]
         self._cols = cols if train else None
         self._x_shape = x.shape
         return out.reshape(b, mo, ho, wo)
@@ -198,8 +187,8 @@ class Conv(_Layer):
         b, _, ho, wo = grad.shape
         g = grad.reshape(b, mo, ho * wo)
         self.db = g.sum(axis=(0, 2))
-        self.dw = sum(gi @ ci.T for gi, ci in zip(g, self._cols)).reshape(
-            self.w.shape)
+        self.dw = np.matmul(g, self._cols.transpose(0, 2, 1)).sum(
+            axis=0).reshape(self.w.shape)
         self._cols = None
         # column gradients (B, maps_in, kh, kw, ho, wo), added back tap by tap
         dcols = np.matmul(self.w.reshape(mo, -1).T, g).reshape(
@@ -624,10 +613,8 @@ def train(net: Network, windows: EpochSet, config: TrainConfig):
 def predict_proba(net: Network, tensor: np.ndarray) -> np.ndarray:
     """Eval-mode class probabilities for windows shaped (n, channels, samples)."""
     x = np.asarray(tensor, dtype=net.dtype)[:, None, :, :]
-    out = []
-    for start in range(0, x.shape[0], 64):
-        out.append(net.forward(x[start:start + 64], train=False))
-    return np.concatenate(out, axis=0)
+    return np.concatenate([net.forward(x[start:start + 64], train=False)
+                           for start in range(0, x.shape[0], 64)], axis=0)
 
 
 def predict_trial(window_probs: np.ndarray):

@@ -13,10 +13,14 @@ import numpy as np
 
 from .core import EpochSet, Montage
 from .dsp import _welch_batch
-from .errors import DegenerateInputError, RangeError, ShapeError
+from .errors import (DegenerateInputError, RangeError, ShapeError, check,
+                     integer, number)
+from .io import write_text
 from .seeding import child_rng
 
 N_PERM = 10000  # permutation_test's and stat_map's draw count
+STAT_RULES = {"n_perm": integer(1),
+              "alpha": (lambda v: number(v) and 0 < v < 1, "a number in (0, 1)")}
 
 
 def band_power(epochs: EpochSet, band_hz) -> np.ndarray:
@@ -87,8 +91,7 @@ def permutation_test(a, b, n_perm: int = N_PERM,
     child_rng(0, "perm")). NaN or Inf input raises DegenerateInputError.
     """
     a, b = _finite_pair(a, b, "permutation_test")
-    if n_perm < 1:
-        raise RangeError("n_perm must be >= 1")
+    check("n_perm", n_perm, STAT_RULES["n_perm"])
     d = a - b
     n = d.size
     t_obs = abs(_t_from_diffs(d))
@@ -123,8 +126,7 @@ class StatMap:
         for name, t, p, s in zip(self.montage.channel_names, self.t_values,
                                  self.p_values, self.significant):
             rows.append(f"{name},{t:.6g},{p:.6g},{int(s)}")
-        with open(path, "w") as f:
-            f.write("\n".join(rows) + "\n")
+        write_text(path, "\n".join(rows) + "\n")
 
 
 def stat_map(imagery: EpochSet, rest: EpochSet, band=(0.5, 13.0),
@@ -136,8 +138,7 @@ def stat_map(imagery: EpochSet, rest: EpochSet, band=(0.5, 13.0),
     RNG stream from (seed, channel), so results do not depend on execution
     order.
     """
-    if not 0 < alpha < 1:
-        raise RangeError(f"alpha must be in (0, 1), got {alpha!r}")
+    check("alpha", alpha, STAT_RULES["alpha"])
     if imagery.n_trials != rest.n_trials:
         raise ShapeError("imagery and rest must have equal trial counts")
     if imagery.n_channels != rest.n_channels:

@@ -3,6 +3,9 @@
 import contextlib
 import io as text_io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import threading
 import warnings
@@ -157,6 +160,29 @@ def test_report_manifests_byte_identical(tmp_path):
     m1 = (out1 / "manifest.json").read_bytes()
     m2 = (out2 / "manifest.json").read_bytes()
     assert m1 == m2
+
+
+@pytest.mark.parametrize("iz", ["Iz", "Iz\u00e9"])
+def test_report_under_the_c_locale_writes_the_utf8_bytes(tmp_path, iz):
+    # under LC_ALL=C, sweep.csv's "\u00b1" (and a channel "Iz\u00e9" at
+    # plv_class0.csv) ended report in a UnicodeEncodeError traceback
+    cfg = tmp_path / "c.json"
+    cfg.write_text(TINY.read_text().replace('"Iz"', f'"{iz}"'),
+                   encoding="utf-8")
+    path = os.pathsep.join([str(REPO / "src"),
+                            os.environ.get("PYTHONPATH", "")])
+
+    def manifest(out, **env):
+        proc = subprocess.run(
+            [sys.executable, "-m", "vmidecode.cli", "--config", str(cfg),
+             "--out", str(out), "report"], capture_output=True, timeout=600,
+            env={**os.environ, "PYTHONPATH": path, **env})
+        assert proc.returncode == 0, proc.stderr
+        return (out / "manifest.json").read_bytes()
+
+    assert manifest(tmp_path / "c", LC_ALL="C", PYTHONCOERCECLOCALE="0",
+                    PYTHONUTF8="0") == manifest(tmp_path / "utf8",
+                                                PYTHONUTF8="1")
 
 
 def test_seed_override_changes_hashes(tmp_path):
@@ -405,7 +431,10 @@ def test_threads_flag_is_gone(tmp_path):
     # exited 3 at sweep after 18 artifacts (375 samples), or at connect
     # after 4 (3 samples, under the analytic signal's 4)
     ("epoch", {"imagery_window_ms": [500, 2000]}),
-    ("epoch", {"imagery_window_ms": [0, 12]})])
+    ("epoch", {"imagery_window_ms": [0, 12]}),
+    # a name no CSV field can hold: report wrote rows one field short
+    ("synth", {"channels": ["Fp1", "Fp2", "Cz", "Pz", "O1", "O2", "Oz",
+                            "Iz", "P,z"]})])
 def test_bad_section_value_exits_2_before_any_stage(tmp_path, capsys, section,
                                                    value):
     # these ended in a traceback, in exit 3 after the earlier stages, in exit

@@ -32,6 +32,13 @@ def test_montage_rejects_duplicates():
         Montage(("Fp1", "Fp1"))
 
 
+@pytest.mark.parametrize("name", ["P,z", 'P"z', "P\rz", "P\nz", "", 3])
+def test_montage_refuses_a_name_a_csv_field_cannot_hold(name):
+    # "P,z" wrote CSV rows one field short of their header
+    with pytest.raises(RangeError, match="^channel name must be "):
+        Montage(("Cz", name))
+
+
 def test_montage_index_lookup():
     m = Montage.default()
     assert m.channel_names[m.index("Oz")] == "Oz"
@@ -276,8 +283,10 @@ def test_synth_spec_validation():
     # not allowed"
     ({"n_trials_per_class": 2.5}, "n_trials_per_class must be an integer"),
     ({"n_trials_per_class": True}, "n_trials_per_class must be an integer"),
-    ({"fs": 0}, "fs must be >= 1"),
-    ({"fs": -250}, "fs must be >= 1"),
+    pytest.param({"fs": 0}, r"^fs must be an integer >= 1, got 0$",
+                 id="fs=0"),
+    pytest.param({"fs": -250}, r"^fs must be an integer >= 1, got -250$",
+                 id="fs=-250"),
 ])
 def test_synth_spec_refuses_what_the_config_rules_refuse(override, message):
     with pytest.raises(RangeError, match=message):

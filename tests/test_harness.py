@@ -14,14 +14,17 @@ from hypothesis import given, settings, strategies as st
 
 from vmidecode import harness
 from vmidecode import (CnnClassifier, CspLdaClassifier, EpochSet, EvalEntry,
-                       EvalReport, TrainConfig, cross_validate, format_cell,
-                       predict_trial, slide_windows, stratified_folds, sweep)
+                       EvalReport, Montage, TrainConfig, cross_validate,
+                       format_cell, permutation_test, predict_trial,
+                       slide_windows, stat_map, stratified_folds, sweep,
+                       synth_dataset)
 from vmidecode.errors import (ConfigError, DegenerateInputError,
                               DivergenceError, RangeError,
                               StratificationError)
 from vmidecode.harness import (DEFAULT_CONFIG, downsample_factor, load_config,
                                synth_from_config, train_config,
                                validate_config, write_manifest)
+from vmidecode.seeding import derive_seed
 
 from conftest import small_spec
 
@@ -423,8 +426,8 @@ def test_cross_validate_refuses_fewer_than_2_folds(folds, method):
     # 0 ended in numpy's "number sections must be larger than 0", 1 in a
     # "zero-size array to reduction operation" on the empty test fold
     ep = _variance_epochs(n_per_class=4, n_ch=4)
-    with pytest.raises(RangeError, match=f"^need at least 2 folds, got "
-                                         f"{folds}$"):
+    with pytest.raises(RangeError, match=f"^n_folds must be an integer >= 2, "
+                                         f"got {folds}$"):
         cross_validate(ep, method, folds=folds,
                        train_config=TrainConfig(epochs=1))
 
@@ -860,3 +863,83 @@ def test_any_json_value_validates_or_names_its_key(name, value):
         validate_config(_config_with(name, value))
     except ConfigError as e:
         assert e.key in _named_keys(name)
+
+
+# ---------------------------------------------------------------------------
+# One owner per bound: the code that enforces a key's rule refuses exactly
+# what validate_config refuses for that key
+
+def _tiny_pairs():
+    rng = np.random.default_rng(0)
+    return [EpochSet(np.zeros(4), rng.standard_normal((4, 2, 500)), 250, t0)
+            for t0 in (500.0, -4500.0)]
+
+
+_IMAGERY, _REST = _tiny_pairs()
+_LABELS = np.repeat([0, 1], 4)
+# config key -> a call of the code that owns the key's rule, on one value
+OWNER_CALLS = {
+    **{f"cnn.{key}": lambda v, key=key: TrainConfig(**{key: v})
+       for key in ("lr", "batch_size", "epochs", "dropout", "patience")},
+    **{f"synth.{key}": lambda v, key=key: small_spec(**{key: v})
+       for key in ("n_trials_per_class", "fs", "coupling", "snr_db")},
+    "csp.m": lambda v: CspLdaClassifier(m=v),
+    "cv.folds": lambda v: stratified_folds(_LABELS, v),
+    "stats.n_perm": lambda v: permutation_test([1.0, 2.0, 4.0], [0, 0, 0],
+                                               n_perm=v),
+    "stats.alpha": lambda v: stat_map(_IMAGERY, _REST, n_perm=1, alpha=v),
+    "seed": lambda v: derive_seed(v),
+    "ersp.channel": lambda v: Montage((v,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OWNER_CALLS))
+def test_each_owner_refuses_exactly_what_its_config_key_refuses(name):
+    for value in JSON_VALUES:
+        try:
+            validate_config(_config_with(name, value))
+            config_refuses = False
+        except ConfigError as e:  # a valid synth value can trip other keys
+            config_refuses = e.key == name
+        try:
+            OWNER_CALLS[name](value)
+            owner_refuses = False
+        except RangeError:
+            owner_refuses = True
+        except StratificationError:  # a valid count above the trials
+            owner_refuses = False
+        assert owner_refuses == config_refuses, (name, value)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: TrainConfig(lr=True), id="lr=True"),
+    pytest.param(lambda: small_spec(fs=250.5), id="fs=250.5"),
+    pytest.param(lambda: small_spec(fs=True), id="fs=True"),
+    pytest.param(lambda: small_spec(coupling=True), id="coupling=True"),
+    *(pytest.param(lambda m=m: cross_validate(
+        _variance_epochs(n_per_class=4, n_ch=4), "csp_lda", folds=2,
+        csp_m=m), id=f"csp_m={m}") for m in (0, -3, 2.5)),
+    pytest.param(lambda: stratified_folds(_LABELS, 2.5), id="n_folds=2.5"),
+    *(pytest.param(lambda n=n: permutation_test([1.0, 2.0, 4.0], [0, 0, 0],
+                                                n_perm=n), id=f"n_perm={n}")
+      for n in (2.5, True)),
+    *(pytest.param(lambda s=s: synth_dataset(small_spec(seed=s)),
+                   id=f"synth seed={s}") for s in (-1, 2 ** 64)),
+    *(pytest.param(lambda s=s: stratified_folds(_LABELS, 2, seed=s),
+                   id=f"folds seed={s}") for s in (-1, 2 ** 64, 2.7)),
+])
+def test_library_calls_refuse_what_the_config_refuses(call):
+    # these were accepted (lr 1, fs 250.5, coupling 1, csp_m 0 and -3 fitted
+    # with m = 1, seed 2.7 acted as seed 2) or ended in a TypeError or an
+    # OverflowError
+    with pytest.raises(RangeError, match=" must be "):
+        call()
+
+
+@pytest.mark.parametrize("name", ["synth.channels", "ersp.channel"])
+def test_a_channel_name_a_csv_field_cannot_hold_is_config_error(name):
+    # "P,z" wrote a plv_class0.csv with 10 header fields and 9 per row
+    value = ["Cz", "P,z"] if name == "synth.channels" else "P,z"
+    with pytest.raises(ConfigError) as err:
+        validate_config(_config_with(name, value))
+    assert err.value.key == name

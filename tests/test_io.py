@@ -158,6 +158,15 @@ def test_epochs_channel_names_must_match_the_tensor(tmp_path):
         load_epochs(path)
 
 
+def test_recording_channel_name_with_a_comma_is_corruption(tmp_path):
+    path = tmp_path / "r.eegb"
+    write_container(path, {"fs": 250, "channel_names": ["Cz", "P,z"],
+                           "events": []},
+                    {"data": np.zeros((2, 50), dtype=np.float32)})
+    with pytest.raises(CorruptionError, match="channel name"):
+        load_recording(path)
+
+
 def test_epochs_labels_tensor_mismatch(tmp_path):
     path = tmp_path / "e.eegb"
     header = {"fs": 250, "t0_ms": 0.0, "labels": [0, 1, 2]}

@@ -219,7 +219,8 @@ def test_stat_map_identical_inputs_not_significant():
 def test_stat_map_refuses_alpha_outside_0_1(alpha):
     # alpha 5 or 1.0 marked every channel significant
     imagery, rest = _paired_sets()
-    with pytest.raises(RangeError, match=r"alpha must be in \(0, 1\)"):
+    with pytest.raises(RangeError, match=rf"^alpha must be a number in "
+                                         rf"\(0, 1\), got {alpha!r}$"):
         stat_map(imagery, rest, n_perm=16, alpha=alpha)
 
 

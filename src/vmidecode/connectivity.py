@@ -6,8 +6,12 @@ import numpy as np
 
 from .core import EpochSet, Montage
 from .dsp import analytic_signal
-from .errors import RangeError, ShapeError
+from .errors import RangeError, ShapeError, check, integer, number
 from .io import write_text
+
+# strong_edges' threshold and select_channels' k
+THRESHOLD_RULE = (lambda v: number(v) and 0 <= v <= 1, "a number in [0, 1]")
+K_RULE = integer(1)
 
 
 @dataclass
@@ -89,6 +93,7 @@ def plv_matrix(epochs: EpochSet) -> ConnectivityMatrix:
 
 def strong_edges(conn: ConnectivityMatrix, threshold: float = 0.9) -> list:
     """Upper-triangle pairs with PLV above threshold, strongest first."""
+    check("threshold", threshold, THRESHOLD_RULE)
     v = conn.values
     i_idx, j_idx = np.triu_indices(conn.n_channels, k=1)
     keep = v[i_idx, j_idx] > threshold
@@ -123,7 +128,8 @@ def rank_channels(conns) -> ChannelRanking:
 
 def select_channels(ranking: ChannelRanking, k: int) -> list:
     """Top-k channel indices of a ranking; prefixes nest as k grows."""
-    if k < 1 or k > len(ranking.order):
+    check("k", k, K_RULE)
+    if k > len(ranking.order):
         raise RangeError(f"k={k} outside 1..{len(ranking.order)}")
     return ranking.indices()[:k]
 

@@ -10,8 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DegenerateInputError, EmptyInputError, RangeError,
-                     ShapeError, check, integer, number)
+from .errors import (POSITIVE, DegenerateInputError, EmptyInputError,
+                     RangeError, ShapeError, check, integer, list_of,
+                     nonempty_str, number, pair)
 from .seeding import child_rng
 
 # 64-electrode cap, 10/20 international system, in recording order.
@@ -34,11 +35,18 @@ CLASS_NAMES = ("phone", "door", "eat", "pour")
 CHANNEL_NAME = (lambda v: isinstance(v, str) and v != ""
                 and not set(v) & set(',"\r\n'),
                 "a non-empty string without a comma, quote or line break")
-# SynthSpec's value rules
+# Montage's channel_names
+CHANNELS_RULE = (lambda v: list_of(CHANNEL_NAME[0])(v)
+                 and len(set(v)) == len(v),
+                 "a non-empty list of distinct channel names")
+# SynthSpec's value rules, and those of each class's value in its dicts
 SYNTH_RULES = {"n_trials_per_class": integer(1), "fs": integer(1),
                "coupling": (lambda v: number(v) and 0 < v <= 1,
                             "a number in (0, 1]"),
                "snr_db": (number, "a finite number")}
+CLASS_RULES = {"planted_channels": (list_of(nonempty_str),
+                                    "a non-empty list of channel names"),
+               "carrier_hz": POSITIVE}
 
 
 @dataclass(frozen=True)
@@ -48,12 +56,11 @@ class Montage:
     channel_names: tuple
 
     def __post_init__(self):
-        names = tuple(self.channel_names)
-        object.__setattr__(self, "channel_names", names)
-        for name in names:
-            check("channel name", name, CHANNEL_NAME)
-        if len(set(names)) != len(names):
-            raise ShapeError("duplicate channel names in montage")
+        names = self.channel_names
+        for n in names if type(names) in (list, tuple) else ():
+            check("channel name", n, CHANNEL_NAME)
+        check("channel_names", names, CHANNELS_RULE)
+        object.__setattr__(self, "channel_names", tuple(names))
 
     @classmethod
     def default(cls) -> "Montage":
@@ -87,11 +94,10 @@ class TrialTimeline:
     imagery_s = 5.0
     total_s = rest1_s + cue_s + rest2_s + imagery_s
     imagery_offset_s = rest1_s + cue_s + rest2_s  # trial start to imagery
-    # phase -> the [lo, hi] ms, relative to imagery onset, that its epoch
-    # windows must lie in (see epoch_recording)
-    window_bounds_ms = {"imagery": (0.0, imagery_s * 1000.0),
-                        "rest": (-rest2_s * 1000.0, 0.0),
-                        "onset": (-rest2_s * 1000.0, imagery_s * 1000.0)}
+    # phase -> epoch_recording's rule of its [a, b] ms windows from onset
+    window_rules = {"imagery": pair(0.0, imagery_s * 1000.0),
+                    "rest": pair(-rest2_s * 1000.0, 0.0),
+                    "onset": pair(-rest2_s * 1000.0, imagery_s * 1000.0)}
 
 
 @dataclass
@@ -110,9 +116,8 @@ class EegRecording:
     def __post_init__(self):
         self.data = np.asarray(self.data)
         if self.data.ndim != 2 or self.data.shape[0] != len(self.montage):
-            raise ShapeError(
-                f"data must be {len(self.montage)} x samples, got {self.data.shape}"
-            )
+            raise ShapeError(f"data must be {len(self.montage)} x samples, "
+                             f"got {self.data.shape}")
         check("fs", self.fs, integer(1))
         self.events = [(int(s), int(l)) for s, l in self.events]
         for s, _ in self.events:
@@ -157,12 +162,12 @@ class EpochSet:
         if len(self.montage) != self.tensor.shape[1]:
             raise ShapeError(f"montage names {len(self.montage)} channels, "
                              f"tensor holds {self.tensor.shape[1]}")
-        if self.source_trials is None:
-            self.source_trials = np.arange(self.tensor.shape[0])
-        else:
-            self.source_trials = np.asarray(self.source_trials, dtype=np.int64)
-            if len(self.source_trials) != self.tensor.shape[0]:
-                raise ShapeError("source_trials length must equal trial count")
+        check("fs", self.fs, integer(1))
+        self.source_trials = np.asarray(
+            np.arange(self.n_trials) if self.source_trials is None
+            else self.source_trials, dtype=np.int64)
+        if len(self.source_trials) != self.n_trials:
+            raise ShapeError("source_trials length must equal trial count")
 
     @property
     def n_trials(self) -> int:
@@ -178,15 +183,11 @@ class EpochSet:
 
     def select(self, trial_idx=None, channel_idx=None) -> "EpochSet":
         """Subset by trial and/or channel indices, keeping provenance."""
-        t = self.tensor
-        labels = self.labels
-        src = self.source_trials
+        t, labels, src = self.tensor, self.labels, self.source_trials
         montage = self.montage
         if trial_idx is not None:
             trial_idx = np.asarray(trial_idx)
-            t = t[trial_idx]
-            labels = labels[trial_idx]
-            src = src[trial_idx]
+            t, labels, src = t[trial_idx], labels[trial_idx], src[trial_idx]
         if channel_idx is not None:
             channel_idx = list(channel_idx)
             t = t[:, channel_idx, :]
@@ -208,12 +209,15 @@ class SynthSpec:
     montage: Montage = field(default_factory=Montage.default)
 
     def __post_init__(self):
-        for name, rule in SYNTH_RULES.items():
-            check(name, getattr(self, name), rule)
+        for key, rule in SYNTH_RULES.items():
+            check(key, getattr(self, key), rule)
+        for key, rule in CLASS_RULES.items():
+            for cls, value in getattr(self, key).items():
+                check(f"{key}[{cls}]", value, rule)
         for cls, names in self.planted_channels.items():
-            for name in names:
-                if name not in self.montage.channel_names:
-                    raise RangeError(f"planted channel {name!r} not in montage")
+            for n in names:
+                if n not in self.montage.channel_names:
+                    raise RangeError(f"planted channel {n!r} not in montage")
             if cls not in self.carrier_hz:
                 raise RangeError(f"no carrier frequency for class {cls}")
 
@@ -221,23 +225,15 @@ class SynthSpec:
 def epoch_recording(rec: EegRecording, phase: str, window_ms) -> EpochSet:
     """Cut one epoch per event from a recording.
 
-    window_ms is (start, end) in milliseconds relative to imagery onset,
-    half-open [start, end). For phase "imagery" the window must lie inside
-    [0, imagery_s*1000]; for phase "rest" inside [-rest2_s*1000, 0] (the 5 s
-    rest immediately preceding imagery); for phase "onset" (a window that
-    spans imagery onset, e.g. an ERSP baseline plus the imagery) inside
-    [-rest2_s*1000, imagery_s*1000].
+    window_ms is the half-open [start, end) in milliseconds relative to
+    imagery onset, inside its phase by TrialTimeline.window_rules: the
+    imagery, the rest before it, or for "onset" both (e.g. an ERSP baseline
+    plus the imagery).
     """
     timeline = TrialTimeline()
-    start_ms, end_ms = window_ms
-    if phase not in timeline.window_bounds_ms:
+    if phase not in timeline.window_rules:
         raise RangeError(f"unknown phase {phase!r}")
-    lo, hi = timeline.window_bounds_ms[phase]
-    if start_ms < lo or end_ms > hi:
-        raise RangeError(
-            f"window ({start_ms}, {end_ms}) ms outside {phase} phase "
-            f"bounds [{lo}, {hi}] ms"
-        )
+    check("window_ms", window_ms, timeline.window_rules[phase])
     if not rec.events:
         raise EmptyInputError("recording has no events")
 
@@ -255,7 +251,8 @@ def epoch_recording(rec: EegRecording, phase: str, window_ms) -> EpochSet:
     epochs = np.lib.stride_tricks.sliding_window_view(
         rec.data, s1 - s0, axis=1).transpose(1, 0, 2)[starts + onset_off + s0]
     require_finite(epochs, f"recording's {phase} epochs")
-    return EpochSet(labels, epochs, fs, float(start_ms), montage=rec.montage)
+    return EpochSet(labels, epochs, fs, float(window_ms[0]),
+                    montage=rec.montage)
 
 
 def window_samples(window_ms, fs: int) -> tuple:

@@ -62,8 +62,10 @@ def _mean_normalized_cov(tensor: np.ndarray) -> np.ndarray:
 
 def _csp_model(ca: np.ndarray, cb: np.ndarray, m: int) -> CspModel:
     """The CSP filters of two mean normalized covariances; m is clamped to
-    1..n_channels // 2."""
+    1..n_channels // 2, and one channel (constant features) is refused."""
     n_ch = ca.shape[0]
+    if n_ch < 2:
+        raise RangeError(f"CSP needs at least 2 channels, got {n_ch}")
     m = max(1, min(m, n_ch // 2))
     comp = ca + cb
     try:
@@ -112,9 +114,8 @@ def csp_features(model: CspModel, epochs: EpochSet) -> np.ndarray:
     retained filters, then log. Invariant to overall epoch scaling.
     """
     if epochs.n_channels != model.n_channels:
-        raise ShapeError(
-            f"model expects {model.n_channels} channels, got {epochs.n_channels}"
-        )
+        raise ShapeError(f"model expects {model.n_channels} channels, got "
+                         f"{epochs.n_channels}")
     v = (model.filters @ np.asarray(epochs.tensor, dtype=np.float64)).var(axis=2)
     # a trial whose variances are all positive has a positive total
     bad = (v <= 0).any(axis=1)

@@ -13,9 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.signal as sps
 
-from .core import EegRecording, EpochSet
-from .errors import EmptyInputError, RangeError, check, integer
+from .core import EegRecording, EpochSet, TrialTimeline
+from .errors import EmptyInputError, RangeError, check, integer, pair
 from .io import write_text
+
+# the rules of butter_bandpass_sos', decimation_factor's and ersp's arguments
+BAND_RULE = (lambda v: pair(0)[0](v) and v[0] > 0, "[a, b] with 0 < a < b")
+FACTOR_RULE = (lambda v: v is None or integer(1)[0](v),
+               "null or an integer >= 1")
+ERSP_RULES = {"baseline_ms": TrialTimeline.window_rules["rest"],
+              "f_range": pair(0)}
 
 # ---------------------------------------------------------------------------
 # FFT
@@ -45,7 +52,8 @@ def analytic_signal(x) -> np.ndarray:
 
 def butter_bandpass_sos(lo_hz: float, hi_hz: float, fs: float) -> np.ndarray:
     """Order-4 Butterworth band-pass as a biquad cascade."""
-    if not 0.0 < lo_hz < hi_hz < fs / 2.0:
+    check("band", (lo_hz, hi_hz), BAND_RULE)
+    if hi_hz >= fs / 2.0:
         raise RangeError(f"invalid band ({lo_hz}, {hi_hz}) Hz at fs={fs}")
     return sps.butter(2, [lo_hz, hi_hz], btype="bandpass", fs=fs,
                       output="sos")
@@ -97,12 +105,12 @@ def downsample(x, factor: int):
 
 def decimation_factor(fs: int, factor) -> int:
     """factor, or max(1, fs // 250) when it is None: the largest factor that
-    keeps 250 Hz or more. A factor must be an int dividing fs, since a
-    recording states its rate as fs // factor; any other is a RangeError.
-    """
+    keeps 250 Hz or more. A factor must pass FACTOR_RULE and divide fs, as a
+    recording states its rate as fs // factor; any other is a RangeError."""
+    check("factor", factor, FACTOR_RULE)
     auto = factor is None
     factor = max(1, int(fs) // 250) if auto else factor
-    if type(factor) is not int or factor < 1 or fs % factor:
+    if fs % factor:
         raise RangeError(f"{'auto ' if auto else ''}decimation factor "
                          f"{factor!r} must be an int >= 1 dividing fs={fs}")
     return factor
@@ -112,6 +120,7 @@ def preprocess_recording(rec: EegRecording, band=(0.5, 13.0),
                          factor: int = None) -> EegRecording:
     """Band-pass every channel and decimate by decimation_factor(rec.fs,
     factor); event indices are rescaled."""
+    check("band", band, BAND_RULE)
     factor = decimation_factor(rec.fs, factor)
     data = bandpass(rec.data, band[0], band[1], rec.fs)
     data = downsample(data, factor).astype(np.float32)
@@ -203,12 +212,13 @@ def ersp(epochs: EpochSet, channel: int, baseline_ms=(-500, 0),
     axis is linearly resampled to exactly 400 points spanning the
     post-onset part of the epoch.
     """
+    check("baseline_ms", baseline_ms, ERSP_RULES["baseline_ms"])
+    check("f_range", f_range, ERSP_RULES["f_range"])
     fs = epochs.fs
     t0 = epochs.t0_ms
     if t0 > baseline_ms[0]:
-        raise RangeError(
-            f"epochs start at {t0} ms, baseline needs {baseline_ms[0]} ms"
-        )
+        raise RangeError(f"epochs start at {t0} ms, baseline needs "
+                         f"{baseline_ms[0]} ms")
     n = epochs.n_samples
     n_times = 400
     win = min(256, n)
@@ -234,7 +244,6 @@ def ersp(epochs: EpochSet, channel: int, baseline_ms=(-500, 0),
     mean_power = _hann_frame_power(x, win, hop).mean(axis=0)[:, f_keep]
     baseline = mean_power[base_mask].mean(axis=0)       # per frequency
     db = 10.0 * np.log10(mean_power / baseline)
-    values = np.empty((freqs.size, n_times))
-    for i in range(freqs.size):
-        values[i] = np.interp(times_out, centers_ms, db[:, i])
+    values = np.array([np.interp(times_out, centers_ms, column)
+                       for column in db.T])
     return TfMap(freqs, times_out, values)

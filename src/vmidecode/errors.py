@@ -51,6 +51,48 @@ def integer(lo: int) -> tuple:
             and not isinstance(v, bool) and v >= lo), f"an integer >= {lo}"
 
 
+POSITIVE = (lambda v: number(v) and v > 0, "a number > 0")
+
+
+def nonempty_str(v) -> bool:
+    """A non-empty str."""
+    return type(v) is str and v != ""
+
+
+def list_of(test):
+    """A non-empty list or tuple whose items each pass test."""
+    return lambda v: (type(v) in (list, tuple) and len(v) > 0
+                      and all(map(test, v)))
+
+
+def _plural(wanted: str) -> str:
+    """What each of several values must be: 'a number > 0' -> 'numbers > 0'."""
+    for one in ("a non-empty list", "an integer", "a number"):
+        wanted = wanted.replace(one, one.partition(" ")[2] + "s")
+    return wanted
+
+
+def list_rule(rule: tuple) -> tuple:
+    """The rule of a non-empty list whose items each pass rule."""
+    return list_of(rule[0]), "a non-empty list of " + _plural(rule[1])
+
+
+def pair(lo: float, hi: float = math.inf) -> tuple:
+    """The rule of [a, b]: two finite numbers, lo <= a < b <= hi."""
+    return (lambda v: list_of(number)(v) and len(v) == 2
+            and lo <= v[0] < v[1] <= hi,
+            f"[a, b] with {lo:g} <= a < b"
+            + (f" <= {hi:g}" if hi < math.inf else ""))
+
+
+def by_class(rule: tuple) -> tuple:
+    """The rule of a JSON object of class ids "0", "1", ... to rule's values."""
+    return (lambda v: type(v) is dict and len(v) > 0 and all(
+        nonempty_str(k) and k.isascii() and k.isdecimal()
+        and (k == "0" or k[0] != "0") and rule[0](x) for k, x in v.items()),
+        "an object of class ids '0', '1', ... to " + _plural(rule[1]))
+
+
 def check(name: str, value, rule: tuple) -> None:
     """Raise RangeError unless value passes rule, a (test, wanted) pair."""
     test, wanted = rule

@@ -19,12 +19,13 @@ import numpy as np
 
 from . import connectivity as conn_mod
 from . import core, dsp, io, stats
-from .core import (CHANNEL_NAME, SYNTH_RULES, EegRecording, EpochSet, Montage,
-                   SynthSpec, TrialTimeline, epoch_recording, require_finite,
-                   synth_dataset)
+from .core import (CHANNEL_NAME, CHANNELS_RULE, CLASS_RULES, SYNTH_RULES,
+                   EegRecording, EpochSet, Montage, SynthSpec, TrialTimeline,
+                   epoch_recording, require_finite, synth_dataset)
 from .csp import M_RULE, CspLdaClassifier, save_csp_lda
 from .errors import (ConfigError, DivergenceError, RangeError,
-                     StratificationError, check, integer, number)
+                     StratificationError, by_class, check, integer, list_rule,
+                     nonempty_str)
 from .neural import (OVERLAP, TRAIN_RULES, WIN_S, CnnClassifier, TrainConfig,
                      predict_trial, save_network, slide_windows)
 from .seeding import SEED_RULE, child_rng
@@ -73,10 +74,8 @@ class EvalReport:
     entries: list = field(default_factory=list)
 
     def entry(self, method: str, k_channels: int) -> EvalEntry:
-        for e in self.entries:
-            if e.method == method and e.k_channels == k_channels:
-                return e
-        raise KeyError((method, k_channels))
+        return {(e.method, e.k_channels): e
+                for e in self.entries}[(method, k_channels)]
 
     def to_csv(self, path, channel_counts) -> None:
         """Rows = methods, columns = channel counts, cells = 'mean% (±std)'."""
@@ -124,6 +123,8 @@ CLASSIFIERS = {
         replace(tc or TrainConfig(), seed=seed)),
     "csp_lda": lambda seed, csp_m, tc: CspLdaClassifier(m=csp_m),
 }
+METHOD_RULE = (lambda v: nonempty_str(v) and v in CLASSIFIERS,
+               " and ".join(map(repr, CLASSIFIERS)))
 
 
 def fold_channel_ranking(train_epochs: EpochSet):
@@ -146,7 +147,7 @@ def _evaluate(dataset: EpochSet, cells: list, folds: int, seeds, csp_m: int,
     tasks' predictions in task order, so they do not depend on the worker
     count.
     """
-    unknown = [m for m, _ in cells if m not in CLASSIFIERS]
+    unknown = [m for m, _ in cells if not METHOD_RULE[0](m)]
     if unknown:
         raise ConfigError("method", f"unknown method {unknown[0]!r}")
     require_finite(dataset.tensor, "cross-validation epochs")
@@ -157,6 +158,8 @@ def _evaluate(dataset: EpochSet, cells: list, folds: int, seeds, csp_m: int,
                          f"{classes.tolist()}")
     n_ch = dataset.n_channels
     cells = [(m, n_ch if k is None else k) for m, k in cells]
+    for _, k in cells:
+        check("k_channels", k, conn_mod.K_RULE)
     if any(k > n_ch for _, k in cells):
         raise RangeError(f"k_channels {max(k for _, k in cells)} "
                          f"exceeds montage")
@@ -335,40 +338,7 @@ def load_config(path) -> dict:
     return validate_config(cfg)
 
 
-def _name(v) -> bool:
-    return type(v) is str and v != ""
-
-
-def _list_of(test):
-    return lambda v: type(v) is list and len(v) > 0 and all(map(test, v))
-
-
-def _list_rule(rule: tuple) -> tuple:
-    """The rule of a non-empty list whose items each pass rule."""
-    return _list_of(rule[0]), "a non-empty list of " + rule[1].replace(
-        "an integer", "integers")
-
-
-def _ordered(v) -> bool:
-    """[a, b]: two finite numbers, a < b."""
-    return _list_of(number)(v) and len(v) == 2 and v[0] < v[1]
-
-
-def _pair(lo: float, hi: float = math.inf) -> tuple:
-    """The rule of [a, b] with lo <= a < b <= hi."""
-    return (lambda v: _ordered(v) and lo <= v[0] and v[1] <= hi,
-            f"[a, b] with {lo:g} <= a < b"
-            + (f" <= {hi:g}" if hi < math.inf else ""))
-
-
-def _by_class(test):
-    """An object keyed by class ids "0", "1", ..., each value passing test."""
-    return lambda v: type(v) is dict and len(v) > 0 and all(
-        _name(k) and k.isascii() and k.isdecimal() and (k == "0" or k[0] != "0")
-        and test(x) for k, x in v.items())
-
-
-_WINDOWS = TrialTimeline.window_bounds_ms  # epoch_recording's phase bounds
+_WINDOWS = TrialTimeline.window_rules  # epoch_recording's window rules
 _GIVEN = object()  # the default of a key that is checked when given only
 _PRE, _CONN, _ERSP, _CNN, _STATS, _SWEEP = map(_defaults, (
     dsp.preprocess_recording, conn_mod.strong_edges, dsp.ersp, TrainConfig,
@@ -378,42 +348,30 @@ _PRE, _CONN, _ERSP, _CNN, _STATS, _SWEEP = map(_defaults, (
 # what a valid value is); a default is that of the code that uses the key
 CONFIG_RULES = {
     "seed": (_GIVEN, *SEED_RULE),
-    "out": (_GIVEN, _name, "a non-empty path string"),
-    "input": (_GIVEN, _name, "a non-empty path string"),
+    "out": (_GIVEN, nonempty_str, "a non-empty path string"),
+    "input": (_GIVEN, nonempty_str, "a non-empty path string"),
     **{f"synth.{key}": (_GIVEN, *rule) for key, rule in SYNTH_RULES.items()},
-    "synth.channels": (_GIVEN, lambda v: _list_of(CHANNEL_NAME[0])(v)
-                       and len(set(v)) == len(v),
-                       "a non-empty list of distinct channel names"),
-    "synth.planted_channels": (_GIVEN, _by_class(_list_of(_name)),
-                               "an object of class ids '0', '1', ... to "
-                               "non-empty lists of channel names"),
-    "synth.carrier_hz": (_GIVEN, _by_class(lambda f: number(f) and f > 0),
-                         "an object of class ids '0', '1', ... to numbers > 0"),
-    "preprocess.band": (_PRE["band"], lambda v: _ordered(v) and v[0] > 0,
-                        "[a, b] with 0 < a < b"),
-    "preprocess.downsample_factor": (
-        _PRE["factor"], lambda v: v is None or type(v) is int and v >= 1,
-        "null or an integer >= 1"),
-    "epoch.imagery_window_ms": ([500, 4500], *_pair(*_WINDOWS["imagery"])),
-    "epoch.rest_window_ms": ([-4500, -500], *_pair(*_WINDOWS["rest"])),
-    "connectivity.threshold": (_CONN["threshold"],
-                               lambda v: number(v) and 0 <= v <= 1,
-                               "a number in [0, 1]"),
+    "synth.channels": (_GIVEN, *CHANNELS_RULE),
+    # SynthSpec takes these by int class id, a config by JSON key "0", "1", ...
+    **{f"synth.{key}": (_GIVEN, *by_class(rule))
+       for key, rule in CLASS_RULES.items()},
+    "preprocess.band": (_PRE["band"], *dsp.BAND_RULE),
+    "preprocess.downsample_factor": (_PRE["factor"], *dsp.FACTOR_RULE),
+    "epoch.imagery_window_ms": ([500, 4500], *_WINDOWS["imagery"]),
+    "epoch.rest_window_ms": ([-4500, -500], *_WINDOWS["rest"]),
+    "connectivity.threshold": (_CONN["threshold"], *conn_mod.THRESHOLD_RULE),
     "ersp.channel": ("Oz", CHANNEL_NAME[0], "a channel name"),
-    "ersp.baseline_ms": (_ERSP["baseline_ms"], *_pair(*_WINDOWS["rest"])),
-    "ersp.f_range": (_ERSP["f_range"], *_pair(0)),
+    **{f"ersp.{key}": (_ERSP[key], *rule)
+       for key, rule in dsp.ERSP_RULES.items()},
     **{f"cnn.{key}": (_CNN[key], *rule) for key, rule in TRAIN_RULES.items()},
     "csp.m": (_CSP_M, *M_RULE),
     "cv.folds": (_SWEEP["folds"], *FOLDS_RULE),
-    "cv.seeds": (_SWEEP["seeds"], *_list_rule(SEED_RULE)),
-    "stats.band": (_STATS["band"], *_pair(0)),
+    "cv.seeds": (_SWEEP["seeds"], *list_rule(SEED_RULE)),
     **{f"stats.{key}": (_STATS[key], *rule)
        for key, rule in stats.STAT_RULES.items()},
-    "sweep.channel_counts": (_SWEEP["channel_counts"], *_list_rule(integer(1))),
-    "sweep.methods": (_SWEEP["methods"],
-                      _list_of(lambda m: _name(m) and m in CLASSIFIERS),
-                      "a non-empty list of "
-                      + " and ".join(map(repr, CLASSIFIERS))),
+    "sweep.channel_counts": (_SWEEP["channel_counts"],
+                             *list_rule(conn_mod.K_RULE)),
+    "sweep.methods": (_SWEEP["methods"], *list_rule(METHOD_RULE)),
 }
 _SECTIONS = {name.split(".")[0] for name in CONFIG_RULES if "." in name}
 

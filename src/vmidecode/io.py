@@ -43,10 +43,7 @@ def write_container(path, header: dict, arrays: dict) -> None:
                                    for name, a in arrays.items()]}
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(bytes([VERSION]))
-        f.write(struct.pack("<I", len(raw)))
-        f.write(raw)
+        f.write(MAGIC + bytes([VERSION]) + struct.pack("<I", len(raw)) + raw)
         for a in arrays.values():
             f.write(a.tobytes())
 
@@ -89,13 +86,11 @@ def read_container(path):
     if sum(sizes) != len(body):
         raise CorruptionError(f"{path}: header declares {sum(sizes)} payload "
                               f"bytes, file holds {len(body)}")
-    arrays = {}
-    offset = 0
-    for (name, dtype, shape), size in zip(specs, sizes):
-        arrays[name] = np.frombuffer(body, dtype, size // dtype.itemsize,
-                                     offset).reshape(shape)
-        offset += size
-    return header, arrays
+    starts = np.cumsum([0] + sizes)
+    return header, {name: np.frombuffer(body, dtype, size // dtype.itemsize,
+                                        int(start)).reshape(shape)
+                    for (name, dtype, shape), size, start
+                    in zip(specs, sizes, starts)}
 
 
 def _array(path, arrays: dict, name: str, ndim: int) -> np.ndarray:
@@ -125,7 +120,7 @@ def load_recording(path) -> EegRecording:
     events = [(e["sample"], e["label"]) for e in header["events"]]
     try:
         return EegRecording(Montage(tuple(header["channel_names"])),
-                            int(header["fs"]), data, events)
+                            header["fs"], data, events)
     except ValueError as e:
         raise CorruptionError(f"{path}: {e}") from e
 
@@ -154,9 +149,8 @@ def load_epochs(path) -> EpochSet:
     try:
         return EpochSet(
             np.asarray(header["labels"]), tensor,
-            int(header["fs"]), float(header["t0_ms"]),
+            header["fs"], float(header["t0_ms"]),
             source_trials=None if src is None else np.asarray(src),
-            montage=None if names is None else Montage(tuple(names)),
-        )
+            montage=None if names is None else Montage(tuple(names)))
     except ValueError as e:
         raise CorruptionError(f"{path}: {e}") from e

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .core import EpochSet
-from .errors import (DivergenceError, RangeError, ShapeError, check,
-                     integer, number)
+from .errors import (POSITIVE, DivergenceError, RangeError, ShapeError,
+                     check, integer, number)
 from .io import read_container, write_container
 from .seeding import child_rng
 
@@ -34,7 +34,7 @@ MIN_DELTA = 1e-4
 # output positions per row block of the first conv: 376 = 4 x 94
 BLOCK = 94
 # TrainConfig's value rules
-TRAIN_RULES = {"lr": (lambda v: number(v) and v > 0, "a number > 0"),
+TRAIN_RULES = {"lr": POSITIVE,
                "batch_size": integer(1), "epochs": integer(1),
                "dropout": (lambda v: number(v) and 0 <= v < 1,
                            "a number in [0, 1)"),
@@ -496,10 +496,8 @@ class Network:
         if x.ndim != 4 or x.shape[1] != 1 \
                 or x.shape[2] != self.spec.n_channels \
                 or x.shape[3] != self.spec.input_samples:
-            raise ShapeError(
-                f"expected (B, 1, {self.spec.n_channels}, "
-                f"{self.spec.input_samples}), got {x.shape}"
-            )
+            raise ShapeError(f"expected (B, 1, {self.spec.n_channels}, "
+                             f"{self.spec.input_samples}), got {x.shape}")
         for layer in self.layers:
             x = layer.forward(x, train)
         return x
@@ -522,18 +520,15 @@ class Network:
 
     def parameters(self):
         """Yield (layer, attr name) for every trainable array."""
-        for layer in self.layers:
-            for name in layer.params:
-                yield layer, name
+        yield from ((layer, name) for layer in self.layers
+                    for name in layer.params)
 
     def state_arrays(self):
         """All persistent arrays (trainable + batch-norm running stats)."""
         for layer in self.layers:
-            for name in layer.params:
-                yield layer, name
-            if isinstance(layer, BatchNorm):
-                yield layer, "running_mean"
-                yield layer, "running_var"
+            stats = (("running_mean", "running_var")
+                     if isinstance(layer, BatchNorm) else ())
+            yield from ((layer, name) for name in layer.params + stats)
 
 
 def _cross_entropy(probs: np.ndarray, labels) -> float:
@@ -639,9 +634,8 @@ def slide_windows(epochs: EpochSet, win_s: float = WIN_S,
     fs = epochs.fs
     win = int(round(win_s * fs))
     if win > epochs.n_samples:
-        raise RangeError(
-            f"window of {win} samples exceeds epoch length {epochs.n_samples}"
-        )
+        raise RangeError(f"window of {win} samples exceeds epoch length "
+                         f"{epochs.n_samples}")
     hop = max(1, int(round(win * (1.0 - overlap))))
     # a (trials, windows, channels, win) view, then one C-order copy
     view = np.lib.stride_tricks.sliding_window_view(

@@ -14,12 +14,13 @@ import numpy as np
 from .core import EpochSet, Montage
 from .dsp import _welch_batch
 from .errors import (DegenerateInputError, RangeError, ShapeError, check,
-                     integer, number)
+                     integer, number, pair)
 from .io import write_text
 from .seeding import child_rng
 
 N_PERM = 10000  # permutation_test's and stat_map's draw count
-STAT_RULES = {"n_perm": integer(1),
+# band_power's band, permutation_test's n_perm and stat_map's alpha
+STAT_RULES = {"band": pair(0), "n_perm": integer(1),
               "alpha": (lambda v: number(v) and 0 < v < 1, "a number in (0, 1)")}
 
 
@@ -30,9 +31,10 @@ def band_power(epochs: EpochSet, band_hz) -> np.ndarray:
     shorter, 50% overlap) over [lo, hi); returns a trials x channels matrix
     in microvolts^2.
     """
+    check("band", band_hz, STAT_RULES["band"])
     lo, hi = band_hz
     fs = epochs.fs
-    if not 0.0 <= lo < hi <= fs / 2.0:
+    if hi > fs / 2.0:
         raise RangeError(f"band ({lo}, {hi}) outside [0, {fs / 2}]")
     x = np.asarray(epochs.tensor, dtype=np.float64)
     freqs, pxx = _welch_batch(x, fs)
@@ -145,12 +147,9 @@ def stat_map(imagery: EpochSet, rest: EpochSet, band=(0.5, 13.0),
         raise ShapeError("imagery and rest must share channels")
     bp_i = band_power(imagery, band)
     bp_r = band_power(rest, band)
-    n_ch = imagery.n_channels
-    t_values = np.empty(n_ch)
-    p_values = np.empty(n_ch)
-    for ch in range(n_ch):
-        t_values[ch] = paired_t(bp_i[:, ch], bp_r[:, ch])
-        p_values[ch] = permutation_test(
-            bp_i[:, ch], bp_r[:, ch], n_perm=n_perm,
-            rng=child_rng(seed, "statmap", ch))
+    channels = range(imagery.n_channels)
+    t_values = np.array([paired_t(bp_i[:, ch], bp_r[:, ch]) for ch in channels])
+    p_values = np.array([permutation_test(
+        bp_i[:, ch], bp_r[:, ch], n_perm=n_perm,
+        rng=child_rng(seed, "statmap", ch)) for ch in channels])
     return StatMap(t_values, p_values, alpha=alpha, montage=imagery.montage)

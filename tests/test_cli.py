@@ -511,6 +511,23 @@ def test_rest_window_without_a_band_bin_is_data_error(tmp_path, capsys, rest,
     assert not (tmp_path / "stat_map.csv").exists()
 
 
+def test_csp_lda_sweep_at_one_channel_exits_3_in_one_line(tmp_path):
+    # the config validated, then report ended in numpy's LinAlgError
+    # traceback (exit 1): one channel gives CSP-LDA constant features
+    tiny = json.loads(TINY.read_text())
+    tiny["sweep"] = {"channel_counts": [1], "methods": ["csp_lda"]}
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(tiny))
+    path = os.pathsep.join([str(REPO / "src"),
+                            os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-m", "vmidecode.cli", "--config", str(cfg),
+         "--out", str(tmp_path / "out"), "report"], capture_output=True,
+        text=True, timeout=600, env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stderr) == (
+        3, "data error: CSP needs at least 2 channels, got 1\n")
+
+
 @pytest.mark.parametrize("f_range", [[200, 300], [3.1, 3.2]])
 def test_ersp_range_without_a_bin_is_data_error(tiny_out, tmp_path, capsys,
                                                 f_range):

@@ -27,9 +27,21 @@ def test_default_montage_order_endpoints():
     assert "Oz" in DEFAULT_CHANNELS and "Cz" in DEFAULT_CHANNELS
 
 
+_NOT_A_MONTAGE = ("^channel_names must be a non-empty list of distinct "
+                  "channel names, got ")
+
+
 def test_montage_rejects_duplicates():
-    with pytest.raises(ShapeError):
+    # this was a ShapeError
+    with pytest.raises(RangeError, match=_NOT_A_MONTAGE):
         Montage(("Fp1", "Fp1"))
+
+
+@pytest.mark.parametrize("names", [(), [], "Fp1", None])
+def test_montage_refuses_what_is_not_a_list_of_names(names):
+    # an empty montage was accepted, and "Fp1" read as the names F, p and 1
+    with pytest.raises(RangeError, match=_NOT_A_MONTAGE):
+        Montage(names)
 
 
 @pytest.mark.parametrize("name", ["P,z", 'P"z', "P\rz", "P\nz", "", 3])

@@ -3,6 +3,7 @@
 import ctypes
 import json
 import os
+import re
 import sys
 import threading
 import time
@@ -13,11 +14,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vmidecode import harness
-from vmidecode import (CnnClassifier, CspLdaClassifier, EpochSet, EvalEntry,
-                       EvalReport, Montage, TrainConfig, cross_validate,
-                       format_cell, permutation_test, predict_trial,
-                       slide_windows, stat_map, stratified_folds, sweep,
-                       synth_dataset)
+from vmidecode import (CnnClassifier, ConnectivityMatrix, CspLdaClassifier,
+                       EegRecording, EpochSet, EvalEntry, EvalReport, Montage,
+                       TrainConfig, band_power, bandpass, cross_validate,
+                       epoch_recording, ersp, format_cell, permutation_test,
+                       predict_trial, preprocess_recording, rank_channels,
+                       select_channels, slide_windows, stat_map,
+                       stratified_folds, strong_edges, sweep, synth_dataset)
+from vmidecode.dsp import decimation_factor
 from vmidecode.errors import (ConfigError, DegenerateInputError,
                               DivergenceError, RangeError,
                               StratificationError)
@@ -877,6 +881,19 @@ def _tiny_pairs():
 
 _IMAGERY, _REST = _tiny_pairs()
 _LABELS = np.repeat([0, 1], 4)
+# one 17 s trial on two channels; its -5000..5000 ms around imagery onset
+_RECORDING = EegRecording(
+    Montage(("Cz", "Pz")), 250,
+    np.random.default_rng(1).standard_normal((2, 17 * 250)), [(0, 0)])
+_ONSET = epoch_recording(_RECORDING, "onset", (-5000, 5000))
+_PLV = ConnectivityMatrix([[1.0, 0.95], [0.95, 1.0]], Montage(("Cz", "Pz")))
+
+
+def _classes(key, value):
+    """small_spec with class 0's planted_channels or carrier_hz set to value."""
+    return small_spec(**{key: {**getattr(small_spec(), key), 0: value}})
+
+
 # config key -> a call of the code that owns the key's rule, on one value
 OWNER_CALLS = {
     **{f"cnn.{key}": lambda v, key=key: TrainConfig(**{key: v})
@@ -890,22 +907,43 @@ OWNER_CALLS = {
     "stats.alpha": lambda v: stat_map(_IMAGERY, _REST, n_perm=1, alpha=v),
     "seed": lambda v: derive_seed(v),
     "ersp.channel": lambda v: Montage((v,)),
+    "synth.channels": lambda v: Montage(v),
+    **{f"synth.{key}": lambda v, key=key: _classes(key, v)
+       for key in ("planted_channels", "carrier_hz")},
+    **{f"epoch.{phase}_window_ms": lambda v, phase=phase: epoch_recording(
+        _RECORDING, phase, v) for phase in ("imagery", "rest")},
+    "preprocess.band": lambda v: preprocess_recording(_RECORDING, band=v),
+    "preprocess.downsample_factor": lambda v: decimation_factor(250, v),
+    **{f"ersp.{key}": lambda v, key=key: ersp(_ONSET, 0, **{key: v})
+       for key in ("baseline_ms", "f_range")},
+    "connectivity.threshold": lambda v: strong_edges(_PLV, v),
+    "stats.band": lambda v: band_power(_IMAGERY, v),
+    "sweep.channel_counts": lambda v: select_channels(rank_channels([_PLV]),
+                                                      v),
 }
+# the config value whose item or class-0 value the owner is given
+CONFIG_VALUES = {"synth.planted_channels": lambda v: {"0": v},
+                 "synth.carrier_hz": lambda v: {"0": v},
+                 "sweep.channel_counts": lambda v: [v]}
 
 
 @pytest.mark.parametrize("name", sorted(OWNER_CALLS))
 def test_each_owner_refuses_exactly_what_its_config_key_refuses(name):
     for value in JSON_VALUES:
         try:
-            validate_config(_config_with(name, value))
+            validate_config(_config_with(
+                name, CONFIG_VALUES.get(name, lambda v: v)(value)))
             config_refuses = False
         except ConfigError as e:  # a valid synth value can trip other keys
             config_refuses = e.key == name
         try:
             OWNER_CALLS[name](value)
             owner_refuses = False
-        except RangeError:
-            owner_refuses = True
+        except RangeError as e:
+            # an owner's checks of its data (a factor that does not divide
+            # fs, a band above Nyquist or without a bin) are not the rule's
+            owner_refuses = re.match(r"[\w\[\] ]+ must be .*, got ",
+                                     str(e)) is not None
         except StratificationError:  # a valid count above the trials
             owner_refuses = False
         assert owner_refuses == config_refuses, (name, value)
@@ -927,13 +965,53 @@ def test_each_owner_refuses_exactly_what_its_config_key_refuses(name):
                    id=f"synth seed={s}") for s in (-1, 2 ** 64)),
     *(pytest.param(lambda s=s: stratified_folds(_LABELS, 2, seed=s),
                    id=f"folds seed={s}") for s in (-1, 2 ** 64, 2.7)),
+    *(pytest.param(lambda t=t: strong_edges(_PLV, t), id=f"threshold={t}")
+      for t in (float("nan"), 1.5, True, -1)),
+    *(pytest.param(lambda k=k: cross_validate(
+        _variance_epochs(n_per_class=4, n_ch=4), "csp_lda", k_channels=k,
+        folds=2), id=f"k_channels={k}") for k in (2.5, True)),
+    *(pytest.param(lambda hz=hz: _classes("carrier_hz", hz),
+                   id=f"carrier_hz={hz}") for hz in (float("nan"), -3, 0)),
+    pytest.param(lambda: _classes("planted_channels", []),
+                 id="planted_channels=[]"),
+    pytest.param(lambda: ersp(_ONSET, 0, f_range=(-5, 10)),
+                 id="f_range=(-5, 10)"),
+    pytest.param(lambda: ersp(_ONSET, 0, baseline_ms=(-500, 100)),
+                 id="baseline_ms=(-500, 100)"),
+    pytest.param(lambda: band_power(_IMAGERY, (True, 13)),
+                 id="band_power band=(True, 13)"),
+    pytest.param(lambda: bandpass(_RECORDING.data, True, 13, 250),
+                 id="bandpass lo_hz=True"),
+    pytest.param(lambda: epoch_recording(_RECORDING, "imagery",
+                                         (float("nan"), 500)),
+                 id="window_ms=(nan, 500)"),
+    *(pytest.param(lambda fs=fs: EpochSet(np.zeros(2), np.zeros((2, 1, 500)),
+                                          fs, 0.0), id=f"EpochSet fs={fs}")
+      for fs in (0, 250.5, True)),
 ])
 def test_library_calls_refuse_what_the_config_refuses(call):
     # these were accepted (lr 1, fs 250.5, coupling 1, csp_m 0 and -3 fitted
-    # with m = 1, seed 2.7 acted as seed 2) or ended in a TypeError or an
-    # OverflowError
+    # with m = 1, seed 2.7 acted as seed 2, a threshold of NaN, 1.5 or True
+    # kept no edge and -1 every pair, k_channels True ran k = 1, a NaN
+    # carrier synthesized NaN samples, an EpochSet of fs True cut 2-sample
+    # windows) or ended in a TypeError, an OverflowError, a bare ValueError
+    # (window NaN) or numpy's reshape ValueError (EpochSet fs 0)
     with pytest.raises(RangeError, match=" must be "):
         call()
+
+
+def test_csp_lda_refuses_one_channel_and_the_cnn_fits_it():
+    # at one channel both CSP filters were one eigenvector: the features were
+    # constant and the LDA's pooled covariance singular (LinAlgError)
+    ep = _noise_epochs(4, np.arange(16) % 4)
+
+    def run(method):
+        return cross_validate(ep, method, k_channels=1, folds=2,
+                              train_config=TrainConfig(epochs=1))
+    with pytest.raises(RangeError,
+                       match="^CSP needs at least 2 channels, got 1$"):
+        run("csp_lda")
+    assert run("cnn").k_channels == 1
 
 
 @pytest.mark.parametrize("name", ["synth.channels", "ersp.channel"])

@@ -167,6 +167,19 @@ def test_recording_channel_name_with_a_comma_is_corruption(tmp_path):
         load_recording(path)
 
 
+@pytest.mark.parametrize("fs", [250.5, 0, "250"])
+def test_a_file_whose_fs_is_not_an_integer_is_corruption(tmp_path, fs):
+    # int() made a header fs of 250.5 a recording or epochs of 250 Hz
+    rec, ep = tmp_path / "r.eegb", tmp_path / "e.eegb"
+    write_container(rec, {"fs": fs, "channel_names": ["Cz"], "events": []},
+                    {"data": np.zeros((1, 50), dtype=np.float32)})
+    write_container(ep, {"fs": fs, "t0_ms": 0.0, "labels": [0]},
+                    {"tensor": np.zeros((1, 1, 50), dtype=np.float32)})
+    for load, path in ((load_recording, rec), (load_epochs, ep)):
+        with pytest.raises(CorruptionError, match="fs must be an integer"):
+            load(path)
+
+
 def test_epochs_labels_tensor_mismatch(tmp_path):
     path = tmp_path / "e.eegb"
     header = {"fs": 250, "t0_ms": 0.0, "labels": [0, 1, 2]}

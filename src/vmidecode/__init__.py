@@ -10,6 +10,7 @@ Library layout:
 - csp: CSP + LDA one-vs-rest baseline
 - neural: from-scratch CNN with backprop and sliding-window augmentation
 - harness: cross-validation, channel sweeps, the config-driven pipeline
+- pool: the thread pool of every stage whose rows are independent
 """
 
 __version__ = "0.1.0"

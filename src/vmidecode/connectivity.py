@@ -1,4 +1,5 @@
-"""Trial-averaged phase-locking-value connectivity and channel selection."""
+"""Trial-averaged phase-locking-value connectivity and channel selection;
+phase_factors runs blocks of trials on the shared thread pool."""
 
 from dataclasses import dataclass
 
@@ -8,6 +9,7 @@ from .core import EpochSet, Montage
 from .dsp import analytic_signal
 from .errors import RangeError, ShapeError, check, integer, number
 from .io import write_text
+from .pool import ordered_map, row_blocks
 
 # strong_edges' threshold and select_channels' k
 THRESHOLD_RULE = (lambda v: number(v) and 0 <= v <= 1, "a number in [0, 1]")
@@ -62,10 +64,15 @@ class ChannelRanking:
 
 def phase_factors(epochs: EpochSet) -> np.ndarray:
     """Unit-modulus instantaneous phase factors e^{i phi} per trial/channel."""
-    a = analytic_signal(np.asarray(epochs.tensor, dtype=np.float64))
-    mag = np.abs(a)
-    mag[mag == 0] = 1.0
-    return a / mag
+    z = np.empty(epochs.tensor.shape, np.complex128)
+
+    def fill(trials):
+        a = analytic_signal(epochs.tensor[trials])
+        mag = np.abs(a)
+        mag[mag == 0] = 1.0
+        np.divide(a, mag, out=z[trials])
+    ordered_map(fill, row_blocks(epochs.n_trials))
+    return z
 
 
 def plv_trial_matrices(epochs: EpochSet) -> np.ndarray:

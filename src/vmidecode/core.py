@@ -4,6 +4,7 @@ Amplitudes are microvolts throughout. Recordings are synthesized at 250 Hz
 (SynthSpec.fs); preprocessing keeps that rate and by default decimates a
 faster recording by fs // 250. All types are immutable by convention after
 construction; every operation here is pure given its seed.
+synth_dataset fills its trials, one RNG stream each, on the shared pool.
 """
 
 from dataclasses import dataclass, field
@@ -13,6 +14,7 @@ import numpy as np
 from .errors import (POSITIVE, DegenerateInputError, EmptyInputError,
                      RangeError, ShapeError, check, integer, list_of,
                      nonempty_str, number, pair)
+from .pool import ordered_map
 from .seeding import child_rng
 
 # 64-electrode cap, 10/20 international system, in recording order.
@@ -312,20 +314,20 @@ def synth_dataset(spec: SynthSpec) -> EegRecording:
     t = np.arange(im_len) / fs
 
     data = np.empty((n_ch, trial_len * len(labels)), dtype=np.float32)
-    events = []
     planted_idx = {c: montage.indices(spec.planted_channels[c]) for c in classes}
-    for i, lab in enumerate(labels):
+
+    def fill_trial(i):
         rng = child_rng(spec.seed, "trial", i)
         noise = (_pink_noise(rng, (n_ch, trial_len))
                  + rng.standard_normal((n_ch, trial_len))) / np.sqrt(2.0)
         phi0 = rng.uniform(0.0, 2.0 * np.pi)
-        carrier = 2.0 * np.pi * spec.carrier_hz[lab] * t + phi0
-        for ch in planted_idx[lab]:
+        carrier = 2.0 * np.pi * spec.carrier_hz[labels[i]] * t + phi0
+        for ch in planted_idx[labels[i]]:
             phase = carrier
             if jitter_sd > 0.0:
                 phase = carrier + jitter_sd * rng.standard_normal(im_len)
             noise[ch, im_off:im_off + im_len] += amp * np.sin(phase)
-        start = i * trial_len
-        data[:, start:start + trial_len] = noise.astype(np.float32)
-        events.append((start, int(lab)))
+        data[:, i * trial_len:(i + 1) * trial_len] = noise
+    ordered_map(fill_trial, range(len(labels)))
+    events = [(i * trial_len, int(lab)) for i, lab in enumerate(labels)]
     return EegRecording(montage, fs, data, events)

@@ -5,7 +5,8 @@ The FFT is numpy's (pocketfft) behind an empty-input guard, checked against
 a naive DFT and Parseval; the analytic signal is scipy's Hilbert transform
 behind a length guard. Welch and ERSP share one kernel, the ``rfft`` power
 of Hann-windowed frames. The band-pass runs scipy-designed Butterworth
-biquads forward and backward over a reflect-padded series.
+biquads forward and backward over a reflect-padded series;
+preprocess_recording runs blocks of channels on the shared thread pool.
 """
 
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ import scipy.signal as sps
 from .core import EegRecording, EpochSet, TrialTimeline
 from .errors import EmptyInputError, RangeError, check, integer, pair
 from .io import write_text
+from .pool import ordered_map, row_blocks
 
 # the rules of butter_bandpass_sos', decimation_factor's and ersp's arguments
 BAND_RULE = (lambda v: pair(0)[0](v) and v[0] > 0, "[a, b] with 0 < a < b")
@@ -66,15 +68,19 @@ def bandpass(x, lo_hz: float, hi_hz: float, fs: float):
     the squared response of the underlying cascade and the phase is zero.
     Edges are handled by reflect-padding 3x the filter order.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     n = x.shape[-1]
     if n == 0:
         raise EmptyInputError("bandpass of empty input")
     sos = butter_bandpass_sos(lo_hz, hi_hz, fs)
     p = min(12, n - 1)
-    left = 2 * x[..., :1] - x[..., p:0:-1]
-    right = 2 * x[..., -1:] - x[..., -2:-2 - p:-1]
-    y = sps.sosfilt(sos, np.concatenate([left, x, right], axis=-1), axis=-1)
+    # x[j] is padded[p + j]; each end is reflected through its sample
+    padded = np.empty(x.shape[:-1] + (n + 2 * p,))
+    padded[..., p:p + n] = x
+    padded[..., :p] = 2 * padded[..., p:p + 1] - padded[..., 2 * p:p:-1]
+    padded[..., p + n:] = (2 * padded[..., p + n - 1:p + n]
+                           - padded[..., p + n - 2:n - 2:-1])
+    y = sps.sosfilt(sos, padded, axis=-1)
     y = sps.sosfilt(sos, y[..., ::-1], axis=-1)[..., ::-1]
     return y[..., p:p + n]
 
@@ -119,11 +125,14 @@ def decimation_factor(fs: int, factor) -> int:
 def preprocess_recording(rec: EegRecording, band=(0.5, 13.0),
                          factor: int = None) -> EegRecording:
     """Band-pass every channel and decimate by decimation_factor(rec.fs,
-    factor); event indices are rescaled."""
+    factor) into one float32 array; event indices are rescaled."""
     check("band", band, BAND_RULE)
     factor = decimation_factor(rec.fs, factor)
-    data = bandpass(rec.data, band[0], band[1], rec.fs)
-    data = downsample(data, factor).astype(np.float32)
+    data = np.empty((rec.n_channels, -(-rec.n_samples // factor)), np.float32)
+
+    def filter_rows(rows):
+        data[rows] = downsample(bandpass(rec.data[rows], *band, rec.fs), factor)
+    ordered_map(filter_rows, row_blocks(rec.n_channels))
     events = [(s // factor, l) for s, l in rec.events]
     return EegRecording(rec.montage, rec.fs // factor, data, events)
 
@@ -212,6 +221,9 @@ def ersp(epochs: EpochSet, channel: int, baseline_ms=(-500, 0),
     axis is linearly resampled to exactly 400 points spanning the
     post-onset part of the epoch.
     """
+    n_ch = epochs.n_channels
+    check("channel", channel, (lambda v: integer(0)[0](v) and v < n_ch,
+                               f"an integer in [0, {n_ch})"))
     check("baseline_ms", baseline_ms, ERSP_RULES["baseline_ms"])
     check("f_range", f_range, ERSP_RULES["f_range"])
     fs = epochs.fs

@@ -5,14 +5,11 @@ sliding-window augmentation happens after the fold split, and all windows
 of a trial stay in the fold of their source trial.
 """
 
-import ctypes
 import hashlib
 import inspect
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,6 +25,7 @@ from .errors import (ConfigError, DivergenceError, RangeError,
                      nonempty_str)
 from .neural import (OVERLAP, TRAIN_RULES, WIN_S, CnnClassifier, TrainConfig,
                      predict_trial, save_network, slide_windows)
+from .pool import ordered_map
 from .seeding import SEED_RULE, child_rng
 
 
@@ -224,77 +222,16 @@ def _fit_cell(plan: _CvPlan, task: tuple) -> np.ndarray:
     return predict_trial(scores.reshape(len(test_idx), -1, scores.shape[1]))
 
 
-def _worker_count(n_tasks: int) -> int:
-    """One worker per CPU this process may run on, and no idle ones; one,
-    so every task runs in the calling thread, where os.sched_getaffinity is
-    missing."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(len(os.sched_getaffinity(0)), n_tasks)
-
-
-_BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_",
-                     "scipy_openblas_set_num_threads",
-                     "openblas_set_num_threads64_", "openblas_set_num_threads")
-
-
-@contextmanager
-def _one_blas_thread():
-    """Cap every OpenBLAS loaded in this process at one thread, so pool
-    threads do not oversubscribe the CPUs, and restore each one's previous
-    count on exit; a no-op where none is found."""
-    try:
-        with open("/proc/self/maps") as f:
-            paths = {line.split()[-1] for line in f
-                     if "openblas" in line.lower()}
-    except OSError:
-        paths = set()
-    restore = []
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        name = next((n for n in _BLAS_SET_THREADS if hasattr(lib, n)), None)
-        if name is not None:
-            set_threads = getattr(lib, name)
-            get_threads = getattr(lib, name.replace("set_num", "get_num"))
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            get_threads.restype = ctypes.c_int
-            restore.append((set_threads, get_threads()))
-            set_threads(1)
-    try:
-        yield
-    finally:
-        for set_threads, count in restore:
-            set_threads(count)
-
-
 def _run_cells(plan: _CvPlan, tasks: list) -> list:
-    """_fit_cell(plan, task) for every task, in task order.
-
-    With more than one CPU and cnn task, every task, CSP-LDA ones included,
-    runs on a pool of threads of this process, at most one per cnn task
-    (CLASSIFIERS), while every OpenBLAS is capped at one thread; the fits
-    spend their time in numpy and BLAS calls that release the GIL. Otherwise
-    all run in the calling thread. Tasks are submitted longest first (methods
-    in CLASSIFIERS order, then larger k first) so that no long fit starts
-    last. Results are read in task order, so the error raised is that of the
-    earliest failing task, whichever finished first.
-    """
-    workers = _worker_count(sum(plan.cells[c][0] == "cnn" for _, c in tasks))
-    if workers <= 1:
-        return [_fit_cell(plan, t) for t in tasks]
+    """_fit_cell(plan, task) for every task, in task order, on a pool of at
+    most one thread per cnn task (CLASSIFIERS). Tasks are submitted longest
+    first (methods in CLASSIFIERS order, then larger k first) so that no
+    long fit starts last."""
     rank = {m: i for i, m in enumerate(CLASSIFIERS)}
-    longest_first = sorted(tasks, key=lambda t: (
-        rank[plan.cells[t[1]][0]], -plan.cells[t[1]][1]))
-    with _one_blas_thread(), ThreadPoolExecutor(workers) as pool:
-        futures = {t: pool.submit(_fit_cell, plan, t) for t in longest_first}
-        try:
-            return [futures[t].result() for t in tasks]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    return ordered_map(
+        lambda task: _fit_cell(plan, task), tasks,
+        n_parallel=sum(plan.cells[c][0] == "cnn" for _, c in tasks),
+        key=lambda t: (rank[plan.cells[t[1]][0]], -plan.cells[t[1]][1]))
 
 
 def cross_validate(dataset: EpochSet, method: str, k_channels: int = None,
@@ -312,7 +249,9 @@ def cross_validate(dataset: EpochSet, method: str, k_channels: int = None,
 
 def _grid(dataset: EpochSet, methods, channel_counts) -> list:
     """The (method, k) cells of a sweep, method-major; counts above the
-    montage are dropped."""
+    montage are dropped, once each passes K_RULE."""
+    for k in channel_counts:
+        check("k_channels", k, conn_mod.K_RULE)
     return [(m, k) for m in methods for k in channel_counts
             if k <= dataset.n_channels]
 

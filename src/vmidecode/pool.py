@@ -1,0 +1,80 @@
+"""The thread pool of every stage whose items (trials, channels, blocks of
+rows, CV tasks) are independent; the items spend their time in numpy, scipy
+and OpenBLAS calls that release the GIL."""
+
+import ctypes
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+
+
+def worker_count(n_tasks: int) -> int:
+    """One worker per CPU this process may run on, and no idle ones; one
+    (the calling thread) where os.sched_getaffinity is missing."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_tasks)
+
+
+_BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+@contextmanager
+def one_blas_thread():
+    """Cap every OpenBLAS loaded in this process at one thread, so pool
+    threads do not oversubscribe the CPUs, and restore each one's previous
+    count on exit; a no-op where none is found."""
+    try:
+        with open("/proc/self/maps") as f:
+            paths = {line.split()[-1] for line in f
+                     if "openblas" in line.lower()}
+    except OSError:
+        paths = set()
+    restore = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        name = next((n for n in _BLAS_SET_THREADS if hasattr(lib, n)), None)
+        if name is not None:
+            set_threads = getattr(lib, name)
+            get_threads = getattr(lib, name.replace("set_num", "get_num"))
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.restype = ctypes.c_int
+            restore.append((set_threads, get_threads()))
+            set_threads(1)
+    try:
+        yield
+    finally:
+        for set_threads, count in restore:
+            set_threads(count)
+
+
+def ordered_map(fn, items, n_parallel: int = None, key=None) -> list:
+    """[fn(item) for item in items] on worker_count(n_parallel) threads of
+    this process (n_parallel, the items worth a thread, defaults to all),
+    submitted in key order if given, every OpenBLAS capped at one thread;
+    with one worker, in the calling thread. Results are read in item order,
+    so the error raised is the earliest failing item's, whichever finished
+    first; the items not yet started are dropped. No thread outlives it."""
+    items = list(items)
+    workers = worker_count(len(items) if n_parallel is None else n_parallel)
+    if workers <= 1:
+        return [fn(item) for item in items]
+    order = sorted(range(len(items)), key=key and (lambda i: key(items[i])))
+    with one_blas_thread(), ThreadPoolExecutor(workers) as pool:
+        futures = {i: pool.submit(fn, items[i]) for i in order}
+        try:
+            return [futures[i].result() for i in range(len(items))]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def row_blocks(n_rows: int) -> list:
+    """range(n_rows) as one contiguous slice per worker, at least one."""
+    k = max(1, worker_count(n_rows))
+    return [slice(i * n_rows // k, (i + 1) * n_rows // k) for i in range(k)]

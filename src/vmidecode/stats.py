@@ -4,7 +4,8 @@ The permutation scheme is sign flipping of pair differences (the standard
 exchangeability argument for paired designs). Small designs with
 2^n <= n_perm are enumerated exhaustively; otherwise Monte Carlo flips are
 drawn and the add-one estimator p = (1 + B) / (1 + n_perm) keeps p-values
-valid (never zero).
+valid (never zero). band_power (blocks of trials) and stat_map (one test
+per channel) run on the shared thread pool.
 """
 
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ from .dsp import _welch_batch
 from .errors import (DegenerateInputError, RangeError, ShapeError, check,
                      integer, number, pair)
 from .io import write_text
+from .pool import ordered_map, row_blocks
 from .seeding import child_rng
 
 N_PERM = 10000  # permutation_test's and stat_map's draw count
@@ -36,14 +38,18 @@ def band_power(epochs: EpochSet, band_hz) -> np.ndarray:
     fs = epochs.fs
     if hi > fs / 2.0:
         raise RangeError(f"band ({lo}, {hi}) outside [0, {fs / 2}]")
-    x = np.asarray(epochs.tensor, dtype=np.float64)
-    freqs, pxx = _welch_batch(x, fs)
-    df = freqs[1] - freqs[0]
-    mask = (freqs >= lo) & (freqs < hi)
-    if not mask.any():
-        raise RangeError(f"band [{lo}, {hi}) Hz holds no Welch bin; the bins "
-                         f"are {df:g} Hz apart")
-    return pxx[..., mask].sum(axis=-1) * df
+
+    def block_power(trials):
+        x = np.asarray(epochs.tensor[trials], dtype=np.float64)
+        freqs, pxx = _welch_batch(x, fs)
+        df = freqs[1] - freqs[0]
+        mask = (freqs >= lo) & (freqs < hi)
+        if not mask.any():
+            raise RangeError(f"band [{lo}, {hi}) Hz holds no Welch bin; the "
+                             f"bins are {df:g} Hz apart")
+        return pxx[..., mask].sum(axis=-1) * df
+    return np.concatenate(ordered_map(block_power,
+                                      row_blocks(epochs.n_trials)))
 
 
 def _finite_pair(a, b, what: str):
@@ -147,9 +153,12 @@ def stat_map(imagery: EpochSet, rest: EpochSet, band=(0.5, 13.0),
         raise ShapeError("imagery and rest must share channels")
     bp_i = band_power(imagery, band)
     bp_r = band_power(rest, band)
-    channels = range(imagery.n_channels)
-    t_values = np.array([paired_t(bp_i[:, ch], bp_r[:, ch]) for ch in channels])
-    p_values = np.array([permutation_test(
-        bp_i[:, ch], bp_r[:, ch], n_perm=n_perm,
-        rng=child_rng(seed, "statmap", ch)) for ch in channels])
+
+    def test(ch):
+        a, b = _finite_pair(bp_i[:, ch], bp_r[:, ch], "stat_map channel "
+                            f"{imagery.montage.channel_names[ch]}")
+        return paired_t(a, b), permutation_test(
+            a, b, n_perm=n_perm, rng=child_rng(seed, "statmap", ch))
+    t_values, p_values = map(np.array, zip(
+        *ordered_map(test, range(imagery.n_channels))))
     return StatMap(t_values, p_values, alpha=alpha, montage=imagery.montage)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vmidecode import harness
+from vmidecode import pool
 from vmidecode.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -274,7 +274,7 @@ def test_divergence_exits_4_with_one_line(tmp_path, capsys):
 def test_divergence_in_two_workers_names_the_earliest_cell(tmp_path, capsys,
                                                           monkeypatch):
     # the k = 4 fits start first; fold 0 at k = 2 still comes first in order
-    monkeypatch.setattr(harness, "_worker_count",
+    monkeypatch.setattr(pool, "worker_count",
                         lambda n_tasks: min(2, n_tasks))
     cfg = tmp_path / "c.json"
     tiny = json.loads(TINY.read_text())

@@ -192,6 +192,30 @@ def test_bandpass_preserves_length_and_validates_band():
         bandpass(np.zeros(0), 0.5, 13.0, 250.0)
 
 
+def _bandpass_by_concatenation(x, lo, hi, fs):
+    """The band-pass as it was written before it filled one padded array."""
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[-1]
+    sos = butter_bandpass_sos(lo, hi, fs)
+    p = min(12, n - 1)
+    left = 2 * x[..., :1] - x[..., p:0:-1]
+    right = 2 * x[..., -1:] - x[..., -2:-2 - p:-1]
+    y = sps.sosfilt(sos, np.concatenate([left, x, right], axis=-1), axis=-1)
+    y = sps.sosfilt(sos, y[..., ::-1], axis=-1)[..., ::-1]
+    return y[..., p:p + n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 13, 14, 15, 500])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64])
+def test_bandpass_pads_bit_for_bit_as_by_concatenation(n, dtype):
+    # n <= 13 pads n - 1 samples per end, longer series 12
+    x = (np.random.default_rng(n).standard_normal((3, 2, n)) * 50).astype(dtype)
+    want = _bandpass_by_concatenation(x, 1.0, 10.0, 100.0)
+    got = bandpass(x, 1.0, 10.0, 100.0)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Downsampling
 
@@ -363,6 +387,16 @@ def test_ersp_requires_baseline():
     ep = EpochSet(ep.labels, ep.tensor, ep.fs, 0.0)  # claims to start at onset
     with pytest.raises(RangeError):
         ersp(ep, 0, baseline_ms=(-500.0, 0.0))
+
+
+@pytest.mark.parametrize("channel", [2, 5, -1, 1.0, True, None])
+def test_ersp_refuses_a_channel_outside_the_epochs(channel):
+    # 5 and 1.0 ended in numpy IndexErrors, -1 mapped the last channel
+    ep = _burst_epochs(n_trials=4)
+    ep = EpochSet(ep.labels, np.repeat(ep.tensor, 2, axis=1), ep.fs, ep.t0_ms)
+    with pytest.raises(RangeError, match=rf"^channel must be an integer in "
+                                         rf"\[0, 2\), got {channel!r}$"):
+        ersp(ep, channel)
 
 
 def test_tfmap_csv(tmp_path):

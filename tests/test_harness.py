@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vmidecode import harness
+from vmidecode import harness, pool
 from vmidecode import (CnnClassifier, ConnectivityMatrix, CspLdaClassifier,
                        EegRecording, EpochSet, EvalEntry, EvalReport, Montage,
                        TrainConfig, band_power, bandpass, cross_validate,
@@ -440,7 +440,7 @@ def test_cross_validate_refuses_fewer_than_2_folds(folds, method):
 # CV tasks on a thread pool
 
 def _force_workers(monkeypatch, workers):
-    monkeypatch.setattr(harness, "_worker_count",
+    monkeypatch.setattr(pool, "worker_count",
                         lambda n_tasks: min(workers, n_tasks))
 
 
@@ -521,7 +521,12 @@ def _no_pool(*args, **kwargs):
 def test_csp_only_sweep_and_pipeline_start_no_process(small_imagery,
                                                       monkeypatch, tmp_path):
     _force_workers(monkeypatch, 2)
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", _no_pool)
+
+    def sweep_map(*args, **kwargs):  # the sweep's pool only: stages pool too
+        with monkeypatch.context() as m:
+            m.setattr(pool, "ThreadPoolExecutor", _no_pool)
+            return pool.ordered_map(*args, **kwargs)
+    monkeypatch.setattr(harness, "ordered_map", sweep_map)
     report = sweep(small_imagery, methods=("csp_lda",), channel_counts=(2, 8),
                    folds=2, seeds=(0, 1))
     assert all(len(e.fold_accuracies) == 4 for e in report.entries)
@@ -542,7 +547,7 @@ def _blas_thread_counts():
     libs = []
     for path in paths:
         lib = ctypes.CDLL(path)
-        name = next(n for n in harness._BLAS_SET_THREADS if hasattr(lib, n))
+        name = next(n for n in pool._BLAS_SET_THREADS if hasattr(lib, n))
         get = getattr(lib, name.replace("set_num", "get_num"))
         get.restype = ctypes.c_int
         libs.append((get, getattr(lib, name)))
@@ -557,7 +562,7 @@ def test_worker_blas_is_capped_at_one_thread():
     try:
         for _, set_threads in libs:
             set_threads(2)
-        with harness._one_blas_thread():
+        with pool.one_blas_thread():
             assert [get() for get, _ in libs] == [1] * len(libs)
         assert [get() for get, _ in libs] == [2] * len(libs)
     finally:
@@ -567,8 +572,17 @@ def test_worker_blas_is_capped_at_one_thread():
 
 def test_worker_count_follows_the_affinity_mask():
     cpus = len(os.sched_getaffinity(0))
-    assert harness._worker_count(1) == 1
-    assert harness._worker_count(10_000) == cpus
+    assert pool.worker_count(1) == 1
+    assert pool.worker_count(10_000) == cpus
+
+
+@pytest.mark.parametrize("count", ["x", 0, 2.0, None])
+def test_sweep_checks_every_channel_count_before_the_montage_size(count):
+    # "x" ended in a TypeError from comparing it with the montage size
+    ep = _variance_epochs(n_per_class=4, n_ch=4)
+    with pytest.raises(RangeError, match=rf"^k_channels must be an integer "
+                                         rf">= 1, got {count!r}$"):
+        sweep(ep, methods=("csp_lda",), channel_counts=(2, count), folds=2)
 
 
 def test_load_config_bad_json(tmp_path):

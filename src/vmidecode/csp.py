@@ -113,10 +113,15 @@ def csp_features(model: CspModel, epochs: EpochSet) -> np.ndarray:
     Per trial: var_f of each filtered signal, normalized by the sum over
     retained filters, then log. Invariant to overall epoch scaling.
     """
-    if epochs.n_channels != model.n_channels:
+    return _features(model, np.asarray(epochs.tensor, dtype=np.float64))
+
+
+def _features(model: CspModel, x: np.ndarray) -> np.ndarray:
+    """csp_features of a float64 (trials, channels, samples) tensor."""
+    if x.shape[1] != model.n_channels:
         raise ShapeError(f"model expects {model.n_channels} channels, got "
-                         f"{epochs.n_channels}")
-    v = (model.filters @ np.asarray(epochs.tensor, dtype=np.float64)).var(axis=2)
+                         f"{x.shape[1]}")
+    v = (model.filters @ x).var(axis=2)
     # a trial whose variances are all positive has a positive total
     bad = (v <= 0).any(axis=1)
     if bad.any():
@@ -174,28 +179,28 @@ class CspLdaClassifier:
 
     def fit(self, windows: EpochSet) -> "CspLdaClassifier":
         """csp_fit of each class against the rest, then LDA on its features;
-        each window's normalized covariance is computed once."""
+        each window's float64 copy and normalized covariance are made once."""
         self.classes_, counts = np.unique(windows.labels, return_counts=True)
         self.models_ = []
         # the smallest "rest" is the complement of the largest class
         if counts.min() < 2 or windows.n_trials - counts.max() < 2:
             raise RangeError(_TOO_FEW)
-        covs = _normalized_covs(np.asarray(windows.tensor, dtype=np.float64))
+        x = np.asarray(windows.tensor, dtype=np.float64)
+        covs = _normalized_covs(x)
         for c in self.classes_:
             is_c = windows.labels == c
             csp = _csp_model(_mean_cov(covs[is_c]), _mean_cov(covs[~is_c]),
                              self.m)
-            feats = csp_features(csp, windows)
-            lda = lda_fit(feats, is_c.astype(np.int64))
+            lda = lda_fit(_features(csp, x), is_c.astype(np.int64))
             self.models_.append((csp, lda))
         return self
 
     def predict_scores(self, windows: EpochSet) -> np.ndarray:
         """OVR margin per class for every window, windows x classes."""
+        x = np.asarray(windows.tensor, dtype=np.float64)
         scores = np.empty((windows.n_trials, self.classes_.size))
         for k, (csp, lda) in enumerate(self.models_):
-            feats = csp_features(csp, windows)
-            s = lda_scores(lda, feats)
+            s = lda_scores(lda, _features(csp, x))
             # each binary LDA is fitted on labels 0 (rest) and 1 (class k)
             scores[:, k] = s[:, 1] - s[:, 0]
         return scores

@@ -8,11 +8,13 @@ by a banded Toeplitz matrix of its weights and computes no input gradient;
 the later convs multiply the stacked im2col matrices by the weights. Only a
 train-mode forward keeps what the backward pass needs (the first conv's row
 blocks, the later convs' im2col matrices, centred batch-norm input, ELU
-output, dropout masks); eval mode keeps nothing. The architecture is a
-temporal convolution, a spatial convolution collapsing the channel axis,
-and two further conv + average-pool stages, ending in a softmax with one
-output per class. All stochasticity (init, dropout masks, shuffling)
-derives from a single seed.
+output, dropout masks). Arrays of BUFFER_MIN_BYTES or more go into buffers
+the layer keeps; an output is valid until its layer's next call. Backward
+may overwrite the layer's saved arrays and incoming gradient, never its
+forward input. The architecture is a temporal convolution, a spatial
+convolution collapsing the channel axis, and two further conv + average-pool
+stages, ending in a softmax with one output per class. All stochasticity
+(init, dropout masks, shuffling) derives from a single seed.
 """
 
 import functools
@@ -33,6 +35,7 @@ OVERLAP = 0.5
 MIN_DELTA = 1e-4
 # output positions per row block of the first conv: 376 = 4 x 94
 BLOCK = 94
+BUFFER_MIN_BYTES = 32 << 20  # glibc maps allocations this large afresh
 # TrainConfig's value rules
 TRAIN_RULES = {"lr": POSITIVE,
                "batch_size": integer(1), "epochs": integer(1),
@@ -141,6 +144,17 @@ def build_model(n_channels: int, input_samples: int = 500,
 class _Layer:
     params = ()
 
+    def _scratch(self, name, shape, dtype):
+        """The start of the layer's buffer `name` as a C-contiguous array; the
+        buffer grows for a large request, a small one gets a fresh array."""
+        n = int(np.prod(shape))
+        buf = vars(self).setdefault("_buffers", {}).get(name)
+        if buf is None or buf.size < n or buf.dtype != dtype:
+            if n * np.dtype(dtype).itemsize < BUFFER_MIN_BYTES:
+                return np.empty(shape, dtype)
+            buf = self._buffers[name] = np.empty(n, dtype)
+        return buf[:n].reshape(shape)
+
     def forward(self, x, train):
         raise NotImplementedError
 
@@ -191,8 +205,9 @@ class Conv(_Layer):
             axis=0).reshape(self.w.shape)
         self._cols = None
         # column gradients (B, maps_in, kh, kw, ho, wo), added back tap by tap
-        dcols = np.matmul(self.w.reshape(mo, -1).T, g).reshape(
-            b, mi, kh, kw, ho, wo)
+        dcols = self._scratch("dcols", (b, mi, kh, kw, ho, wo), g.dtype)
+        np.matmul(self.w.reshape(mo, -1).T, g,
+                  out=dcols.reshape(b, -1, ho * wo))
         if (kh == 1 or ho == 1) and (kw == 1 or wo == 1):
             # the taps tile the input without overlap (the spatial conv):
             # each input gradient is one column gradient
@@ -208,6 +223,18 @@ def _pad_tail(a, n):
     """a with its last axis zero-padded to length n."""
     pad = n - a.shape[-1]
     return a if pad == 0 else np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, pad)])
+
+
+def _block_pairs(product, rows):
+    """(blocks, positions) views, (B, maps, H, blocks, length), that tile rows
+    (B, maps, H, wo) with a first-conv product: whole blocks, then the rest."""
+    b, mo, h, wo = rows.shape
+    nb, tail = divmod(wo, BLOCK)
+    grouped = product.reshape(b, h, -1, mo, BLOCK).transpose(0, 3, 1, 2, 4)
+    return [(grouped[:, :, :, :nb],
+             rows[..., :nb * BLOCK].reshape(b, mo, h, nb, BLOCK)),
+            (grouped[:, :, :, -1:, :tail],
+             rows[..., nb * BLOCK:].reshape(b, mo, h, 1, tail))]
 
 
 def _band(kw):
@@ -247,22 +274,24 @@ class TemporalConv(Conv):
         toeplitz = np.zeros((BLOCK + kw - 1, mo, BLOCK), dtype=self.w.dtype)
         toeplitz[_band(kw)] = self.w.reshape(mo, kw).T
         # rows (window, electrode, block), columns (map, position)
-        out = (blocks @ toeplitz.reshape(BLOCK + kw - 1, -1)).reshape(
-            b, h, nb, mo, BLOCK).transpose(0, 3, 1, 2, 4).reshape(
-            b, mo, h, nb * BLOCK)
-        out = np.ascontiguousarray(out[..., :wo])
-        out += self.b[:, None, None]
+        product = self._scratch("product", (b * h * nb, mo * BLOCK), x.dtype)
+        np.matmul(blocks, toeplitz.reshape(BLOCK + kw - 1, -1), out=product)
+        out = self._scratch("out", (b, mo, h, wo), product.dtype)
+        for block, positions in _block_pairs(product, out):
+            np.add(block, self.b[:, None, None, None], out=positions)
         self._blocks = blocks if train else None
         return out
 
     def backward(self, grad):
         mo, _, _, kw = self.w.shape
         b, _, h, wo = grad.shape
-        nb = -(-wo // BLOCK)
         self.db = grad.reshape(b, mo, h * wo).sum(axis=(0, 2))
-        # the gradient regrouped like the forward product; zero past wo
-        g = _pad_tail(grad, nb * BLOCK).reshape(b, mo, h, nb, BLOCK).transpose(
-            0, 2, 3, 1, 4).reshape(b * h * nb, mo * BLOCK)
+        # the gradient regrouped like the product, in its buffer; 0 past wo
+        g = self._scratch("product", (len(self._blocks), mo * BLOCK),
+                          grad.dtype)
+        for block, positions in _block_pairs(g, grad):
+            block[...] = positions
+        g.reshape(b, h, -1, mo, BLOCK)[:, :, -1, :, wo % BLOCK or BLOCK:] = 0
         band = (self._blocks.T @ g).reshape(BLOCK + kw - 1, mo, BLOCK)
         self.dw = band[_band(kw)].sum(axis=0).T.reshape(self.w.shape)
         self._blocks = None
@@ -300,8 +329,8 @@ def _per_map(v):
 class BatchNorm(_Layer):
     """Batch normalisation over (batch, height, width) per map.
 
-    Train mode keeps the centred input and the inverse deviation for the
-    backward pass; eval mode uses the running statistics and keeps nothing.
+    Train mode keeps the centred input (backward's gradient buffer) and the
+    inverse deviation; eval mode uses the running statistics, keeps neither.
     """
 
     def __init__(self, n_maps, dtype):
@@ -317,19 +346,20 @@ class BatchNorm(_Layer):
         if train:
             n = x.size // x.shape[1]
             mean = np.einsum("bmhw->m", x) / n
-            xc = x - _per_map(mean)
+            xc = np.subtract(x, _per_map(mean),
+                             out=self._scratch("xc", x.shape, x.dtype))
             var = np.einsum("bmhw,bmhw->m", xc, xc) / n
             self.running_mean = ((1 - self.momentum) * self.running_mean
                                  + self.momentum * mean)
             self.running_var = ((1 - self.momentum) * self.running_var
                                 + self.momentum * var)
         else:
-            xc = x - _per_map(self.running_mean)
+            xc = np.subtract(x, _per_map(self.running_mean),
+                             out=self._scratch("y", x.shape, x.dtype))
             var = self.running_var
         ivar = 1.0 / np.sqrt(var + self.eps)
-        # eval mode keeps no xc, so it is scaled in place
-        y = np.multiply(xc, _per_map(self.gamma * ivar),
-                        out=None if train else xc)
+        y = self._scratch("y", x.shape, x.dtype) if train else xc
+        np.multiply(xc, _per_map(self.gamma * ivar), out=y)
         y += _per_map(self.beta)
         self._xc, self._ivar = (xc, ivar) if train else (None, None)
         return y
@@ -341,7 +371,7 @@ class BatchNorm(_Layer):
         gxc = np.einsum("bmhw,bmhw->m", grad, xc)
         self.dgamma = gxc * ivar
         # dx = gamma ivar (g - mean(g) - xhat mean(g xhat)), xhat = xc ivar
-        dx = xc * _per_map(ivar * ivar * gxc / n)
+        dx = np.multiply(xc, _per_map(ivar * ivar * gxc / n), out=xc)
         dx += _per_map(self.dbeta / n)
         np.subtract(grad, dx, out=dx)
         dx *= _per_map(self.gamma * ivar)
@@ -352,15 +382,15 @@ class BatchNorm(_Layer):
 class Elu(_Layer):
     def forward(self, x, train):
         # expm1(min(x, 0)) >= x wherever x <= 0, so the max picks ELU's branch
-        y = np.minimum(x, 0)
+        y = np.minimum(x, 0, out=self._scratch("y", x.shape, x.dtype))
         np.expm1(y, out=y)
         np.maximum(x, y, out=y)
         self._y = y if train else None
         return y
 
     def backward(self, grad):
-        # dELU/dx = 1 for y > 0, exp(x) = y + 1 otherwise
-        d = np.minimum(self._y, 0)
+        # dELU/dx = 1 for y > 0, exp(x) = y + 1 otherwise; computed in y
+        d = np.minimum(self._y, 0, out=self._y)
         d += 1
         d *= grad
         self._y = None
@@ -372,7 +402,7 @@ class Dropout(_Layer):
 
     Call c draws ``rng_factory(c).random(x.shape) >= rate`` (float64
     uniforms, drawn in chunks; the stream is the same as one draw) and keeps
-    only the boolean mask.
+    only the boolean mask. Backward scales the incoming gradient in place.
     """
 
     CHUNK = 1 << 16
@@ -388,24 +418,23 @@ class Dropout(_Layer):
             return x
         rng = self._rng_factory(self._calls)
         self._calls += 1
-        keep = np.empty(x.size, dtype=bool)
+        keep = self._scratch("keep", (x.size,), bool)
         for s in range(0, x.size, self.CHUNK):
             u = rng.random(min(self.CHUNK, x.size - s))
             np.greater_equal(u, self.rate, out=keep[s:s + u.size])
         self._keep = keep.reshape(x.shape)
-        return self._scaled(x)
+        return self._scaled(x, self._scratch("y", x.shape, x.dtype))
 
     def backward(self, grad):
-        if self._keep is None:
-            return grad
-        out = self._scaled(grad)
-        self._keep = None
-        return out
+        if self._keep is not None:
+            self._scaled(grad, grad)
+            self._keep = None
+        return grad
 
-    def _scaled(self, x):
-        y = x * x.dtype.type(1.0 / (1.0 - self.rate))
-        y *= self._keep
-        return y
+    def _scaled(self, x, out):
+        np.multiply(x, x.dtype.type(1.0 / (1.0 - self.rate)), out=out)
+        out *= self._keep
+        return out
 
 
 class Flatten(_Layer):
@@ -606,10 +635,11 @@ def train(net: Network, windows: EpochSet, config: TrainConfig):
 
 
 def predict_proba(net: Network, tensor: np.ndarray) -> np.ndarray:
-    """Eval-mode class probabilities for windows shaped (n, channels, samples)."""
+    """Eval-mode class probabilities for windows shaped (n, channels, samples),
+    in near-equal chunks of at most one default batch, to reuse its buffers."""
     x = np.asarray(tensor, dtype=net.dtype)[:, None, :, :]
-    return np.concatenate([net.forward(x[start:start + 64], train=False)
-                           for start in range(0, x.shape[0], 64)], axis=0)
+    chunks = np.array_split(x, -(-x.shape[0] // TrainConfig.batch_size))
+    return np.concatenate([net.forward(c, train=False) for c in chunks])
 
 
 def predict_trial(window_probs: np.ndarray):

@@ -3,6 +3,7 @@ rows, CV tasks) are independent; the items spend their time in numpy, scipy
 and OpenBLAS calls that release the GIL."""
 
 import ctypes
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -21,18 +22,17 @@ _BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_",
                      "openblas_set_num_threads64_", "openblas_set_num_threads")
 
 
-@contextmanager
-def one_blas_thread():
-    """Cap every OpenBLAS loaded in this process at one thread, so pool
-    threads do not oversubscribe the CPUs, and restore each one's previous
-    count on exit; a no-op where none is found."""
+@functools.cache
+def _blas_controls() -> tuple:
+    """(set, get) thread-count functions of each OpenBLAS in this process,
+    listed once: `import vmidecode` loads numpy's and scipy's before a pool."""
     try:
         with open("/proc/self/maps") as f:
             paths = {line.split()[-1] for line in f
                      if "openblas" in line.lower()}
     except OSError:
         paths = set()
-    restore = []
+    controls = []
     for path in sorted(paths):
         try:
             lib = ctypes.CDLL(path)
@@ -44,8 +44,18 @@ def one_blas_thread():
             get_threads = getattr(lib, name.replace("set_num", "get_num"))
             set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
             get_threads.restype = ctypes.c_int
-            restore.append((set_threads, get_threads()))
-            set_threads(1)
+            controls.append((set_threads, get_threads))
+    return tuple(controls)
+
+
+@contextmanager
+def one_blas_thread():
+    """Cap every OpenBLAS loaded in this process at one thread, so pool
+    threads do not oversubscribe the CPUs, and restore each one's previous
+    count on exit; a no-op where none is found."""
+    restore = [(set_threads, get()) for set_threads, get in _blas_controls()]
+    for set_threads, _ in restore:
+        set_threads(1)
     try:
         yield
     finally:

@@ -342,21 +342,102 @@ def test_first_conv_returns_no_input_gradient():
     assert conv0.dw.shape == conv0.w.shape
 
 
-def test_eval_forward_keeps_no_training_caches():
+def _buffer_sizes(net):
+    return {(i, name): buf.size for i, layer in enumerate(net.layers)
+            for name, buf in vars(layer).get("_buffers", {}).items()}
+
+
+def test_eval_forward_keeps_no_training_caches(monkeypatch):
+    # the layers keep their buffers across calls by design; what must not
+    # outlive an eval forward is any array a backward pass would read
+    monkeypatch.setattr(neural, "BUFFER_MIN_BYTES", 0)
     net = Network(reduced_model_spec(dropout=0.5), seed=0)
-    x = np.random.default_rng(11).standard_normal((5, 1, 2, 40))
+    x = np.random.default_rng(11).standard_normal((16, 1, 2, 40))
+    caches = ("_xc", "_ivar", "_y", "_keep", "_cols", "_blocks", "_x")
 
     def held(layer):
-        kept = set(layer.params) | {"running_mean", "running_var", "probs"}
-        return {name for name, v in vars(layer).items()
-                if name not in kept and isinstance(v, (np.ndarray, list))}
+        return {name for name in caches
+                if getattr(layer, name, None) is not None}
 
     net.forward(x, train=True)
     cached = {i for i, layer in enumerate(net.layers) if held(layer)}
     kinds = {ls.kind for i, ls in enumerate(net.spec.layers) if i in cached}
     assert {"conv", "batchnorm", "activation", "dropout", "dense"} <= kinds
-    net.forward(x, train=False)
-    assert all(not held(layer) for layer in net.layers)
+    net.backward(np.arange(16) % 4)
+    sizes = _buffer_sizes(net)
+    assert sizes
+    for n in (16, 5):
+        # an eval chunk of at most one training batch reuses its buffers
+        net.forward(x[:n], train=False)
+        assert all(not held(layer) for layer in net.layers)
+        assert _buffer_sizes(net) == sizes
+
+
+def test_arrays_below_the_buffer_size_get_no_buffer():
+    # malloc recycles them still in cache, where a buffer per layer would not
+    net = Network(build_model(8, input_samples=500), seed=0)
+    net.forward(np.zeros((16, 1, 8, 500), np.float32), train=True)
+    net.backward(np.arange(16) % 4)
+    assert not _buffer_sizes(net)
+
+
+@pytest.mark.parametrize("spec", [reduced_model_spec(dropout=0.5),
+                                  build_model(2, input_samples=500)])
+def test_a_step_does_not_depend_on_what_its_buffers_held(spec, monkeypatch):
+    # net 1's second step reuses buffers a 16-window step filled, net 2's
+    # grows them from a 7-window step; dropout masks follow the call count
+    # and train mode reads no running statistic, so both steps must agree
+    monkeypatch.setattr(neural, "BUFFER_MIN_BYTES", 0)
+    rng = np.random.default_rng(21)
+    shape = (1, spec.n_channels, spec.input_samples)
+    x16, x7, batch = (rng.standard_normal((n,) + shape).astype(np.float32)
+                      for n in (16, 7, 16))
+    labels = np.arange(16) % 4
+    results = []
+    for first in (x16, x7):
+        net = Network(spec, seed=3)
+        net.forward(first, train=True)
+        net.backward(labels[:len(first)])
+        out = net.forward(batch, train=True).copy()
+        net.backward(labels)
+        results.append([out] + [getattr(layer, "d" + name)
+                                for layer, name in net.parameters()])
+    for a, b in zip(*results):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_a_repeated_train_step_allocates_no_activation_afresh():
+    # at k = 64 a first-block array (38.5 MB) is above BUFFER_MIN_BYTES
+    import tracemalloc
+    net = Network(build_model(64, input_samples=500), seed=0)
+    x = np.random.default_rng(22).standard_normal(
+        (16, 1, 64, 500)).astype(np.float32)
+    labels = np.arange(16) % 4
+    activation = x.itemsize * 16 * 25 * 64 * 376
+    assert activation >= neural.BUFFER_MIN_BYTES
+    net.forward(x, train=True)
+    net.backward(labels)
+    tracemalloc.start()
+    try:
+        net.forward(x, train=True)
+        net.backward(labels)
+        # the most memory allocated in the step and live at one time
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < activation
+
+
+@pytest.mark.parametrize("n", [2, 15, 16, 17, 33, 48, 65])
+def test_predict_proba_chunks_give_the_bytes_of_one_batch(n):
+    # like the Toeplitz product, this pins the BLAS build: with OpenBLAS a
+    # window's scores are the same in any batch of two or more windows
+    net = Network(build_model(4, input_samples=500), seed=2)
+    rng = np.random.default_rng(n)
+    net.forward(rng.standard_normal((16, 1, 4, 500)), train=True)
+    x = rng.standard_normal((n, 4, 500)).astype(np.float32)
+    np.testing.assert_array_equal(predict_proba(net, x),
+                                  net.forward(x[:, None], train=False))
 
 
 # ---------------------------------------------------------------------------

@@ -105,3 +105,18 @@ def test_row_blocks_cover_every_row_once_in_order(n_rows, workers,
     blocks = pool.row_blocks(n_rows)
     assert len(blocks) == max(1, min(workers, n_rows))
     assert [r for b in blocks for r in range(n_rows)[b]] == list(range(n_rows))
+
+
+def test_blas_controls_are_listed_once(monkeypatch):
+    reads = []
+
+    def counting_open(path, *args, **kwargs):
+        reads.append(path)
+        return open(path, *args, **kwargs)
+
+    pool._blas_controls.cache_clear()
+    monkeypatch.setattr(pool, "open", counting_open, raising=False)
+    for _ in range(2):
+        with pool.one_blas_thread():
+            pass
+    assert reads == ["/proc/self/maps"]

@@ -1,5 +1,6 @@
 """Trial-averaged phase-locking-value connectivity and channel selection;
-phase_factors runs blocks of trials on the shared thread pool."""
+phase factors and per-trial PLV matrices are formed in byte-bounded blocks
+of trials on the shared thread pool, never for all trials at once."""
 
 from dataclasses import dataclass
 
@@ -62,17 +63,23 @@ class ChannelRanking:
         write_text(path, "\n".join(rows) + "\n")
 
 
-def phase_factors(epochs: EpochSet) -> np.ndarray:
-    """Unit-modulus instantaneous phase factors e^{i phi} per trial/channel."""
-    z = np.empty(epochs.tensor.shape, np.complex128)
-
+def _trial_blocks(epochs: EpochSet, out: np.ndarray, fn) -> np.ndarray:
+    """out[trials] = fn(the phase factors of trials), block by block."""
     def fill(trials):
         a = analytic_signal(epochs.tensor[trials])
         mag = np.abs(a)
         mag[mag == 0] = 1.0
-        np.divide(a, mag, out=z[trials])
-    ordered_map(fill, row_blocks(epochs.n_trials))
-    return z
+        out[trials] = fn(np.divide(a, mag, out=a))
+    # a trial's phase factors are complex128
+    ordered_map(fill, row_blocks(epochs.n_trials,
+                                 16 * epochs.n_channels * epochs.n_samples))
+    return out
+
+
+def phase_factors(epochs: EpochSet) -> np.ndarray:
+    """Unit-modulus instantaneous phase factors e^{i phi} per trial/channel."""
+    return _trial_blocks(epochs, np.empty(epochs.tensor.shape, np.complex128),
+                         lambda z: z)
 
 
 def plv_trial_matrices(epochs: EpochSet) -> np.ndarray:
@@ -80,8 +87,9 @@ def plv_trial_matrices(epochs: EpochSet) -> np.ndarray:
 
     PLV(i, j) = |mean_t e^{i (phi_i(t) - phi_j(t))}| within each trial.
     """
-    z = phase_factors(epochs)
-    return np.abs(z @ z.conj().swapaxes(-1, -2) / epochs.n_samples)
+    return _trial_blocks(
+        epochs, np.empty(epochs.tensor.shape[:2] + (epochs.n_channels,)),
+        lambda z: np.abs(z @ z.conj().swapaxes(-1, -2) / epochs.n_samples))
 
 
 def _mean_plv(trial_plv: np.ndarray, montage: Montage) -> ConnectivityMatrix:

@@ -6,7 +6,8 @@ a naive DFT and Parseval; the analytic signal is scipy's Hilbert transform
 behind a length guard. Welch and ERSP share one kernel, the ``rfft`` power
 of Hann-windowed frames. The band-pass runs scipy-designed Butterworth
 biquads forward and backward over a reflect-padded series;
-preprocess_recording runs blocks of channels on the shared thread pool.
+preprocess_recording runs byte-bounded blocks of channels on the shared
+thread pool.
 """
 
 from dataclasses import dataclass
@@ -132,7 +133,7 @@ def preprocess_recording(rec: EegRecording, band=(0.5, 13.0),
 
     def filter_rows(rows):
         data[rows] = downsample(bandpass(rec.data[rows], *band, rec.fs), factor)
-    ordered_map(filter_rows, row_blocks(rec.n_channels))
+    ordered_map(filter_rows, row_blocks(rec.n_channels, 8 * rec.n_samples))
     events = [(s // factor, l) for s, l in rec.events]
     return EegRecording(rec.montage, rec.fs // factor, data, events)
 

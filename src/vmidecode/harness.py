@@ -568,12 +568,14 @@ def run_pipeline(cfg: dict, out_dir) -> list:
            else synth_stage(cfg, emit))
     rec = preprocess_stage(cfg, rec, emit)
     imagery, rest = epoch_stage(cfg, rec)
+    del rec  # the epochs are copies: free the recording before the sweep
     io.save_epochs(imagery, emit("imagery_epochs.eegb"))
     io.save_epochs(rest, emit("rest_epochs.eegb"))
     # one PLV pass serves the connect stage and every fold ranking
     trial_plv = conn_mod.plv_trial_matrices(imagery)
     rank_stage(connect_stage(cfg, imagery, emit, trial_plv), emit)
     stats_stage(cfg, imagery, rest, emit)
+    del rest
     psd_stage(imagery, emit)
     sweep_stage(cfg, imagery, emit, trial_plv)
     write_manifest(out_dir, cfg, artifacts)

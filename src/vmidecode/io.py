@@ -7,7 +7,9 @@ their raw little-endian bytes, back to back in that order. Dtypes are
 limited to float32, float64 and int64. A recording is one float32 array
 "data" (channels x samples), an epoch set one float32 array "tensor"
 (trials x channels x samples); model checkpoints store their parameters by
-name in their own dtype. Round trips are bit-exact.
+name in their own dtype. Round trips are bit-exact. The payload is written
+from each array's own buffer and read with one copy, the file's, which the
+arrays view.
 """
 
 import json
@@ -45,7 +47,7 @@ def write_container(path, header: dict, arrays: dict) -> None:
     with open(path, "wb") as f:
         f.write(MAGIC + bytes([VERSION]) + struct.pack("<I", len(raw)) + raw)
         for a in arrays.values():
-            f.write(a.tobytes())
+            f.write(np.ascontiguousarray(a).data)
 
 
 def _array_specs(path, header) -> list:
@@ -81,7 +83,7 @@ def read_container(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"{path}: unreadable header: {e}") from e
     specs = _array_specs(path, header)
-    body = blob[9 + hlen:]
+    body = memoryview(blob)[9 + hlen:]
     sizes = [dtype.itemsize * math.prod(shape) for _, dtype, shape in specs]
     if sum(sizes) != len(body):
         raise CorruptionError(f"{path}: header declares {sum(sizes)} payload "

@@ -244,6 +244,17 @@ def _band(kw):
     return j + np.arange(kw), slice(None), j
 
 
+def _toeplitz(w):
+    """(BLOCK + kw - 1, maps x BLOCK) Toeplitz matrix of w (maps, kw): tap t
+    of map m at [j + t, (m, j)], 0 off the band; windows of w reversed."""
+    mo, kw = w.shape
+    padded = np.zeros((mo, 2 * BLOCK + kw - 2), w.dtype)
+    padded[:, BLOCK - 1:BLOCK - 1 + kw] = w[:, ::-1]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, BLOCK, axis=1)
+    return np.ascontiguousarray(
+        windows[:, ::-1].transpose(1, 0, 2).reshape(BLOCK + kw - 1, -1))
+
+
 class TemporalConv(Conv):
     """The network's first conv: one input map, a (1, kw) kernel, stride 1.
 
@@ -271,11 +282,9 @@ class TemporalConv(Conv):
         rows = _pad_tail(x.reshape(b * h, w_in), nb * BLOCK + kw - 1)
         blocks = np.lib.stride_tricks.sliding_window_view(
             rows, BLOCK + kw - 1, axis=1)[:, ::BLOCK].reshape(b * h * nb, -1)
-        toeplitz = np.zeros((BLOCK + kw - 1, mo, BLOCK), dtype=self.w.dtype)
-        toeplitz[_band(kw)] = self.w.reshape(mo, kw).T
         # rows (window, electrode, block), columns (map, position)
         product = self._scratch("product", (b * h * nb, mo * BLOCK), x.dtype)
-        np.matmul(blocks, toeplitz.reshape(BLOCK + kw - 1, -1), out=product)
+        np.matmul(blocks, _toeplitz(self.w.reshape(mo, kw)), out=product)
         out = self._scratch("out", (b, mo, h, wo), product.dtype)
         for block, positions in _block_pairs(product, out):
             np.add(block, self.b[:, None, None, None], out=positions)

@@ -1,12 +1,16 @@
 """The thread pool of every stage whose items (trials, channels, blocks of
 rows, CV tasks) are independent; the items spend their time in numpy, scipy
-and OpenBLAS calls that release the GIL."""
+and OpenBLAS calls that release the GIL. Blocks of rows are bounded in bytes,
+so malloc reuses their temporaries instead of mapping zero-filled pages anew
+and one thread's GIL-holding calls (sosfilt) overlap another's copies."""
 
 import ctypes
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+
+BLOCK_BYTES = 4 << 20  # the largest temporary one block of rows may need
 
 
 def worker_count(n_tasks: int) -> int:
@@ -84,7 +88,10 @@ def ordered_map(fn, items, n_parallel: int = None, key=None) -> list:
             raise
 
 
-def row_blocks(n_rows: int) -> list:
-    """range(n_rows) as one contiguous slice per worker, at least one."""
-    k = max(1, worker_count(n_rows))
+def row_blocks(n_rows: int, row_bytes: int = 0) -> list:
+    """range(n_rows) as contiguous slices in order, at least one per worker;
+    a block of more than one row needs at most BLOCK_BYTES when each row's
+    largest temporary takes row_bytes."""
+    per_block = max(1, BLOCK_BYTES // row_bytes if row_bytes else n_rows)
+    k = max(1, worker_count(n_rows), -(-n_rows // per_block))
     return [slice(i * n_rows // k, (i + 1) * n_rows // k) for i in range(k)]

@@ -4,8 +4,8 @@ The permutation scheme is sign flipping of pair differences (the standard
 exchangeability argument for paired designs). Small designs with
 2^n <= n_perm are enumerated exhaustively; otherwise Monte Carlo flips are
 drawn and the add-one estimator p = (1 + B) / (1 + n_perm) keeps p-values
-valid (never zero). band_power (blocks of trials) and stat_map (one test
-per channel) run on the shared thread pool.
+valid (never zero). band_power (byte-bounded blocks of trials) and
+stat_map (one test per channel) run on the shared thread pool.
 """
 
 from dataclasses import dataclass
@@ -48,8 +48,9 @@ def band_power(epochs: EpochSet, band_hz) -> np.ndarray:
             raise RangeError(f"band [{lo}, {hi}) Hz holds no Welch bin; the "
                              f"bins are {df:g} Hz apart")
         return pxx[..., mask].sum(axis=-1) * df
-    return np.concatenate(ordered_map(block_power,
-                                      row_blocks(epochs.n_trials)))
+    # a trial's Welch frames overlap by half and their rfft is complex
+    return np.concatenate(ordered_map(block_power, row_blocks(
+        epochs.n_trials, 16 * epochs.n_channels * epochs.n_samples)))
 
 
 def _finite_pair(a, b, what: str):

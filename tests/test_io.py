@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,7 +214,11 @@ def test_named_arrays_keep_their_dtype(tmp_path):
               "i8": np.arange(6, dtype=np.int64).reshape(2, 3),
               "big": np.arange(3, dtype=">f8"),
               "scalar": np.float64(np.pi),
-              "empty": np.zeros((0, 2))}
+              "empty": np.zeros((0, 2)),
+              "empty_big": np.zeros((2, 0), dtype=">f4"),
+              "strided": rng.standard_normal((4, 6))[:, ::2],
+              "fortran": np.asfortranarray(rng.standard_normal((3, 5))),
+              "big_strided": np.arange(12, dtype=">i8").reshape(3, 4)[::2]}
     path = tmp_path / "n.eegb"
     write_container(path, {"kind": "test"}, arrays)
     header, back = read_container(path)
@@ -224,8 +229,28 @@ def test_named_arrays_keep_their_dtype(tmp_path):
         assert back[name].dtype.str in DTYPES
         assert back[name].shape == a.shape
         np.testing.assert_array_equal(back[name], a)
-    assert back["f4"].tobytes() == arrays["f4"].tobytes()
-    assert back["f8"].tobytes() == arrays["f8"].tobytes()
+        assert back[name].tobytes() == a.astype(
+            a.dtype.newbyteorder("<")).tobytes()
+
+
+def test_the_payload_is_copied_once(tmp_path):
+    data = np.random.default_rng(3).standard_normal((4, 1 << 19))
+    rec = EegRecording(Montage(SMALL_CHANNELS[:4]), 250,
+                       data.astype(np.float32), [])
+    path = tmp_path / "big.eegb"
+    tracemalloc.start()
+    try:
+        save_recording(rec, path)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = load_recording(path)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.data.nbytes >= 8 << 20
+    assert save_peak < rec.data.nbytes
+    assert load_peak <= 1.2 * rec.data.nbytes
+    assert back.data.tobytes() == rec.data.tobytes()
 
 
 @pytest.mark.parametrize("dtype", ["<i4", "|b1", "<c16", "<f2"])

@@ -302,6 +302,19 @@ def test_temporal_conv_forward_is_the_im2col_product_in_float32():
                                   conv.forward(x, False))
 
 
+@pytest.mark.parametrize("maps, kw", [(1, 1), (4, 7), (25, 125)])
+def test_toeplitz_matrix_is_the_scatter_of_the_weights_on_the_band(maps, kw):
+    from vmidecode.neural import BLOCK, _band, _toeplitz
+    w = np.random.default_rng(17).standard_normal((maps, kw)).astype(np.float32)
+    w[0, 0] = -0.0
+    want = np.zeros((BLOCK + kw - 1, maps, BLOCK), np.float32)
+    want[_band(kw)] = w.T
+    got = _toeplitz(w)
+    assert got.flags.c_contiguous
+    np.testing.assert_array_equal(got, want.reshape(BLOCK + kw - 1, -1))
+    assert got.tobytes() == want.tobytes()
+
+
 def test_temporal_conv_refuses_a_kernel_taller_than_one_row():
     from vmidecode.neural import TemporalConv
     with pytest.raises(ShapeError):

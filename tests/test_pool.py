@@ -10,7 +10,7 @@ import pytest
 
 from vmidecode import (EegRecording, EpochSet, Montage, band_power, pool,
                        preprocess_recording, stat_map, synth_dataset)
-from vmidecode.connectivity import plv_trial_matrices
+from vmidecode.connectivity import phase_factors, plv_trial_matrices
 from vmidecode.errors import DegenerateInputError, RangeError
 
 from conftest import small_spec
@@ -38,6 +38,7 @@ STAGES = {
     "synth_dataset": lambda: synth_dataset(
         small_spec(n_trials_per_class=2)).data,
     "preprocess_recording": lambda: preprocess_recording(_recording()).data,
+    "phase_factors": lambda: phase_factors(_epochs()),
     "plv_trial_matrices": lambda: plv_trial_matrices(_epochs()),
     "band_power": lambda: band_power(_epochs(), (0.5, 13.0)),
     "stat_map": lambda: _stat_values(
@@ -68,6 +69,18 @@ def test_pooled_stage_gives_the_same_bytes_at_1_2_and_3_workers(
     finally:
         sys.setswitchinterval(interval)
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_one_row_blocks_give_the_same_bytes_at_1_2_and_3_workers(
+        stage, monkeypatch):
+    want = STAGES[stage]()
+    monkeypatch.setattr(pool, "BLOCK_BYTES", 1)
+    for workers in (1, 2, 3):
+        _force_workers(monkeypatch, workers)
+        out = STAGES[stage]()
+        assert (out.dtype, out.shape) == (want.dtype, want.shape)
+        assert out.tobytes() == want.tobytes()
 
 
 def test_stat_map_raises_the_earliest_non_finite_channel(monkeypatch):
@@ -105,6 +118,20 @@ def test_row_blocks_cover_every_row_once_in_order(n_rows, workers,
     blocks = pool.row_blocks(n_rows)
     assert len(blocks) == max(1, min(workers, n_rows))
     assert [r for b in blocks for r in range(n_rows)[b]] == list(range(n_rows))
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 5, 64])
+@pytest.mark.parametrize("row_bytes", [0, 1, 3 << 20, 5 << 20])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_row_blocks_of_several_rows_fit_the_byte_budget(n_rows, row_bytes,
+                                                        workers, monkeypatch):
+    _force_workers(monkeypatch, workers)
+    blocks = pool.row_blocks(n_rows, row_bytes)
+    sizes = [len(range(n_rows)[b]) for b in blocks]
+    assert [r for b in blocks for r in range(n_rows)[b]] == list(range(n_rows))
+    assert len(blocks) >= max(1, min(workers, n_rows))
+    assert all(size == 1 or size * row_bytes <= pool.BLOCK_BYTES
+               for size in sizes)
 
 
 def test_blas_controls_are_listed_once(monkeypatch):

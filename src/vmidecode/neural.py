@@ -5,19 +5,27 @@ explicit forward/backward passes; gradients are checked against central
 finite differences in the test suite. The network's first conv
 (TemporalConv) multiplies the overlapping blocks of every input row at once
 by a banded Toeplitz matrix of its weights and computes no input gradient;
-the later convs multiply the stacked im2col matrices by the weights. Only a
-train-mode forward keeps what the backward pass needs (the first conv's row
-blocks, the later convs' im2col matrices, centred batch-norm input, ELU
-output, dropout masks). Arrays of BUFFER_MIN_BYTES or more go into buffers
-the layer keeps; an output is valid until its layer's next call. Backward
-may overwrite the layer's saved arrays and incoming gradient, never its
-forward input. The architecture is a temporal convolution, a spatial
-convolution collapsing the channel axis, and two further conv + average-pool
-stages, ending in a softmax with one output per class. All stochasticity
-(init, dropout masks, shuffling) derives from a single seed.
+the later convs multiply the stacked im2col matrices by the weights.
+Network runs each maximal run of element-wise layers (batch norm, then the
+ELU and dropout after it) as one step: each tile of at most CHUNK elements
+of the (batch x maps, height x width) view goes through every layer of the
+run while it is in cache, and the outputs between them are chunk
+temporaries. Batch norm's reductions stay whole-array passes. A layer's own
+forward/backward is the run of that layer alone and gives the same bits.
+Only a train-mode forward keeps what the backward pass needs (the first
+conv's row blocks, the later convs' im2col matrices, centred batch-norm
+input, ELU output, dropout masks). Arrays of BUFFER_MIN_BYTES or more go
+into buffers the layer keeps; an output is valid until the next call of the
+layer or run that made it. Backward may overwrite what its forward kept and
+its incoming gradient, never its forward input. The architecture is a
+temporal convolution, a spatial convolution collapsing the channel axis,
+and two further conv + average-pool stages, ending in a softmax with one
+output per class. All stochasticity (init, dropout masks, shuffling)
+derives from a single seed.
 """
 
 import functools
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -35,7 +43,11 @@ OVERLAP = 0.5
 MIN_DELTA = 1e-4
 # output positions per row block of the first conv: 376 = 4 x 94
 BLOCK = 94
-BUFFER_MIN_BYTES = 32 << 20  # glibc maps allocations this large afresh
+# arrays this large live in a buffer their layer keeps: glibc maps them
+# afresh on each allocation. Smaller ones are left to malloc, which serves
+# them from its heap only once the free of a larger mapped block has raised
+# its mmap threshold (128 KiB at start, 32 MiB at most)
+BUFFER_MIN_BYTES = 32 << 20
 # TrainConfig's value rules
 TRAIN_RULES = {"lr": POSITIVE,
                "batch_size": integer(1), "epochs": integer(1),
@@ -147,7 +159,7 @@ class _Layer:
     def _scratch(self, name, shape, dtype):
         """The start of the layer's buffer `name` as a C-contiguous array; the
         buffer grows for a large request, a small one gets a fresh array."""
-        n = int(np.prod(shape))
+        n = math.prod(shape)
         buf = vars(self).setdefault("_buffers", {}).get(name)
         if buf is None or buf.size < n or buf.dtype != dtype:
             if n * np.dtype(dtype).itemsize < BUFFER_MIN_BYTES:
@@ -335,12 +347,145 @@ def _per_map(v):
     return v[:, None, None]
 
 
-class BatchNorm(_Layer):
+def _per_row(v, batch):
+    """A per-map vector as a column over the (batch x maps) rows of the
+    element-wise view."""
+    return v[None].repeat(batch, axis=0).reshape(-1, 1)
+
+
+def _rows(x):
+    """x (B, maps, H, W) as its (B x maps, H x W) element-wise view."""
+    b, m, h, w = x.shape
+    return x.reshape(b * m, h * w)
+
+
+def _tiles(n_rows, n_cols, chunk):
+    """(rows, columns) slices that cut a (n_rows, n_cols) array in C order
+    into pieces of at most chunk elements: whole rows, or pieces of one row
+    when a row is longer."""
+    if n_cols > chunk:
+        return [(slice(r, r + 1), slice(c, min(c + chunk, n_cols)))
+                for r in range(n_rows) for c in range(0, n_cols, chunk)]
+    step = chunk // n_cols
+    return [(slice(r, min(r + step, n_rows)), slice(0, n_cols))
+            for r in range(0, n_rows, step)]
+
+
+class _Elementwise(_Layer):
+    """A layer that maps each element on its own once a prelude over the
+    whole array has set its per-map factors: batch norm, ELU, dropout.
+
+    A run of such layers goes through the element-wise view tile by tile
+    (_tiles, at most CHUNK elements), each tile through every layer of the
+    run while it is in cache. A layer whose prelude reduces over the whole
+    array (REDUCES) starts a new pass, forward and backward. Within a pass
+    only its last layer, and a layer that keeps its output for backward,
+    write whole arrays; the others write chunk temporaries. A layer's own
+    forward/backward is the run of that layer alone.
+    """
+
+    CHUNK = 1 << 16
+    REDUCES = False
+
+    def forward(self, x, train):
+        return _Run([self]).forward(x, train)
+
+    def backward(self, grad):
+        return _Run([self]).backward(grad)
+
+    def _begin(self, x, train):
+        """The forward prelude, x the pass's whole input; False when the
+        layer passes its input on unchanged."""
+        return True
+
+    def _dest(self, a, train, last):
+        """The whole (rows, columns) array the forward writes, or None."""
+        return self._scratch("y", a.shape, a.dtype) if last else None
+
+    def _begin_backward(self, grad):
+        """The backward prelude, grad the pass's whole upstream gradient;
+        False when the layer passes it on unchanged."""
+        return True
+
+    def _release(self):
+        """Drop what the forward kept for backward."""
+
+
+def _passes(layers):
+    """layers cut before each one that reduces, so that it starts a pass."""
+    passes = []
+    for layer in layers:
+        if not passes or layer.REDUCES:
+            passes.append([])
+        passes[-1].append(layer)
+    return passes
+
+
+class _Run:
+    """Consecutive element-wise layers, run tile by tile (see _Elementwise).
+    The run keeps the two chunk temporaries between its layers for its next
+    call."""
+
+    def __init__(self, layers):
+        self.layers = list(layers)
+        self._temps = []
+
+    def forward(self, x, train):
+        for layer_pass in _passes(self.layers):
+            live = [layer for layer in layer_pass if layer._begin(x, train)]
+            if live:
+                a = _rows(x)
+                dests = [layer._dest(a, train, layer is live[-1])
+                         for layer in live]
+                x = self._sweep([layer._forward_tile for layer in live], a,
+                                dests).reshape(x.shape)
+        return x
+
+    def backward(self, grad):
+        """The last pass's last layer writes the gradient into an array its
+        forward kept, or in place."""
+        for layer_pass in _passes(self.layers[::-1]):
+            live = [layer for layer in layer_pass
+                    if layer._begin_backward(grad)]
+            if live:
+                a = _rows(grad)
+                dests = [None] * (len(live) - 1) + [live[-1]._grad_dest(a)]
+                grad = self._sweep([layer._backward_tile for layer in live],
+                                   a, dests).reshape(grad.shape)
+                for layer in live:
+                    layer._release()
+        return grad
+
+    def _sweep(self, kernels, a, dests):
+        """Feed a (rows, columns) array tile by tile through the tile kernels
+        in turn; kernel i writes into dests[i], or into a chunk temporary
+        where that is None. Returns the last kernel's whole output."""
+        chunk = _Elementwise.CHUNK
+        n, temps = min(chunk, a.size), self._temps
+        if any(dest is None for dest in dests) and (
+                not temps or temps[0].dtype != a.dtype or temps[0].size < n):
+            temps = self._temps = [np.empty(n, a.dtype) for _ in range(2)]
+        for tile in _tiles(*a.shape, chunk):
+            x = a[tile]
+            for i, (kernel, dest) in enumerate(zip(kernels, dests)):
+                out = (temps[i % 2][:x.size].reshape(x.shape)
+                       if dest is None else dest[tile])
+                x = kernel(x, tile, out)
+        return dests[-1]
+
+
+class BatchNorm(_Elementwise):
     """Batch normalisation over (batch, height, width) per map.
 
-    Train mode keeps the centred input (backward's gradient buffer) and the
-    inverse deviation; eval mode uses the running statistics, keeps neither.
+    Its preludes reduce, so it starts a pass. In train mode the forward
+    prelude computes the mean, the centred input (kept; backward writes the
+    input gradient into it), the variance and the inverse deviation, and the
+    tiles scale and shift the centred input. Eval mode uses the running
+    statistics, centres tile by tile and keeps nothing. The backward prelude
+    reduces the whole upstream gradient.
     """
+
+    REDUCES = True
 
     def __init__(self, n_maps, dtype):
         self.gamma = np.ones(n_maps, dtype=dtype)
@@ -351,7 +496,8 @@ class BatchNorm(_Layer):
         self.momentum = 0.1
         self.params = ("gamma", "beta")
 
-    def forward(self, x, train):
+    def _begin(self, x, train):
+        b = x.shape[0]
         if train:
             n = x.size // x.shape[1]
             mean = np.einsum("bmhw->m", x) / n
@@ -362,87 +508,139 @@ class BatchNorm(_Layer):
                                  + self.momentum * mean)
             self.running_var = ((1 - self.momentum) * self.running_var
                                 + self.momentum * var)
+            self._xc, shift = _rows(xc), None
         else:
-            xc = np.subtract(x, _per_map(self.running_mean),
-                             out=self._scratch("y", x.shape, x.dtype))
             var = self.running_var
+            self._xc, shift = None, _per_row(self.running_mean, b)
         ivar = 1.0 / np.sqrt(var + self.eps)
-        y = self._scratch("y", x.shape, x.dtype) if train else xc
-        np.multiply(xc, _per_map(self.gamma * ivar), out=y)
-        y += _per_map(self.beta)
-        self._xc, self._ivar = (xc, ivar) if train else (None, None)
-        return y
+        self._ivar = ivar if train else None
+        self._factors = (shift, _per_row(self.gamma * ivar, b),
+                         _per_row(self.beta, b))
+        return True
 
-    def backward(self, grad):
-        xc, ivar = self._xc, self._ivar
-        n = grad.size // grad.shape[1]
+    def _forward_tile(self, x, tile, out):
+        rows = tile[0]
+        shift, scale, beta = self._factors
+        xc = (self._xc[tile] if shift is None
+              else np.subtract(x, shift[rows], out=out))
+        np.multiply(xc, scale[rows], out=out)
+        out += beta[rows]
+        return out
+
+    def _begin_backward(self, grad):
+        b, m = grad.shape[:2]
+        n = grad.size // m
+        ivar = self._ivar
         self.dbeta = np.einsum("bmhw->m", grad)
-        gxc = np.einsum("bmhw,bmhw->m", grad, xc)
+        gxc = np.einsum("bmhw,bmhw->m", grad, self._xc.reshape(grad.shape))
         self.dgamma = gxc * ivar
         # dx = gamma ivar (g - mean(g) - xhat mean(g xhat)), xhat = xc ivar
-        dx = np.multiply(xc, _per_map(ivar * ivar * gxc / n), out=xc)
-        dx += _per_map(self.dbeta / n)
-        np.subtract(grad, dx, out=dx)
-        dx *= _per_map(self.gamma * ivar)
-        self._xc = None
+        self._factors = tuple(_per_row(v, b) for v in (
+            ivar * ivar * gxc / n, self.dbeta / n, self.gamma * ivar))
+        return True
+
+    def _grad_dest(self, a):
+        return self._xc
+
+    def _backward_tile(self, g, tile, out):
+        proj, mean, scale = (f[tile[0]] for f in self._factors)
+        dx = np.multiply(self._xc[tile], proj, out=out)
+        dx += mean
+        np.subtract(g, dx, out=dx)
+        dx *= scale
         return dx
 
+    def _release(self):
+        self._xc = None
 
-class Elu(_Layer):
-    def forward(self, x, train):
-        # expm1(min(x, 0)) >= x wherever x <= 0, so the max picks ELU's branch
-        y = np.minimum(x, 0, out=self._scratch("y", x.shape, x.dtype))
-        np.expm1(y, out=y)
-        np.maximum(x, y, out=y)
+
+class Elu(_Elementwise):
+    """ELU; train mode keeps its output, into which backward writes the
+    input gradient."""
+
+    def _dest(self, a, train, last):
+        y = self._scratch("y", a.shape, a.dtype) if train or last else None
         self._y = y if train else None
         return y
 
-    def backward(self, grad):
-        # dELU/dx = 1 for y > 0, exp(x) = y + 1 otherwise; computed in y
-        d = np.minimum(self._y, 0, out=self._y)
+    def _forward_tile(self, x, tile, out):
+        # expm1(min(x, 0)) >= x wherever x <= 0, so the max picks ELU's branch
+        y = np.minimum(x, 0, out=out)
+        np.expm1(y, out=y)
+        np.maximum(x, y, out=y)
+        return y
+
+    def _grad_dest(self, a):
+        return self._y
+
+    def _backward_tile(self, g, tile, out):
+        # dELU/dx = 1 for y > 0, exp(x) = y + 1 otherwise
+        d = np.minimum(self._y[tile], 0, out=out)
         d += 1
-        d *= grad
-        self._y = None
+        d *= g
         return d
 
+    def _release(self):
+        self._y = None
 
-class Dropout(_Layer):
+
+class Dropout(_Elementwise):
     """Inverted dropout; masks come from the network's named RNG stream.
 
-    Call c draws ``rng_factory(c).random(x.shape) >= rate`` (float64
-    uniforms, drawn in chunks; the stream is the same as one draw) and keeps
-    only the boolean mask. Backward scales the incoming gradient in place.
+    Call c draws its mask from ``rng = rng_factory(c)``. At rate 0.5 an
+    element is kept where its bit is set in
+    ``np.unpackbits(rng.bytes(ceil(n / 8)), count=n)``, one bit per element
+    in C order. Any other rate keeps it where ``rng.random(n) >= rate``
+    (float64 uniforms, drawn tile by tile in C order; the stream is the same
+    as one draw). Only the boolean mask is kept; backward scales the
+    incoming gradient in place when the dropout stands alone.
     """
-
-    CHUNK = 1 << 16
 
     def __init__(self, rate, rng_factory):
         self.rate = rate
         self._rng_factory = rng_factory
         self._calls = 0
 
-    def forward(self, x, train):
+    def _begin(self, x, train):
         self._keep = None
         if not train or self.rate <= 0.0:
-            return x
+            return False
         rng = self._rng_factory(self._calls)
         self._calls += 1
-        keep = self._scratch("keep", (x.size,), bool)
-        for s in range(0, x.size, self.CHUNK):
-            u = rng.random(min(self.CHUNK, x.size - s))
-            np.greater_equal(u, self.rate, out=keep[s:s + u.size])
-        self._keep = keep.reshape(x.shape)
-        return self._scaled(x, self._scratch("y", x.shape, x.dtype))
+        shape = _rows(x).shape
+        if self.rate == 0.5:
+            bits = np.frombuffer(rng.bytes(-(-x.size // 8)), np.uint8)
+            self._keep = np.unpackbits(bits, count=x.size).view(bool).reshape(
+                shape)
+            self._rng = None
+        else:
+            self._keep = self._scratch("keep", shape, bool)
+            self._rng = rng
+        self._scale = x.dtype.type(1.0 / (1.0 - self.rate))
+        return True
 
-    def backward(self, grad):
-        if self._keep is not None:
-            self._scaled(grad, grad)
-            self._keep = None
-        return grad
+    def _forward_tile(self, x, tile, out):
+        if self._rng is not None:  # the float rule draws tile by tile
+            keep = self._keep[tile]
+            np.greater_equal(self._rng.random(keep.size).reshape(keep.shape),
+                             self.rate, out=keep)
+        return self._scaled(x, tile, out)
 
-    def _scaled(self, x, out):
-        np.multiply(x, x.dtype.type(1.0 / (1.0 - self.rate)), out=out)
-        out *= self._keep
+    def _begin_backward(self, grad):
+        return self._keep is not None
+
+    def _grad_dest(self, a):
+        return a
+
+    def _backward_tile(self, g, tile, out):
+        return self._scaled(g, tile, out)
+
+    def _release(self):
+        self._keep = None
+
+    def _scaled(self, x, tile, out):
+        np.multiply(x, self._scale, out=out)
+        out *= self._keep[tile]
         return out
 
 
@@ -527,6 +725,16 @@ class Network:
             else:
                 raise ShapeError(f"unknown layer kind {ls.kind!r}")
             self.layers.append(layer)
+        # each maximal run of element-wise layers is one step, run tile by
+        # tile; any other layer is a step of its own
+        self._steps = []
+        for layer in self.layers:
+            if not isinstance(layer, _Elementwise):
+                self._steps.append(layer)
+            elif self._steps and isinstance(self._steps[-1], _Run):
+                self._steps[-1].layers.append(layer)
+            else:
+                self._steps.append(_Run([layer]))
 
     def forward(self, x, train: bool = False) -> np.ndarray:
         """Class probabilities for a batch shaped (B, 1, channels, samples)."""
@@ -536,8 +744,8 @@ class Network:
                 or x.shape[3] != self.spec.input_samples:
             raise ShapeError(f"expected (B, 1, {self.spec.n_channels}, "
                              f"{self.spec.input_samples}), got {x.shape}")
-        for layer in self.layers:
-            x = layer.forward(x, train)
+        for step in self._steps:
+            x = step.forward(x, train)
         return x
 
     def backward(self, labels) -> float:
@@ -552,8 +760,8 @@ class Network:
         grad[np.arange(b), labels] -= 1.0
         grad /= b
         grad = grad.astype(self.dtype)
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
+        for step in reversed(self._steps):
+            grad = step.backward(grad)
         return loss
 
     def parameters(self):

@@ -342,6 +342,80 @@ def test_dropout_masks_follow_the_named_stream():
     assert drop.forward(x, train=False) is x
 
 
+def test_dropout_at_rate_half_keeps_one_random_bit_per_element():
+    from vmidecode.neural import Dropout
+    from vmidecode.seeding import child_rng
+    spec = reduced_model_spec(dropout=0.5)
+    li = next(i for i, ls in enumerate(spec.layers) if ls.kind == "dropout")
+    drop = Network(spec, seed=4).layers[li]
+    assert isinstance(drop, Dropout)
+    # n = 3 x 7 x 2 x 1571: not a multiple of 8, more than one chunk
+    x = np.random.default_rng(4).standard_normal(
+        (3, 7, 2, 1571)).astype(np.float32)
+    n = x.size
+    assert n % 8 and n > Dropout.CHUNK
+    for call in range(2):
+        bits = child_rng(4, "dropout", li, call).bytes(-(-n // 8))
+        keep = np.unpackbits(np.frombuffer(bits, np.uint8),
+                             count=n).reshape(x.shape).astype(bool)
+        y = drop.forward(x, train=True)
+        np.testing.assert_array_equal(y, np.where(keep, x * np.float32(2), 0))
+        g = drop.backward(np.ones_like(x))
+        np.testing.assert_array_equal(g, np.where(keep, np.float32(2), 0))
+        # a fair coin per element: within 4 binomial standard errors
+        assert abs(keep.mean() - 0.5) < 4 * np.sqrt(0.25 / n)
+
+
+def _per_layer_step(net, x, labels):
+    """Network.forward/backward as one layer call after another."""
+    out = x
+    for layer in net.layers:
+        out = layer.forward(out, True)
+    grad = out.copy()
+    grad[np.arange(len(labels)), labels] -= 1.0
+    grad = (grad / len(labels)).astype(net.dtype)
+    for layer in net.layers[::-1]:
+        grad = layer.backward(grad)
+    return out
+
+
+@pytest.mark.parametrize("k, batch, chunk", [
+    (2, 7, 300),     # rows of 752 and 376 split, 3 rows of 94 a chunk
+    (2, 16, None),   # 87 whole rows a chunk, the last chunk partial
+    (64, 7, 5000),   # rows of 24064 split, the last piece of a row partial
+    (64, 16, None),  # two rows a chunk; partial chunks after conv0's run
+])
+def test_fused_runs_match_the_per_layer_path(k, batch, chunk, monkeypatch):
+    # the train output, every gradient, the running statistics and the eval
+    # output; the standalone dropouts after the pools run alone either way
+    if chunk is not None:
+        monkeypatch.setattr(neural._Elementwise, "CHUNK", chunk)
+    x = np.random.default_rng(k + batch).standard_normal(
+        (batch, 1, k, 500)).astype(np.float32)
+    labels = np.arange(batch) % 4
+    for rate in (0.0, 0.3, 0.5):
+        spec = build_model(k, input_samples=500, dropout=rate)
+        fused, alone = Network(spec, seed=6), Network(spec, seed=6)
+        assert any(len(getattr(step, "layers", ())) == 3
+                   for step in fused._steps)
+        for _ in range(2):  # the second step draws the second masks
+            out = fused.forward(x, train=True).copy()
+            fused.backward(labels)
+            np.testing.assert_array_equal(
+                out, _per_layer_step(alone, x, labels))
+            for (a, name), (b, _) in zip(fused.parameters(),
+                                         alone.parameters()):
+                np.testing.assert_array_equal(getattr(a, "d" + name),
+                                              getattr(b, "d" + name))
+        for (a, name), (b, _) in zip(fused.state_arrays(),
+                                     alone.state_arrays()):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        ref = x
+        for layer in alone.layers:
+            ref = layer.forward(ref, False)
+        np.testing.assert_array_equal(fused.forward(x, train=False), ref)
+
+
 def test_first_conv_returns_no_input_gradient():
     from vmidecode.neural import TemporalConv
     spec = reduced_model_spec()

@@ -423,8 +423,8 @@ def _passes(layers):
 
 class _Run:
     """Consecutive element-wise layers, run tile by tile (see _Elementwise).
-    The run keeps the two chunk temporaries between its layers for its next
-    call."""
+    The run keeps the two chunk temporaries between its layers, and a chunk
+    of zeros for the kernels' comparisons, for its next call."""
 
     def __init__(self, layers):
         self.layers = list(layers)
@@ -459,18 +459,20 @@ class _Run:
     def _sweep(self, kernels, a, dests):
         """Feed a (rows, columns) array tile by tile through the tile kernels
         in turn; kernel i writes into dests[i], or into a chunk temporary
-        where that is None. Returns the last kernel's whole output."""
+        where that is None, and is also given zeros of the tile's shape.
+        Returns the last kernel's whole output."""
         chunk = _Elementwise.CHUNK
         n, temps = min(chunk, a.size), self._temps
-        if any(dest is None for dest in dests) and (
-                not temps or temps[0].dtype != a.dtype or temps[0].size < n):
-            temps = self._temps = [np.empty(n, a.dtype) for _ in range(2)]
+        if not temps or temps[0].dtype != a.dtype or temps[0].size < n:
+            temps = self._temps = [np.empty(n, a.dtype), np.empty(n, a.dtype),
+                                   np.zeros(n, a.dtype)]
         for tile in _tiles(*a.shape, chunk):
             x = a[tile]
+            zeros = temps[2][:x.size].reshape(x.shape)
             for i, (kernel, dest) in enumerate(zip(kernels, dests)):
                 out = (temps[i % 2][:x.size].reshape(x.shape)
                        if dest is None else dest[tile])
-                x = kernel(x, tile, out)
+                x = kernel(x, tile, out, zeros)
         return dests[-1]
 
 
@@ -518,7 +520,7 @@ class BatchNorm(_Elementwise):
                          _per_row(self.beta, b))
         return True
 
-    def _forward_tile(self, x, tile, out):
+    def _forward_tile(self, x, tile, out, zeros):
         rows = tile[0]
         shift, scale, beta = self._factors
         xc = (self._xc[tile] if shift is None
@@ -542,7 +544,7 @@ class BatchNorm(_Elementwise):
     def _grad_dest(self, a):
         return self._xc
 
-    def _backward_tile(self, g, tile, out):
+    def _backward_tile(self, g, tile, out, zeros):
         proj, mean, scale = (f[tile[0]] for f in self._factors)
         dx = np.multiply(self._xc[tile], proj, out=out)
         dx += mean
@@ -563,9 +565,10 @@ class Elu(_Elementwise):
         self._y = y if train else None
         return y
 
-    def _forward_tile(self, x, tile, out):
-        # expm1(min(x, 0)) >= x wherever x <= 0, so the max picks ELU's branch
-        y = np.minimum(x, 0, out=out)
+    def _forward_tile(self, x, tile, out, zeros):
+        # expm1(min(x, 0)) >= x wherever x <= 0, so the max picks ELU's branch;
+        # a zeros array is cheaper to compare against than the scalar 0
+        y = np.minimum(x, zeros, out=out)
         np.expm1(y, out=y)
         np.maximum(x, y, out=y)
         return y
@@ -573,9 +576,9 @@ class Elu(_Elementwise):
     def _grad_dest(self, a):
         return self._y
 
-    def _backward_tile(self, g, tile, out):
+    def _backward_tile(self, g, tile, out, zeros):
         # dELU/dx = 1 for y > 0, exp(x) = y + 1 otherwise
-        d = np.minimum(self._y[tile], 0, out=out)
+        d = np.minimum(self._y[tile], zeros, out=out)
         d += 1
         d *= g
         return d
@@ -619,7 +622,7 @@ class Dropout(_Elementwise):
         self._scale = x.dtype.type(1.0 / (1.0 - self.rate))
         return True
 
-    def _forward_tile(self, x, tile, out):
+    def _forward_tile(self, x, tile, out, zeros):
         if self._rng is not None:  # the float rule draws tile by tile
             keep = self._keep[tile]
             np.greater_equal(self._rng.random(keep.size).reshape(keep.shape),
@@ -632,7 +635,7 @@ class Dropout(_Elementwise):
     def _grad_dest(self, a):
         return a
 
-    def _backward_tile(self, g, tile, out):
+    def _backward_tile(self, g, tile, out, zeros):
         return self._scaled(g, tile, out)
 
     def _release(self):

@@ -2,7 +2,7 @@
 rows, CV tasks) are independent; the items spend their time in numpy, scipy
 and OpenBLAS calls that release the GIL. Blocks of rows are bounded in bytes,
 so malloc reuses their temporaries instead of mapping zero-filled pages anew
-and one thread's GIL-holding calls (sosfilt) overlap another's copies."""
+and one thread's GIL-holding calls overlap another's copies."""
 
 import ctypes
 import functools

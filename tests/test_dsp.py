@@ -1,13 +1,17 @@
 """FFT, analytic signal, filtering, PSD and ERSP against independent oracles."""
 
+import itertools
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.signal as sps
 
 from vmidecode import (EpochSet, analytic_signal, bandpass, bandpass_response,
                        downsample, ersp, fft, welch_psd)
-from vmidecode.dsp import (_welch_batch, butter_bandpass_sos,
-                           preprocess_recording)
+from vmidecode.dsp import (BLOCK, _bandpass_plan, _welch_batch, _zero_phase,
+                           butter_bandpass_sos, preprocess_recording)
 from vmidecode.errors import EmptyInputError, RangeError
 
 
@@ -113,8 +117,118 @@ def test_analytic_signal_too_short():
         analytic_signal([1.0, 2.0])
 
 
+@pytest.mark.parametrize("shape", [(4, 64, 1000), (3, 7, 999), (1000,), (257,),
+                                   (4,), (5,)])
+def test_analytic_signal_is_scipy_hilbert_bit_for_bit(shape):
+    # (4, 64, 1000) is the PLV pass's block of trials
+    x = np.random.default_rng(shape[-1]).standard_normal(shape)
+    assert np.array_equal(analytic_signal(x), sps.hilbert(x))
+
+
+def test_import_loads_no_scipy_signal_or_stats():
+    # scipy.signal pulls in scipy.stats and costs about 1 s of every start
+    code = ("import sys, vmidecode; print(sorted(m for m in sys.modules if "
+            "m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # Band-pass
+
+# (lo, hi, fs) bands; 20-30 and 10-40 Hz at 100 Hz centre on fs / 4, where the
+# two pole pairs lie equally near the unit circle and scipy's tie rule orders
+# the sections
+DESIGN_GRID = [(lo, hi, fs)
+               for fs in (100.0, 128.0, 250.0, 256.0, 500.0, 1000.0, 2048.0)
+               for lo, hi in itertools.combinations(
+                   (0.5, 1, 2, 4, 8, 10, 12, 13, 20, 25, 30, 40, 45, 60, 100,
+                    200, 300, 400), 2)
+               if hi < fs / 2]
+ORACLE_BANDS = [(0.5, 13.0, 250.0), (0.5, 13.0, 1000.0), (1.0, 40.0, 1000.0),
+                (8.0, 30.0, 500.0)]
+
+
+def test_butter_bandpass_sos_is_scipy_butter_bit_for_bit():
+    assert (20, 30, 100.0) in DESIGN_GRID and (10, 40, 100.0) in DESIGN_GRID
+    for lo, hi, fs in DESIGN_GRID:
+        want = sps.butter(2, [lo, hi], btype="bandpass", fs=fs, output="sos")
+        got = butter_bandpass_sos(lo, hi, fs)
+        assert np.array_equal(got, want), (lo, hi, fs)
+
+
+def test_butter_bandpass_refuses_a_real_pole():
+    # a band edge this low puts a digital pole on the real axis, where the
+    # biquads are no rotation pairs
+    with pytest.raises(RangeError, match="real pole"):
+        butter_bandpass_sos(1e-100, 13.0, 100.0)
+    with pytest.raises(RangeError, match="real pole"):
+        bandpass(np.zeros(100), 1e-100, 13.0, 100.0)
+
+
+def test_bandpass_refuses_coefficients_without_a_complex_pole_pair():
+    # the poles 1 +- 2.8e-17j round to a2 = 1, a1 = -2: a double pole at 1,
+    # which has no rotation form and never decays; it gave NaN
+    assert butter_bandpass_sos(1e-100, 10.0, 100.0)[1, 4:].tolist() == [-2, 1]
+    with pytest.raises(RangeError, match="real axis or the unit circle"):
+        bandpass(np.ones(100), 1e-100, 10.0, 100.0)
+
+
+def _sosfilt_zero_phase(x, lo, hi, fs):
+    """The band-pass by scipy's sosfilt, forward then backward, over the
+    series reflect-padded by min(12, n - 1) samples per end."""
+    n = x.shape[-1]
+    p = min(12, n - 1)
+    padded = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(p, p)], mode="reflect",
+                    reflect_type="odd")
+    sos = butter_bandpass_sos(lo, hi, fs)
+    y = sps.sosfilt(sos, padded, axis=-1)
+    y = sps.sosfilt(sos, y[..., ::-1], axis=-1)[..., ::-1]
+    return y[..., p:p + n]
+
+
+def _df2t_long_double(sos, x):
+    """The cascade sos run over the 1-D series x in transposed direct form II,
+    in long double."""
+    y = np.asarray(x, np.longdouble)
+    for b0, b1, b2, _, a1, a2 in sos.astype(np.longdouble):
+        out = np.empty_like(y)
+        z1 = z2 = np.longdouble(0)
+        for i, v in enumerate(y):
+            out[i] = o = b0 * v + z1
+            z1 = b1 * v - a1 * o + z2
+            z2 = b2 * v - a2 * o
+        y = out
+    return y
+
+
+@pytest.mark.parametrize("lo, hi, fs", ORACLE_BANDS)
+def test_bandpass_matches_sosfilt_forward_backward(lo, hi, fs):
+    x = np.random.default_rng(int(fs)).standard_normal((3, 5000)) * 40
+    got = bandpass(x, lo, hi, fs)
+    want = _sosfilt_zero_phase(x, lo, hi, fs)
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(x).max()
+
+
+def test_bandpass_matches_a_long_double_reference():
+    lo, hi, fs = 0.5, 13.0, 250.0
+    x = np.random.default_rng(10).standard_normal(1500) * 40
+    p = 12
+    padded = np.pad(x, p, mode="reflect", reflect_type="odd")
+    sos = butter_bandpass_sos(lo, hi, fs)
+    want = _df2t_long_double(sos, _df2t_long_double(sos, padded)[::-1])[::-1]
+    got = bandpass(x, lo, hi, fs)
+    assert np.abs(got - want[p:-p]).max() <= 1e-11 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("lo, hi, fs", ORACLE_BANDS)
+def test_bandpass_response_matches_sosfreqz(lo, hi, fs):
+    f = np.linspace(0.0, fs / 2, 501)
+    _, h = sps.sosfreqz(butter_bandpass_sos(lo, hi, fs), worN=f, fs=fs)
+    np.testing.assert_allclose(bandpass_response(lo, hi, fs, f),
+                               np.abs(h) ** 2, rtol=1e-12, atol=1e-15)
+
 
 def test_bandpass_passband_gain_matches_response_oracle():
     # the independent oracle evaluates |H|^2 from the biquad coefficients;
@@ -193,15 +307,17 @@ def test_bandpass_preserves_length_and_validates_band():
 
 
 def _bandpass_by_concatenation(x, lo, hi, fs):
-    """The band-pass as it was written before it filled one padded array."""
+    """The band-pass as it was written before it filled one padded array;
+    the padded series, zero-filled to whole blocks, runs through the same
+    zero-phase kernel."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[-1]
-    sos = butter_bandpass_sos(lo, hi, fs)
     p = min(12, n - 1)
     left = 2 * x[..., :1] - x[..., p:0:-1]
     right = 2 * x[..., -1:] - x[..., -2:-2 - p:-1]
-    y = sps.sosfilt(sos, np.concatenate([left, x, right], axis=-1), axis=-1)
-    y = sps.sosfilt(sos, y[..., ::-1], axis=-1)[..., ::-1]
+    fill = np.zeros(x.shape[:-1] + (-(n + 2 * p) % BLOCK,))
+    y = _zero_phase(_bandpass_plan(lo, hi, fs),
+                    np.concatenate([left, x, right, fill], axis=-1), n + 2 * p)
     return y[..., p:p + n]
 
 

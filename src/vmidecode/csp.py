@@ -3,14 +3,16 @@
 CSP solves the generalized eigenproblem C_a w = lambda (C_a + C_b) w on
 trace-normalized trial-averaged covariances and keeps the top-m and
 bottom-m eigenvectors; features are normalized log-variances of the
-spatially filtered epochs. LDA is pooled-covariance with a small ridge for
-rank safety.
+spatially filtered epochs. The problem is symmetric-definite and is solved
+as LAPACK's sygvd does, in numpy: the Cholesky factor C_a + C_b = L L^T,
+then the symmetric eigenproblem of L^-1 C_a L^-T, whose eigenvectors U give
+the filters L^-T U. LDA is pooled-covariance with a small ridge for rank
+safety.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .core import EpochSet
 from .errors import (DegenerateInputError, FormatError, RangeError,
@@ -60,6 +62,15 @@ def _mean_normalized_cov(tensor: np.ndarray) -> np.ndarray:
     return _mean_cov(_normalized_covs(tensor))
 
 
+def _generalized_eigh(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Ascending eigenvalues and eigenvectors (columns) of a w = lambda b w
+    for symmetric a and positive definite b, normalized so that
+    vecs^T b vecs = I; np.linalg.LinAlgError where b's Cholesky fails."""
+    l_inv = np.linalg.inv(np.linalg.cholesky(b))
+    vals, u = np.linalg.eigh(l_inv @ a @ l_inv.T)
+    return vals, l_inv.T @ u
+
+
 def _csp_model(ca: np.ndarray, cb: np.ndarray, m: int) -> CspModel:
     """The CSP filters of two mean normalized covariances; m is clamped to
     1..n_channels // 2, and one channel (constant features) is refused."""
@@ -69,14 +80,14 @@ def _csp_model(ca: np.ndarray, cb: np.ndarray, m: int) -> CspModel:
     m = max(1, min(m, n_ch // 2))
     comp = ca + cb
     try:
-        # eigh normalizes eigenvectors against comp, so W comp W^T = I
-        vals, vecs = scipy.linalg.eigh(ca, comp)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+        # the eigenvectors are normalized against comp, so W comp W^T = I
+        vals, vecs = _generalized_eigh(ca, comp)
+    except np.linalg.LinAlgError:
         # rank-deficient composite: retry with a small ridge
         ridged = comp + RIDGE * np.trace(comp) / n_ch * np.eye(n_ch)
         try:
-            vals, vecs = scipy.linalg.eigh(ca, ridged)
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as e:
+            vals, vecs = _generalized_eigh(ca, ridged)
+        except np.linalg.LinAlgError as e:
             raise DegenerateInputError(
                 f"singular composite covariance: {e}") from e
     order = np.argsort(vals)[::-1]

@@ -1,12 +1,13 @@
 """The thread pool of every stage whose items (trials, channels, blocks of
-rows, CV tasks) are independent; the items spend their time in numpy, scipy
-and OpenBLAS calls that release the GIL. Blocks of rows are bounded in bytes,
+rows, CV tasks) are independent; the items spend their time in numpy and
+OpenBLAS calls that release the GIL. Blocks of rows are bounded in bytes,
 so malloc reuses their temporaries instead of mapping zero-filled pages anew
 and one thread's GIL-holding calls overlap another's copies."""
 
 import ctypes
 import functools
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
@@ -26,10 +27,12 @@ _BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_",
                      "openblas_set_num_threads64_", "openblas_set_num_threads")
 
 
-@functools.cache
-def _blas_controls() -> tuple:
+@functools.lru_cache(maxsize=1)
+def _blas_controls(n_modules: int) -> tuple:
     """(set, get) thread-count functions of each OpenBLAS in this process,
-    listed once: `import vmidecode` loads numpy's and scipy's before a pool."""
+    listed again only when n_modules, len(sys.modules), has changed: a BLAS
+    is loaded with the extension module that links it, so an import after
+    the last listing (scipy.linalg, say) may have brought one more."""
     try:
         with open("/proc/self/maps") as f:
             paths = {line.split()[-1] for line in f
@@ -57,7 +60,8 @@ def one_blas_thread():
     """Cap every OpenBLAS loaded in this process at one thread, so pool
     threads do not oversubscribe the CPUs, and restore each one's previous
     count on exit; a no-op where none is found."""
-    restore = [(set_threads, get()) for set_threads, get in _blas_controls()]
+    restore = [(set_threads, get()) for set_threads, get in
+               _blas_controls(len(sys.modules))]
     for set_threads, _ in restore:
         set_threads(1)
     try:

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from vmidecode import (CspLdaClassifier, EpochSet, csp_features, csp_fit,
                        lda_fit, lda_predict)
-from vmidecode.csp import (_mean_normalized_cov, lda_scores, load_csp_lda,
-                           save_csp_lda)
+from vmidecode.csp import (_csp_model, _mean_normalized_cov, lda_scores,
+                           load_csp_lda, save_csp_lda)
 from vmidecode.errors import DegenerateInputError, RangeError, ShapeError
 
 
@@ -85,6 +86,62 @@ def test_csp_features_zero_epoch_degenerate():
     zero = EpochSet([0], np.zeros((1, 4, 400)), 250, 500.0)
     with pytest.raises(DegenerateInputError):
         csp_features(model, zero)
+
+
+def _separated_pair(n, seed):
+    """Covariances ca, cb = A diag(lam) A^T, A diag(1 - lam) A^T with A of
+    condition number 4 and generalized eigenvalues lam spaced 0.9 / n apart,
+    so each eigenvector is well determined."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    r, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = q * rng.uniform(0.5, 2.0, n) @ r
+    lam = rng.permutation(np.linspace(0.05, 0.95, n))
+    return a * lam @ a.T, a * (1 - lam) @ a.T
+
+
+@pytest.mark.parametrize("n", [2, 8, 16, 64])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_csp_eigensolver_matches_scipy_eigh(n, seed):
+    ca, cb = _separated_pair(n, seed)
+    comp = ca + cb
+    model = _csp_model(ca, cb, m=n // 2)  # keeps all n filters
+    vals, vecs = scipy.linalg.eigh(ca, comp)
+    np.testing.assert_allclose(model.eigenvalues, vals[::-1], rtol=0,
+                               atol=1e-12)
+    want = vecs[:, ::-1].T
+    sign = np.sign(np.sum(model.filters * want, axis=1, keepdims=True))
+    scale = np.abs(want).max(axis=1, keepdims=True)
+    assert np.all(np.abs(model.filters * sign - want) <= 1e-10 * scale)
+    np.testing.assert_allclose(model.filters @ comp @ model.filters.T,
+                               np.eye(n), rtol=0, atol=1e-12)
+
+
+def test_csp_fits_a_rank_deficient_composite_through_the_ridge():
+    # channels 1 and 2 carry one signal in both classes; every step of the
+    # Cholesky factorization is exact, so its last pivot is exactly zero
+    ca = np.array([[1.0, 0, 0], [0, 4, 4], [0, 4, 4]])
+    cb = np.diag([4.0, 0, 0])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(ca + cb)
+    model = _csp_model(ca, cb, m=1)
+    assert np.isfinite(model.filters).all()
+    np.testing.assert_allclose(model.eigenvalues, [1, 0], atol=1e-5)
+    # the same on epochs with a duplicated channel, whichever way round-off
+    # takes the factorization
+    dup = [EpochSet(e.labels, e.tensor[:, [0, 1, 2, 2]], e.fs, e.t0_ms)
+           for e in _variance_classes()]
+    model = csp_fit(*dup, m=2)
+    assert np.isfinite(model.filters).all()
+    assert np.all((model.eigenvalues > -1e-9)
+                  & (model.eigenvalues < 1 + 1e-9))
+
+
+def test_csp_refuses_an_all_zero_composite():
+    zero = np.zeros((4, 4))
+    with pytest.raises(DegenerateInputError,
+                       match="^singular composite covariance"):
+        _csp_model(zero, zero, m=1)
 
 
 def _float32_classes(n_ch, n_trials=6, seed=0):

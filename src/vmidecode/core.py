@@ -4,7 +4,8 @@ Amplitudes are microvolts throughout. Recordings are synthesized at 250 Hz
 (SynthSpec.fs); preprocessing keeps that rate and by default decimates a
 faster recording by fs // 250. All types are immutable by convention after
 construction; every operation here is pure given its seed.
-synth_dataset fills its trials, one RNG stream each, on the shared pool.
+synth_dataset fills its trials, one RNG stream each, on the shared pool, in
+blocks of trials that reuse one trial's workspaces.
 """
 
 from dataclasses import dataclass, field
@@ -14,7 +15,7 @@ import numpy as np
 from .errors import (POSITIVE, DegenerateInputError, EmptyInputError,
                      RangeError, ShapeError, check, integer, list_of,
                      nonempty_str, number, pair)
-from .pool import ordered_map
+from .pool import ordered_map, row_blocks
 from .seeding import child_rng
 
 # 64-electrode cap, 10/20 international system, in recording order.
@@ -273,20 +274,6 @@ def require_finite(samples: np.ndarray, what: str) -> None:
         raise DegenerateInputError(f"{what} hold non-finite samples")
 
 
-def _pink_noise(rng: np.random.Generator, shape) -> np.ndarray:
-    """Unit-variance 1/f noise along the last axis via spectral shaping."""
-    n = shape[-1]
-    white = rng.standard_normal(shape)
-    spec = np.fft.rfft(white, axis=-1)
-    f = np.fft.rfftfreq(n)
-    scale = np.zeros_like(f)
-    scale[1:] = 1.0 / np.sqrt(f[1:])
-    pink = np.fft.irfft(spec * scale, n=n, axis=-1)
-    sd = pink.std(axis=-1, keepdims=True)
-    sd[sd == 0] = 1.0
-    return pink / sd
-
-
 def synth_dataset(spec: SynthSpec) -> EegRecording:
     """Generate a seeded synthetic recording with planted coupled oscillations.
 
@@ -316,18 +303,42 @@ def synth_dataset(spec: SynthSpec) -> EegRecording:
     data = np.empty((n_ch, trial_len * len(labels)), dtype=np.float32)
     planted_idx = {c: montage.indices(spec.planted_channels[c]) for c in classes}
 
-    def fill_trial(i):
-        rng = child_rng(spec.seed, "trial", i)
-        noise = (_pink_noise(rng, (n_ch, trial_len))
-                 + rng.standard_normal((n_ch, trial_len))) / np.sqrt(2.0)
-        phi0 = rng.uniform(0.0, 2.0 * np.pi)
-        carrier = 2.0 * np.pi * spec.carrier_hz[labels[i]] * t + phi0
-        for ch in planted_idx[labels[i]]:
-            phase = carrier
-            if jitter_sd > 0.0:
-                phase = carrier + jitter_sd * rng.standard_normal(im_len)
-            noise[ch, im_off:im_off + im_len] += amp * np.sin(phase)
-        data[:, i * trial_len:(i + 1) * trial_len] = noise
-    ordered_map(fill_trial, range(len(labels)))
+    f = np.fft.rfftfreq(trial_len)
+    scale = np.zeros_like(f)
+    scale[1:] = 1.0 / np.sqrt(f[1:])  # white -> unit-variance 1/f noise
+
+    def fill_block(block):
+        # one trial's workspaces, reused by each trial of the block
+        noise, white = np.empty((2, n_ch, trial_len))
+        freq = np.empty((n_ch, f.size), dtype=np.complex128)
+        # freq's memory as (n_ch, trial_len) float64: the std's temporary
+        dev = freq.view(np.float64).reshape(-1)[:white.size].reshape(
+            white.shape)
+        for i in range(block.start, block.stop):
+            rng = child_rng(spec.seed, "trial", i)
+            # pink noise by spectral shaping, scaled to unit std per channel
+            rng.standard_normal(out=white)
+            np.fft.rfft(white, axis=-1, out=freq)
+            freq *= scale
+            pink = np.fft.irfft(freq, n=trial_len, axis=-1, out=white)
+            # pink.std(axis=-1, keepdims=True), numpy's reductions in turn
+            mean = pink.sum(axis=-1, keepdims=True)
+            mean /= trial_len
+            np.square(np.subtract(pink, mean, out=dev), out=dev)
+            sd = np.sqrt(dev.sum(axis=-1, keepdims=True) / trial_len)
+            sd[sd == 0] = 1.0
+            pink /= sd
+            # pink + white noise at equal power, unit total variance
+            np.add(rng.standard_normal(out=noise), pink, out=noise)
+            noise /= np.sqrt(2.0)
+            phi0 = rng.uniform(0.0, 2.0 * np.pi)
+            carrier = 2.0 * np.pi * spec.carrier_hz[labels[i]] * t + phi0
+            for ch in planted_idx[labels[i]]:
+                phase = carrier
+                if jitter_sd > 0.0:
+                    phase = carrier + jitter_sd * rng.standard_normal(im_len)
+                noise[ch, im_off:im_off + im_len] += amp * np.sin(phase)
+            data[:, i * trial_len:(i + 1) * trial_len] = noise
+    ordered_map(fill_block, row_blocks(len(labels)))
     events = [(i * trial_len, int(lab)) for i, lab in enumerate(labels)]
     return EegRecording(montage, fs, data, events)

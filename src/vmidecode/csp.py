@@ -10,7 +10,8 @@ the filters L^-T U. LDA is pooled-covariance with a small ridge for rank
 safety.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .core import EpochSet
 from .errors import (DegenerateInputError, FormatError, RangeError,
                      ShapeError, check, integer)
 from .io import read_container, write_container
+from .pool import row_blocks
 
 RIDGE = 1e-6
 M_RULE = integer(1)  # CspLdaClassifier's m
@@ -43,10 +45,20 @@ class LdaModel:
     priors: np.ndarray
 
 
+def _float64_blocks(tensor: np.ndarray):
+    """float64 copies of a (trials, ...) tensor's blocks of trials, in order,
+    each block at most pool.BLOCK_BYTES unless it is one trial."""
+    for rows in row_blocks(len(tensor), 8 * math.prod(tensor.shape[1:])):
+        yield np.asarray(tensor[rows], dtype=np.float64)
+
+
 def _normalized_covs(tensor: np.ndarray) -> np.ndarray:
     """Per-trial covariance C / trace(C), trials x channels x channels."""
-    x = tensor - tensor.mean(axis=2, keepdims=True)
-    c = x @ x.transpose(0, 2, 1)
+    covs = []
+    for x in _float64_blocks(tensor):
+        x = x - x.mean(axis=2, keepdims=True)
+        covs.append(x @ x.transpose(0, 2, 1))
+    c = np.concatenate(covs)
     tr = np.trace(c, axis1=1, axis2=2)
     if np.any(tr <= 0):
         raise DegenerateInputError("trial with zero variance")
@@ -113,8 +125,7 @@ def csp_fit(class_a: EpochSet, class_b: EpochSet, m: int) -> CspModel:
         raise ShapeError("class epoch sets must share channels")
     if class_a.n_trials < 2 or class_b.n_trials < 2:
         raise RangeError(_TOO_FEW)
-    ca, cb = (_mean_normalized_cov(np.asarray(e.tensor, dtype=np.float64))
-              for e in (class_a, class_b))
+    ca, cb = (_mean_normalized_cov(e.tensor) for e in (class_a, class_b))
     return _csp_model(ca, cb, m)
 
 
@@ -124,20 +135,27 @@ def csp_features(model: CspModel, epochs: EpochSet) -> np.ndarray:
     Per trial: var_f of each filtered signal, normalized by the sum over
     retained filters, then log. Invariant to overall epoch scaling.
     """
-    return _features(model, np.asarray(epochs.tensor, dtype=np.float64))
+    return _features([model], epochs.tensor)[0]
 
 
-def _features(model: CspModel, x: np.ndarray) -> np.ndarray:
-    """csp_features of a float64 (trials, channels, samples) tensor."""
-    if x.shape[1] != model.n_channels:
-        raise ShapeError(f"model expects {model.n_channels} channels, got "
-                         f"{x.shape[1]}")
-    v = (model.filters @ x).var(axis=2)
-    # a trial whose variances are all positive has a positive total
-    bad = (v <= 0).any(axis=1)
-    if bad.any():
-        raise DegenerateInputError(f"zero variance in trial {bad.argmax()}")
-    return np.log(v / v.sum(axis=1, keepdims=True))
+def _features(models: list, tensor: np.ndarray) -> list:
+    """csp_features of each model on a (trials, channels, samples) tensor,
+    which is converted to float64 and filtered one block of trials at a
+    time."""
+    for model in models:
+        if tensor.shape[1] != model.n_channels:
+            raise ShapeError(f"model expects {model.n_channels} channels, "
+                             f"got {tensor.shape[1]}")
+    blocks = [[(model.filters @ x).var(axis=2) for model in models]
+              for x in _float64_blocks(tensor)]
+    features = []
+    for v in map(np.concatenate, zip(*blocks)):
+        # a trial whose variances are all positive has a positive total
+        bad = (v <= 0).any(axis=1)
+        if bad.any():
+            raise DegenerateInputError(f"zero variance in trial {bad.argmax()}")
+        features.append(np.log(v / v.sum(axis=1, keepdims=True)))
+    return features
 
 
 def lda_fit(features: np.ndarray, labels: np.ndarray) -> LdaModel:
@@ -146,7 +164,7 @@ def lda_fit(features: np.ndarray, labels: np.ndarray) -> LdaModel:
     labels = np.asarray(labels)
     if not np.isfinite(features).all():
         raise DegenerateInputError("non-finite features")
-    classes = np.unique(labels)
+    classes = np.unique(labels, return_counts=True)[0]
     if classes.size < 2:
         raise RangeError("lda_fit needs >= 2 classes")
     n, d = features.shape
@@ -190,28 +208,28 @@ class CspLdaClassifier:
 
     def fit(self, windows: EpochSet) -> "CspLdaClassifier":
         """csp_fit of each class against the rest, then LDA on its features;
-        each window's float64 copy and normalized covariance are made once."""
+        the per-window covariances are made once, and each window's filtered
+        variances once for all models, in blocks of windows."""
         self.classes_, counts = np.unique(windows.labels, return_counts=True)
         self.models_ = []
         # the smallest "rest" is the complement of the largest class
         if counts.min() < 2 or windows.n_trials - counts.max() < 2:
             raise RangeError(_TOO_FEW)
-        x = np.asarray(windows.tensor, dtype=np.float64)
-        covs = _normalized_covs(x)
-        for c in self.classes_:
-            is_c = windows.labels == c
-            csp = _csp_model(_mean_cov(covs[is_c]), _mean_cov(covs[~is_c]),
-                             self.m)
-            lda = lda_fit(_features(csp, x), is_c.astype(np.int64))
-            self.models_.append((csp, lda))
+        covs = _normalized_covs(windows.tensor)
+        is_class = [windows.labels == c for c in self.classes_]
+        csps = [_csp_model(_mean_cov(covs[is_c]), _mean_cov(covs[~is_c]),
+                           self.m) for is_c in is_class]
+        for csp, is_c, f in zip(csps, is_class,
+                                _features(csps, windows.tensor)):
+            self.models_.append((csp, lda_fit(f, is_c.astype(np.int64))))
         return self
 
     def predict_scores(self, windows: EpochSet) -> np.ndarray:
         """OVR margin per class for every window, windows x classes."""
-        x = np.asarray(windows.tensor, dtype=np.float64)
         scores = np.empty((windows.n_trials, self.classes_.size))
-        for k, (csp, lda) in enumerate(self.models_):
-            s = lda_scores(lda, _features(csp, x))
+        features = _features([csp for csp, _ in self.models_], windows.tensor)
+        for k, ((_, lda), f) in enumerate(zip(self.models_, features)):
+            s = lda_scores(lda, f)
             # each binary LDA is fitted on labels 0 (rest) and 1 (class k)
             scores[:, k] = s[:, 1] - s[:, 0]
         return scores

@@ -112,10 +112,7 @@ def stratified_folds(labels, n_folds: int, seed: int = 0) -> list:
 
 
 # method name -> classifier of (seed, csp_m, train_config); the order is
-# _run_cells' scheduling order, costliest fit first. Only "cnn" fits repay a
-# pool thread (two threads made a 64-channel pipeline run with a CSP-only
-# sweep about 3 % slower, not faster), so _run_cells sizes its pool by the
-# cnn tasks alone and runs a sweep without any in the calling thread.
+# _run_cells' scheduling order, costliest fit first.
 CLASSIFIERS = {
     "cnn": lambda seed, csp_m, tc: CnnClassifier(
         replace(tc or TrainConfig(), seed=seed)),
@@ -149,7 +146,7 @@ def _evaluate(dataset: EpochSet, cells: list, folds: int, seeds, csp_m: int,
     if unknown:
         raise ConfigError("method", f"unknown method {unknown[0]!r}")
     require_finite(dataset.tensor, "cross-validation epochs")
-    classes = np.unique(dataset.labels)
+    classes = np.unique(dataset.labels, return_counts=True)[0]
     if not np.array_equal(classes, np.arange(classes.size)):
         # the confusion matrix is indexed by class id
         raise RangeError(f"class ids must be 0..{classes.size - 1}, got "
@@ -168,7 +165,7 @@ def _evaluate(dataset: EpochSet, cells: list, folds: int, seeds, csp_m: int,
     for seed in seeds:
         for fold, test_idx in enumerate(
                 stratified_folds(dataset.labels, folds, seed=seed)):
-            train_idx = np.setdiff1d(np.arange(dataset.n_trials), test_idx)
+            train_idx = np.delete(np.arange(dataset.n_trials), test_idx)
             ranking = (conn_mod.rank_channels(conn_mod.class_plv(
                 trial_plv[train_idx], dataset.labels[train_idx],
                 dataset.montage).values()) if ranked else None)
@@ -223,14 +220,13 @@ def _fit_cell(plan: _CvPlan, task: tuple) -> np.ndarray:
 
 
 def _run_cells(plan: _CvPlan, tasks: list) -> list:
-    """_fit_cell(plan, task) for every task, in task order, on a pool of at
-    most one thread per cnn task (CLASSIFIERS). Tasks are submitted longest
-    first (methods in CLASSIFIERS order, then larger k first) so that no
-    long fit starts last."""
+    """_fit_cell(plan, task) for every task, in task order, on the shared
+    pool, whatever the methods. Tasks are submitted longest first (methods in
+    CLASSIFIERS order, then larger k first) so that no long fit starts
+    last."""
     rank = {m: i for i, m in enumerate(CLASSIFIERS)}
     return ordered_map(
         lambda task: _fit_cell(plan, task), tasks,
-        n_parallel=sum(plan.cells[c][0] == "cnn" for _, c in tasks),
         key=lambda t: (rank[plan.cells[t[1]][0]], -plan.cells[t[1]][1]))
 
 
@@ -403,17 +399,21 @@ def sha256_file(path) -> str:
 
 
 def write_manifest(out_dir, cfg: dict, artifacts: list) -> str:
-    """Write manifest.json listing config hash, seed and artifact hashes."""
+    """Write manifest.json listing config hash, seed and artifact hashes.
+    The artifacts are hashed on the shared pool, largest file first;
+    hashlib releases the GIL on large updates."""
     import vmidecode
     out_dir = str(out_dir)
+    paths = [f"{out_dir}/{name}" for name in sorted(artifacts)]
+    digests = ordered_map(sha256_file, paths,
+                          key=lambda path: -os.path.getsize(path))
     manifest = {
         "config_sha256": hashlib.sha256(
             json.dumps(cfg, sort_keys=True).encode()).hexdigest(),
         "seed": cfg.get("seed"),
         "versions": {"vmidecode": vmidecode.__version__,
                      "numpy": np.__version__},
-        "artifacts": {name: sha256_file(f"{out_dir}/{name}")
-                      for name in sorted(artifacts)},
+        "artifacts": dict(zip(sorted(artifacts), digests)),
     }
     path = f"{out_dir}/manifest.json"
     io.write_text(path, json.dumps(manifest, indent=2, sort_keys=True))

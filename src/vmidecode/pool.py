@@ -71,15 +71,15 @@ def one_blas_thread():
             set_threads(count)
 
 
-def ordered_map(fn, items, n_parallel: int = None, key=None) -> list:
-    """[fn(item) for item in items] on worker_count(n_parallel) threads of
-    this process (n_parallel, the items worth a thread, defaults to all),
-    submitted in key order if given, every OpenBLAS capped at one thread;
-    with one worker, in the calling thread. Results are read in item order,
-    so the error raised is the earliest failing item's, whichever finished
-    first; the items not yet started are dropped. No thread outlives it."""
+def ordered_map(fn, items, key=None) -> list:
+    """[fn(item) for item in items] on worker_count(len(items)) threads of
+    this process, submitted in key order if given, every OpenBLAS capped at
+    one thread; with one worker, in the calling thread. Results are read in
+    item order, so the error raised is the earliest failing item's,
+    whichever finished first; the items not yet started are dropped. No
+    thread outlives it."""
     items = list(items)
-    workers = worker_count(len(items) if n_parallel is None else n_parallel)
+    workers = worker_count(len(items))
     if workers <= 1:
         return [fn(item) for item in items]
     order = sorted(range(len(items)), key=key and (lambda i: key(items[i])))

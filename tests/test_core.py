@@ -5,8 +5,10 @@ import pytest
 
 from vmidecode import (DEFAULT_CHANNELS, CLASS_NAMES, EegRecording, EpochSet,
                        Montage, TrialTimeline, epoch_recording, synth_dataset)
+from vmidecode import pool
 from vmidecode.errors import (DegenerateInputError, EmptyInputError,
                               RangeError, ShapeError)
+from vmidecode.seeding import child_rng
 
 from conftest import SMALL_CHANNELS, small_spec
 
@@ -243,6 +245,63 @@ def test_synth_is_deterministic():
     b = synth_dataset(small_spec())
     assert a.data.tobytes() == b.data.tobytes()
     assert a.events == b.events
+
+
+def _pink_noise(rng, shape):
+    """Unit-variance 1/f noise along the last axis via spectral shaping."""
+    n = shape[-1]
+    white = rng.standard_normal(shape)
+    spec = np.fft.rfft(white, axis=-1)
+    f = np.fft.rfftfreq(n)
+    scale = np.zeros_like(f)
+    scale[1:] = 1.0 / np.sqrt(f[1:])
+    pink = np.fft.irfft(spec * scale, n=n, axis=-1)
+    sd = pink.std(axis=-1, keepdims=True)
+    sd[sd == 0] = 1.0
+    return pink / sd
+
+
+def _synth_per_trial(spec):
+    """synth_dataset's samples, one trial after another with fresh arrays,
+    as the generator was first written."""
+    tl, n_ch = TrialTimeline(), len(spec.montage)
+    labels = np.repeat(sorted(spec.planted_channels), spec.n_trials_per_class)
+    labels = labels[child_rng(spec.seed, "trial-order").permutation(
+        len(labels))]
+    trial_len, im_len = round(tl.total_s * spec.fs), round(tl.imagery_s *
+                                                           spec.fs)
+    im_off = round(tl.imagery_offset_s * spec.fs)
+    amp = np.sqrt(2.0 * 10.0 ** (spec.snr_db / 10.0))
+    jitter_sd = np.sqrt(-np.log(spec.coupling)) if spec.coupling < 1 else 0.0
+    t = np.arange(im_len) / spec.fs
+    data = np.empty((n_ch, trial_len * len(labels)), dtype=np.float32)
+    for i, label in enumerate(labels):
+        rng = child_rng(spec.seed, "trial", i)
+        noise = (_pink_noise(rng, (n_ch, trial_len))
+                 + rng.standard_normal((n_ch, trial_len))) / np.sqrt(2.0)
+        phi0 = rng.uniform(0.0, 2.0 * np.pi)
+        carrier = 2.0 * np.pi * spec.carrier_hz[label] * t + phi0
+        for ch in spec.montage.indices(spec.planted_channels[label]):
+            phase = carrier
+            if jitter_sd > 0.0:
+                phase = carrier + jitter_sd * rng.standard_normal(im_len)
+            noise[ch, im_off:im_off + im_len] += amp * np.sin(phase)
+        data[:, i * trial_len:(i + 1) * trial_len] = noise
+    return data
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("coupling", [1.0, 0.9])
+@pytest.mark.parametrize("n_ch", [8, 64])
+def test_synth_blocks_give_the_per_trial_bits(n_ch, coupling, workers,
+                                              monkeypatch):
+    monkeypatch.setattr(pool, "worker_count",
+                        lambda n_tasks: min(workers, n_tasks))
+    spec = (small_spec(n_trials_per_class=2, coupling=coupling) if n_ch == 8
+            else small_spec(n_trials_per_class=2, coupling=coupling,
+                            montage=Montage.default()))
+    assert synth_dataset(spec).data.tobytes() == \
+        _synth_per_trial(spec).tobytes()
 
 
 def test_synth_seed_changes_data():

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from vmidecode import (CspLdaClassifier, EpochSet, csp_features, csp_fit,
-                       lda_fit, lda_predict)
+                       lda_fit, lda_predict, pool)
 from vmidecode.csp import (_csp_model, _mean_normalized_cov, lda_scores,
                            load_csp_lda, save_csp_lda)
 from vmidecode.errors import DegenerateInputError, RangeError, ShapeError
@@ -320,6 +320,35 @@ def test_ovr_fit_matches_per_class_csp_fit(n_ch):
         np.testing.assert_array_equal(csp.eigenvalues, want.eigenvalues)
         np.testing.assert_array_equal(lda.weights, want_lda.weights)
         np.testing.assert_array_equal(lda.biases, want_lda.biases)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 100_000, pool.BLOCK_BYTES])
+@pytest.mark.parametrize("n_ch", [8, 64])
+def test_ovr_fit_and_scores_in_blocks_are_the_whole_tensor_bits(
+        n_ch, block_bytes, monkeypatch):
+    # 24 windows of 8 channels are 0.8 MB in float64, of 64 channels 6.1 MB
+    monkeypatch.setattr(pool, "BLOCK_BYTES", block_bytes)
+    windows = _four_class_float32_windows(n_ch)
+    clf = CspLdaClassifier(m=2).fit(windows)
+    # the float64 copy of every window at once, as fit first made it
+    x = np.asarray(windows.tensor, dtype=np.float64)
+    centred = x - x.mean(axis=2, keepdims=True)
+    c = centred @ centred.transpose(0, 2, 1)
+    covs = c / np.trace(c, axis1=1, axis2=2)[:, None, None]
+    want_scores = np.empty((windows.n_trials, 4))
+    for k, (csp, lda) in enumerate(clf.models_):
+        is_c = windows.labels == k
+        want = _csp_model(covs[is_c].sum(axis=0) / is_c.sum(),
+                          covs[~is_c].sum(axis=0) / (~is_c).sum(), 2)
+        v = (want.filters @ x).var(axis=2)
+        features = np.log(v / v.sum(axis=1, keepdims=True))
+        want_lda = lda_fit(features, is_c.astype(np.int64))
+        np.testing.assert_array_equal(csp.filters, want.filters)
+        np.testing.assert_array_equal(lda.weights, want_lda.weights)
+        np.testing.assert_array_equal(lda.biases, want_lda.biases)
+        s = lda_scores(want_lda, features)
+        want_scores[:, k] = s[:, 1] - s[:, 0]
+    np.testing.assert_array_equal(clf.predict_scores(windows), want_scores)
 
 
 def test_ovr_fit_refusals_match_csp_fit():

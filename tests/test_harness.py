@@ -4,6 +4,7 @@ import ctypes
 import json
 import os
 import re
+import subprocess
 import sys
 import threading
 import time
@@ -514,29 +515,75 @@ def test_pool_raises_the_error_of_the_earliest_task(small_imagery,
     assert threading.enumerate() == threads
 
 
-def _no_pool(*args, **kwargs):
-    raise AssertionError("a thread pool was started")
+def _count_harness_pools(monkeypatch) -> list:
+    """Route harness' ordered_map calls (the sweep's and the manifest's, not
+    the other stages') through a ThreadPoolExecutor that appends to the
+    returned list each time one is started."""
+    started = []
 
+    class Counting(pool.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(args)
+            super().__init__(*args, **kwargs)
 
-def test_csp_only_sweep_and_pipeline_start_no_process(small_imagery,
-                                                      monkeypatch, tmp_path):
-    _force_workers(monkeypatch, 2)
-
-    def sweep_map(*args, **kwargs):  # the sweep's pool only: stages pool too
+    def harness_map(*args, **kwargs):
         with monkeypatch.context() as m:
-            m.setattr(pool, "ThreadPoolExecutor", _no_pool)
+            m.setattr(pool, "ThreadPoolExecutor", Counting)
             return pool.ordered_map(*args, **kwargs)
-    monkeypatch.setattr(harness, "ordered_map", sweep_map)
-    report = sweep(small_imagery, methods=("csp_lda",), channel_counts=(2, 8),
-                   folds=2, seeds=(0, 1))
-    assert all(len(e.fold_accuracies) == 4 for e in report.entries)
+    monkeypatch.setattr(harness, "ordered_map", harness_map)
+    return started
+
+
+def test_csp_only_sweep_and_pipeline_pool_their_fits_with_one_workers_bytes(
+        small_imagery, monkeypatch, tmp_path):
+    started = _count_harness_pools(monkeypatch)
     tiny = Path(__file__).resolve().parents[1] / "configs" / "tiny.json"
-    assert "report.json" in harness.run_pipeline(
-        json.loads(tiny.read_text()), tmp_path)  # its sweep is CSP-only
-    # one cnn cell puts the whole sweep on the pool
-    with pytest.raises(AssertionError, match="pool was started"):
-        sweep(small_imagery, methods=("cnn", "csp_lda"), channel_counts=(2,),
-              folds=2)
+    blobs = {}
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        started.clear()
+        sweep(small_imagery, methods=("csp_lda",), channel_counts=(2, 8),
+              folds=2, seeds=(0, 1)).to_json(tmp_path / f"sweep{workers}")
+        assert len(started) == workers - 1
+        out = tmp_path / f"run{workers}"
+        # the tiny sweep is CSP-only; its fits and the manifest's hashes pool
+        assert "report.json" in harness.run_pipeline(
+            json.loads(tiny.read_text()), out)
+        assert len(started) == 3 * (workers - 1)
+        blobs[workers] = [(tmp_path / f"sweep{workers}").read_bytes(),
+                          (out / "report.json").read_bytes(),
+                          (out / "manifest.json").read_bytes()]
+    assert blobs[1] == blobs[2]
+    # one cnn cell puts the sweep on the pool
+    started.clear()
+    sweep(small_imagery, methods=("cnn", "csp_lda"), channel_counts=(2,),
+          folds=2, train_config=TrainConfig(epochs=1, batch_size=16))
+    assert len(started) == 1
+
+
+def test_a_sweep_and_the_pipeline_import_no_numpy_ma(tmp_path):
+    # np.unique without return_counts and np.setdiff1d call np.ma.is_masked,
+    # whose first use imports numpy.ma: 15-20 ms of a fresh process
+    tests = Path(__file__).resolve().parent
+    code = (
+        "import json, sys\n"
+        "from conftest import small_spec\n"
+        "from vmidecode import (TrainConfig, epoch_recording, run_pipeline,\n"
+        "                       sweep, synth_dataset)\n"
+        "ep = epoch_recording(synth_dataset(small_spec(n_trials_per_class=4)),"
+        " 'imagery', (500, 4500))\n"
+        "sweep(ep, channel_counts=(2,), folds=2,\n"
+        "      train_config=TrainConfig(epochs=1, batch_size=16))\n"
+        "run_pipeline(json.loads(open(sys.argv[1]).read()), sys.argv[2])\n"
+        "print('numpy.ma' in sys.modules)\n")
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests),
+                            os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tests.parent / "configs/tiny.json"),
+         str(tmp_path)], capture_output=True, text=True, timeout=600,
+        env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def _blas_thread_counts():

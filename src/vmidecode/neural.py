@@ -2,26 +2,29 @@
 
 Layers operate on contiguous batch x maps x height x width arrays with
 explicit forward/backward passes; gradients are checked against central
-finite differences in the test suite. The network's first conv
+finite differences in the test suite. No conv has a bias: a batch norm
+follows each one and would subtract it again. The network's first conv
 (TemporalConv) multiplies the overlapping blocks of every input row at once
 by a banded Toeplitz matrix of its weights and computes no input gradient;
-the later convs multiply the stacked im2col matrices by the weights.
-Network runs each maximal run of element-wise layers (batch norm, then the
-ELU and dropout after it) as one step: each tile of at most CHUNK elements
-of the (batch x maps, height x width) view goes through every layer of the
-run while it is in cache, and the outputs between them are chunk
-temporaries. Batch norm's reductions stay whole-array passes. A layer's own
-forward/backward is the run of that layer alone and gives the same bits.
-Only a train-mode forward keeps what the backward pass needs (the first
-conv's row blocks, the later convs' im2col matrices, centred batch-norm
-input, ELU output, dropout masks). Arrays of BUFFER_MIN_BYTES or more go
-into buffers the layer keeps; an output is valid until the next call of the
-layer or run that made it. Backward may overwrite what its forward kept and
-its incoming gradient, never its forward input. The architecture is a
-temporal convolution, a spatial convolution collapsing the channel axis,
-and two further conv + average-pool stages, ending in a softmax with one
-output per class. All stochasticity (init, dropout masks, shuffling)
-derives from a single seed.
+the spatial conv multiplies each sample's im2col matrix, a view of its
+input, by the weights, and the 1 x 15 convs one im2col matrix of the whole
+batch. Network runs each maximal run of element-wise layers (batch norm,
+then the ELU and dropout after it) as one step: each tile of at most CHUNK
+elements of the (batch x maps, height x width) view goes through every
+layer of the run while it is in cache, and the outputs between them are
+chunk temporaries. Batch norm's reductions stay whole-array passes. A
+layer's own forward/backward is the run of that layer alone and gives the
+same bits. Only a train-mode forward keeps what the backward pass needs
+(the first conv's row blocks, the later convs' im2col matrices, centred
+batch-norm input, ELU output, dropout masks). Arrays of BUFFER_MIN_BYTES or
+more go into buffers the layer keeps; an output is valid until the next
+call of the layer or run that made it. Backward may overwrite what its
+forward kept and its incoming gradient, never its forward input. The
+architecture is a temporal convolution, a spatial convolution collapsing
+the channel axis, and two further conv + average-pool stages, ending in a
+softmax with one output per class. train's Adam keeps one flat state for
+all parameters and updates it in cache-sized tiles. All stochasticity
+(init, dropout masks, shuffling) derives from a single seed.
 """
 
 import functools
@@ -41,13 +44,16 @@ WIN_S = 2.0
 OVERLAP = 0.5
 # early stop: an epoch's loss must beat the best by this much to count
 MIN_DELTA = 1e-4
-# output positions per row block of the first conv: 376 = 4 x 94
-BLOCK = 94
+# output positions per row block of the first conv: 376 = 8 x 47
+BLOCK = 47
 # arrays this large live in a buffer their layer keeps: glibc maps them
 # afresh on each allocation. Smaller ones are left to malloc, which serves
 # them from its heap only once the free of a larger mapped block has raised
 # its mmap threshold (128 KiB at start, 32 MiB at most)
 BUFFER_MIN_BYTES = 32 << 20
+# elements per tile of the Adam update: its five float64/float32 tile
+# arrays stay within a core's L2
+ADAM_TILE = 1 << 14
 # TrainConfig's value rules
 TRAIN_RULES = {"lr": POSITIVE,
                "batch_size": integer(1), "epochs": integer(1),
@@ -175,13 +181,19 @@ class _Layer:
 
 
 class Conv(_Layer):
-    """Valid 2-D convolution (correlation), stride 1.
+    """Valid 2-D convolution (correlation), stride 1, without a bias: every
+    conv of the network feeds a batch norm, which subtracts any per-map
+    constant again.
 
-    One stacked matmul multiplies every sample's im2col matrix (kernel taps
-    x output positions) by the weights. The matrices are a view of the
-    input where the geometry allows (the spatial conv), else a copy, and
-    are kept for the weight gradient only in train mode. The network's
-    first conv is a TemporalConv, which builds no im2col matrix.
+    Where the kernel taps tile the input without overlap (the spatial conv),
+    each sample's im2col matrix (taps x output positions) is a view of the
+    input and one stacked matmul multiplies them all by the weights. Else
+    (the 1 x 15 convs) one im2col copy lays the whole batch out as (taps,
+    batch x positions), and the forward product, the weight gradient and
+    the column gradients are one GEMM each; the input gradient adds the
+    column gradients back tap by tap. The matrices are kept for the weight
+    gradient only in train mode. The network's first conv is a
+    TemporalConv, which builds no im2col matrix.
     """
 
     def __init__(self, maps_in, maps_out, kernel, rng, dtype):
@@ -190,20 +202,29 @@ class Conv(_Layer):
         limit = np.sqrt(6.0 / (fan_in + maps_out))
         self.w = rng.uniform(-limit, limit,
                              size=(maps_out, maps_in, kh, kw)).astype(dtype)
-        self.b = np.zeros(maps_out, dtype=dtype)
-        self.params = ("w", "b")
+        self.params = ("w",)
 
     def forward(self, x, train):
         mo, mi, kh, kw = self.w.shape
         b, _, h, w_in = x.shape
         ho = out_len(h, kh, 1)
         wo = out_len(w_in, kw, 1)
-        # (B, taps, positions): sample i's im2col matrix is cols[i]
-        cols = np.lib.stride_tricks.sliding_window_view(
-            x, (kh, kw), axis=(2, 3)).transpose(0, 1, 4, 5, 2, 3).reshape(
-            b, mi * kh * kw, ho * wo)
-        out = np.matmul(self.w.reshape(mo, -1), cols)
-        out += self.b[:, None]
+        # (B, maps_in, ho, wo, kh, kw)
+        windows = np.lib.stride_tricks.sliding_window_view(
+            x, (kh, kw), axis=(2, 3))
+        self._tiled = (kh == 1 or ho == 1) and (kw == 1 or wo == 1)
+        if self._tiled:
+            # (B, taps, positions): sample i's im2col matrix is cols[i]
+            cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(
+                b, mi * kh * kw, ho * wo)
+            out = np.matmul(self.w.reshape(mo, -1), cols)
+        else:
+            # (taps, B x positions), a copy that backward may overwrite
+            cols = np.empty((mi * kh * kw, b * ho * wo), x.dtype)
+            cols.reshape(mi, kh, kw, b, ho, wo)[...] = windows.transpose(
+                1, 4, 5, 0, 2, 3)
+            out = (self.w.reshape(mo, -1) @ cols).reshape(
+                mo, b, ho * wo).transpose(1, 0, 2).copy()
         self._cols = cols if train else None
         self._x_shape = x.shape
         return out.reshape(b, mo, ho, wo)
@@ -212,23 +233,28 @@ class Conv(_Layer):
         mo, mi, kh, kw = self.w.shape
         b, _, ho, wo = grad.shape
         g = grad.reshape(b, mo, ho * wo)
-        self.db = g.sum(axis=(0, 2))
-        self.dw = np.matmul(g, self._cols.transpose(0, 2, 1)).sum(
-            axis=0).reshape(self.w.shape)
-        self._cols = None
-        # column gradients (B, maps_in, kh, kw, ho, wo), added back tap by tap
-        dcols = self._scratch("dcols", (b, mi, kh, kw, ho, wo), g.dtype)
-        np.matmul(self.w.reshape(mo, -1).T, g,
-                  out=dcols.reshape(b, -1, ho * wo))
-        if (kh == 1 or ho == 1) and (kw == 1 or wo == 1):
-            # the taps tile the input without overlap (the spatial conv):
-            # each input gradient is one column gradient
+        cols, self._cols = self._cols, None
+        if self._tiled:
+            self.dw = np.matmul(g, cols.transpose(0, 2, 1)).sum(
+                axis=0).reshape(self.w.shape)
+            # column gradients (B, maps_in, kh, kw, ho, wo); each input
+            # gradient is one of them
+            dcols = self._scratch("dcols", (b, mi, kh, kw, ho, wo), g.dtype)
+            np.matmul(self.w.reshape(mo, -1).T, g,
+                      out=dcols.reshape(b, -1, ho * wo))
             return dcols.transpose(0, 1, 2, 4, 3, 5).reshape(self._x_shape)
-        dx = np.zeros(self._x_shape, dtype=grad.dtype)
+        g = g.transpose(1, 0, 2).reshape(mo, -1)      # (maps, B x positions)
+        self.dw = (g @ cols.T).reshape(self.w.shape)
+        # column gradients (maps_in, kh, kw, B, ho, wo) in the matrices'
+        # memory, added back tap by tap
+        dcols = np.matmul(self.w.reshape(mo, -1).T, g, out=cols).reshape(
+            mi, kh, kw, b, ho, wo)
+        _, _, h, w_in = self._x_shape
+        dx = np.zeros((mi, b, h, w_in), dtype=grad.dtype)
         for i in range(kh):
             for j in range(kw):
-                dx[:, :, i:i + ho, j:j + wo] += dcols[:, :, i, j]
-        return dx
+                dx[:, :, i:i + ho, j:j + wo] += dcols[:, i, j]
+        return dx.transpose(1, 0, 2, 3).copy()
 
 
 def _pad_tail(a, n):
@@ -274,7 +300,8 @@ class TemporalConv(Conv):
     by kw - 1, its tail zero-padded to whole blocks. One GEMM multiplies all
     blocks by a (BLOCK + kw - 1, maps x BLOCK) banded Toeplitz matrix of the
     weights, rebuilt on every forward because the optimiser updates the
-    weights in place; the zeros off the band add nothing. Train mode keeps
+    weights in place; the zeros off the band add nothing, and the product's
+    columns are copied into the output maps. Train mode keeps
     only the blocks, from which the weight gradient is one GEMM and a sum
     along the band. Nothing consumes the gradient of the network's input, so
     backward returns None.
@@ -299,14 +326,13 @@ class TemporalConv(Conv):
         np.matmul(blocks, _toeplitz(self.w.reshape(mo, kw)), out=product)
         out = self._scratch("out", (b, mo, h, wo), product.dtype)
         for block, positions in _block_pairs(product, out):
-            np.add(block, self.b[:, None, None, None], out=positions)
+            positions[...] = block
         self._blocks = blocks if train else None
         return out
 
     def backward(self, grad):
         mo, _, _, kw = self.w.shape
         b, _, h, wo = grad.shape
-        self.db = grad.reshape(b, mo, h * wo).sum(axis=(0, 2))
         # the gradient regrouped like the product, in its buffer; 0 past wo
         g = self._scratch("product", (len(self._blocks), mo * BLOCK),
                           grad.dtype)
@@ -320,6 +346,12 @@ class TemporalConv(Conv):
 
 
 class AvgPool(_Layer):
+    """Average pool with stride equal to its kernel. The forward starts
+    from each tile's first entry plus 0 (np.mean's start, which turns -0
+    into +0), adds the other entries in row-major order as strided slices
+    and divides by their count as np.mean does: on the network's (1, kw)
+    pools it gives np.mean's bits."""
+
     def __init__(self, kernel):
         self.kernel = kernel
 
@@ -332,8 +364,15 @@ class AvgPool(_Layer):
         return x[:, :, :ho * kh, :wo * kw].reshape(b, m, ho, kh, wo, kw)
 
     def forward(self, x, train):
+        kh, kw = self.kernel
         self._x_shape = x.shape
-        return self._tiles(x).mean(axis=(3, 5))
+        tiles = self._tiles(x)
+        out = tiles[:, :, :, 0, :, 0] + x.dtype.type(0)
+        for i in range(kh):
+            for j in range(kw):
+                if i or j:
+                    out += tiles[:, :, :, i, :, j]
+        return np.divide(out, np.intp(kh * kw), out=out, casting="unsafe")
 
     def backward(self, grad):
         kh, kw = self.kernel
@@ -785,9 +824,63 @@ def _cross_entropy(probs: np.ndarray, labels) -> float:
     return float(-np.log(probs[np.arange(len(labels)), labels] + 1e-12).mean())
 
 
-def loss_on_batch(net: Network, x, labels, train: bool = True) -> float:
-    """Forward + cross-entropy without touching gradients (for FD checks)."""
-    return _cross_entropy(net.forward(x, train=train), labels)
+class _Adam:
+    """Adam over every parameter of a network as one flat state.
+
+    The parameters become views of one flat array of the network's dtype,
+    and the two moments are one float64 vector each. A step gathers the
+    gradients into one float64 vector, then updates tile by tile
+    (ADAM_TILE elements), each tile through every pass while it is in cache.
+    Per element the ops and their order are those of the per-parameter
+    update ``m1 = b1 m1 + (1 - b1) g``, ``m2 = b2 m2 + ((1 - b2) g) g``,
+    ``p -= cast(lr (m1 / (1 - b1^t)) / (sqrt(m2 / (1 - b2^t)) + eps))``.
+    """
+
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, net: Network, lr: float):
+        self.lr = lr
+        self.pairs = list(net.parameters())
+        arrays = [getattr(layer, name) for layer, name in self.pairs]
+        self.p = np.concatenate([a.ravel() for a in arrays], dtype=net.dtype)
+        self.slices = []
+        lo = 0
+        for (layer, name), a in zip(self.pairs, arrays):
+            self.slices.append(slice(lo, lo + a.size))
+            setattr(layer, name, self.p[self.slices[-1]].reshape(a.shape))
+            lo += a.size
+        self.g, self.m1, self.m2 = (np.zeros(lo) for _ in range(3))
+        n = min(ADAM_TILE, lo)
+        self._temps = (np.empty(n), np.empty(n), np.empty(n, self.p.dtype))
+        self.t = 0
+
+    def step(self):
+        """Update the parameters from the gradients the last backward set."""
+        beta1, beta2 = self.BETA1, self.BETA2
+        self.t += 1
+        c1, c2 = 1 - beta1 ** self.t, 1 - beta2 ** self.t
+        for (layer, name), sl in zip(self.pairs, self.slices):
+            grad = getattr(layer, "d" + name)
+            self.g[sl].reshape(grad.shape)[...] = grad
+        for lo in range(0, self.p.size, ADAM_TILE):
+            tile = slice(lo, lo + ADAM_TILE)
+            g, m1, m2, p = (v[tile] for v in (self.g, self.m1, self.m2,
+                                              self.p))
+            a, b, u = (t[:len(g)] for t in self._temps)
+            m1 *= beta1
+            m1 += np.multiply(g, 1 - beta1, out=a)
+            m2 *= beta2
+            np.multiply(g, 1 - beta2, out=a)
+            a *= g
+            m2 += a
+            np.divide(m1, c1, out=a)
+            a *= self.lr
+            np.divide(m2, c2, out=b)
+            np.sqrt(b, out=b)
+            b += self.EPS
+            a /= b
+            np.copyto(u, a, casting="unsafe")
+            p -= u
 
 
 # a non-finite loss raises DivergenceError with its context; numpy's
@@ -796,20 +889,16 @@ def loss_on_batch(net: Network, x, labels, train: bool = True) -> float:
 def train(net: Network, windows: EpochSet, config: TrainConfig):
     """Adam training loop with early stop on a training-loss plateau.
 
-    Returns the per-epoch mean loss curve; the network is trained in place.
-    Deterministic for a fixed config seed.
+    Returns the per-epoch mean loss curve; the network is trained in place,
+    its parameters rebound to views of the optimiser's one flat array (see
+    _Adam). Deterministic for a fixed config seed.
     """
     x = np.asarray(windows.tensor, dtype=net.dtype)[:, None, :, :]
     y = np.asarray(windows.labels)
     n = x.shape[0]
     if n < 1:
         raise RangeError("no training data")
-    slots = [(layer, name,
-              np.zeros_like(getattr(layer, name), dtype=np.float64),
-              np.zeros_like(getattr(layer, name), dtype=np.float64))
-             for layer, name in net.parameters()]
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    step = 0
+    adam = _Adam(net, config.lr)
     curve = []
     last_loss = None
     best = np.inf
@@ -826,17 +915,7 @@ def train(net: Network, windows: EpochSet, config: TrainConfig):
                                       n_channels=windows.n_channels)
             losses.append(loss)
             last_loss = loss
-            step += 1
-            for layer, name, m1, m2 in slots:
-                g = getattr(layer, "d" + name).astype(np.float64)
-                m1 *= beta1
-                m1 += (1 - beta1) * g
-                m2 *= beta2
-                m2 += (1 - beta2) * g * g
-                mhat = m1 / (1 - beta1 ** step)
-                vhat = m2 / (1 - beta2 ** step)
-                p = getattr(layer, name)
-                p -= (config.lr * mhat / (np.sqrt(vhat) + eps)).astype(p.dtype)
+            adam.step()
         epoch_loss = float(np.mean(losses))
         curve.append(epoch_loss)
         if epoch_loss < best - MIN_DELTA:
@@ -946,6 +1025,9 @@ def save_network(net: Network, path, config: TrainConfig = None) -> None:
 
 
 def load_network(path) -> Network:
+    """A network from save_network's checkpoint. A checkpoint written while
+    the convs had a bias loads with each bias folded into the running mean
+    of the batch norm after it."""
     header, arrays = read_container(path)
     # older checkpoints list each layer's stride, which its kind now implies
     layers = [LayerSpec(**{k: tuple(v) if k == "kernel" else v
@@ -953,9 +1035,31 @@ def load_network(path) -> Network:
               for d in header["layers"]]
     spec = ModelSpec(layers, header["n_channels"], header["input_samples"])
     net = Network(spec, seed=header["seed"])
-    for i, (layer, name) in enumerate(net.state_arrays()):
-        key, arr = f"{i}.{name}", getattr(layer, name)
+    # older checkpoints list a bias after each conv's weights; with a conv
+    # first, position 1 holds a "b" only then
+    state = list(net.state_arrays())
+    if "1.b" in arrays and isinstance(net.layers[0], Conv):
+        state = [pair for layer, name in state for pair in (
+            [(layer, name), (layer, "b")] if isinstance(layer, Conv)
+            else [(layer, name)])]
+    biases = {}
+    for i, (layer, name) in enumerate(state):
+        key = f"{i}.{name}"
+        bias = isinstance(layer, Conv) and name == "b"
+        arr = (np.empty(len(layer.w), net.dtype) if bias
+               else getattr(layer, name))
         if key not in arrays or arrays[key].shape != arr.shape:
             raise ShapeError(f"{path}: checkpoint lacks a {arr.shape} {key!r}")
-        setattr(layer, name, arrays[key].astype(arr.dtype))
+        if bias:
+            biases[layer] = arrays[key].astype(arr.dtype)
+        else:
+            setattr(layer, name, arrays[key].astype(arr.dtype))
+    # a conv's bias only shifts the next batch norm's input: at eval,
+    # (x + b - mean) equals x - (mean - b)
+    for conv, bn in zip(net.layers, net.layers[1:]):
+        if conv in biases:
+            if not isinstance(bn, BatchNorm):
+                raise ShapeError(f"{path}: a conv bias that no batch norm "
+                                 f"follows cannot be folded")
+            bn.running_mean = bn.running_mean - biases[conv]
     return net

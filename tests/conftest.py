@@ -58,6 +58,12 @@ def reduced_model_spec(n_channels=2, width=40, dropout=0.0):
     return ModelSpec(layers, n_channels, width)
 
 
+def loss_on_batch(net, x, labels, train=True):
+    """Forward + cross-entropy without touching gradients (for FD checks)."""
+    from vmidecode.neural import _cross_entropy
+    return _cross_entropy(net.forward(x, train=train), labels)
+
+
 def gradient_check(seed, eps=1e-5):
     """Compare backprop against central finite differences on every
     parameter of the reduced model; returns (n_params, worst relative error).
@@ -66,7 +72,6 @@ def gradient_check(seed, eps=1e-5):
     central differences are a valid oracle with dropout disabled.
     """
     from vmidecode import Network
-    from vmidecode.neural import loss_on_batch
     spec = reduced_model_spec()
     net = Network(spec, seed=seed, dtype=np.float64)
     rng = np.random.default_rng(1000 + seed)

@@ -8,7 +8,7 @@ from vmidecode import (CnnClassifier, EpochSet, Network, TrainConfig,
                        predict_trial, save_network, slide_windows)
 from vmidecode import neural
 from vmidecode.errors import DivergenceError, RangeError, ShapeError
-from vmidecode.neural import AvgPool, loss_on_batch, out_len, train
+from vmidecode.neural import AvgPool, out_len, train
 
 from conftest import gradient_check, reduced_model_spec
 
@@ -181,6 +181,27 @@ def test_avgpool_matches_direct_loops(n_ch):
     assert not dx[..., 20:].any()
 
 
+@pytest.mark.parametrize("width", [376, 94, 20, 95, 97])
+def test_avgpool_gives_the_bits_of_mean(width):
+    # 95 and 97 leave a tail of 3 and 1 columns out; the specials include
+    # an all -0.0 tile (mean's sum starts from +0.0) and inf - inf
+    rng = np.random.default_rng(width)
+    x = (rng.standard_normal((4, 9, 1, width))
+         * 10.0 ** rng.integers(-40, 38, (4, 9, 1, width))).astype(np.float32)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan], np.float32)
+    flat = x.reshape(-1)
+    at = rng.choice(flat.size, flat.size // 10, replace=False)
+    flat[at] = special[np.arange(at.size) % special.size]
+    x[0, 0, 0, :4] = -0.0
+    x[0, 1, 0, :4] = [np.inf, 1.0, -np.inf, 2.0]
+    wo = width // 4
+    with np.errstate(invalid="ignore"):
+        out = AvgPool((1, 4)).forward(x, train=False)
+        want = x[..., :4 * wo].reshape(4, 9, 1, 1, wo, 4).mean(axis=(3, 5))
+    assert out.dtype == want.dtype and out.flags.c_contiguous
+    assert out.tobytes() == want.tobytes()
+
+
 def test_batchnorm_train_mode_normalizes():
     from vmidecode.neural import BatchNorm
     bn = BatchNorm(3, np.float64)  # gamma = 1, beta = 0
@@ -193,7 +214,7 @@ def test_batchnorm_train_mode_normalizes():
 # ---------------------------------------------------------------------------
 # Kernel oracles
 
-def _direct_correlation(x, w, b):
+def _direct_correlation(x, w):
     """Valid stride-1 correlation by an explicit loop over every output."""
     n, _, h, wid = x.shape
     mo, _, kh, kw = w.shape
@@ -203,7 +224,7 @@ def _direct_correlation(x, w, b):
             for i in range(h - kh + 1):
                 for j in range(wid - kw + 1):
                     out[s, m, i, j] = (x[s, :, i:i + kh, j:j + kw]
-                                       * w[m]).sum() + b[m]
+                                       * w[m]).sum()
     return out
 
 
@@ -216,12 +237,12 @@ def test_conv_forward_matches_direct_correlation(x_shape, w_shape):
     from vmidecode.neural import Conv
     rng = np.random.default_rng(8)
     conv = Conv(w_shape[1], w_shape[0], w_shape[2:], rng, np.float64)
-    conv.b = rng.standard_normal(w_shape[0])
+    assert conv.params == ("w",)
     x = rng.standard_normal(x_shape)
     for train in (True, False):
         out = conv.forward(x, train)
         assert out.flags.c_contiguous
-        np.testing.assert_allclose(out, _direct_correlation(x, conv.w, conv.b),
+        np.testing.assert_allclose(out, _direct_correlation(x, conv.w),
                                    rtol=1e-12, atol=1e-12)
 
 
@@ -246,6 +267,27 @@ def test_conv_input_gradient_matches_finite_differences(x_shape, w_shape):
         assert abs(fd / (2 * eps) - dx[idx]) < 1e-6
 
 
+@pytest.mark.parametrize("batch", [1, 3, 16])
+def test_conv_weight_gradient_matches_finite_differences(batch):
+    # the 1x15 convs' whole-batch GEMM: dw of sum(forward(x) * r)
+    from vmidecode.neural import Conv
+    rng = np.random.default_rng(batch)
+    conv = Conv(5, 6, (1, 15), rng, np.float64)
+    x = rng.standard_normal((batch, 5, 1, 30))
+    r = rng.standard_normal(conv.forward(x, True).shape)
+    conv.backward(r)
+    assert conv.dw.shape == conv.w.shape
+    eps = 1e-6
+    for idx in zip(*(rng.integers(0, n, size=20) for n in conv.w.shape)):
+        w = conv.w[idx]
+        conv.w[idx] = w + eps
+        up = (conv.forward(x, False) * r).sum()
+        conv.w[idx] = w - eps
+        down = (conv.forward(x, False) * r).sum()
+        conv.w[idx] = w
+        assert abs((up - down) / (2 * eps) - conv.dw[idx]) < 1e-6
+
+
 @pytest.mark.parametrize("x_shape, w_shape", [
     ((2, 1, 3, 40), (8, 1, 1, 7)),      # 34 positions: under one block
     ((2, 1, 3, 500), (4, 1, 1, 125)),   # 376 positions: four whole blocks
@@ -255,22 +297,20 @@ def test_temporal_conv_forward_matches_direct_correlation(x_shape, w_shape):
     from vmidecode.neural import TemporalConv
     rng = np.random.default_rng(8)
     conv = TemporalConv(w_shape[0], w_shape[2:], rng, np.float64)
-    conv.b = rng.standard_normal(w_shape[0])
+    assert conv.params == ("w",)
     x = rng.standard_normal(x_shape)
     for train in (True, False):
         out = conv.forward(x, train)
         assert out.flags.c_contiguous
-        np.testing.assert_allclose(out, _direct_correlation(x, conv.w, conv.b),
+        np.testing.assert_allclose(out, _direct_correlation(x, conv.w),
                                    rtol=1e-12, atol=1e-12)
 
 
 def _conv_pair(maps, kw, dtype):
-    """An im2col Conv and a TemporalConv with the same weights and bias."""
+    """An im2col Conv and a TemporalConv with the same weights."""
     from vmidecode.neural import Conv, TemporalConv
     conv = Conv(1, maps, (1, kw), np.random.default_rng(13), dtype)
     temporal = TemporalConv(maps, (1, kw), np.random.default_rng(13), dtype)
-    conv.b = temporal.b = np.random.default_rng(14).standard_normal(
-        maps).astype(dtype)
     np.testing.assert_array_equal(conv.w, temporal.w)
     return conv, temporal
 
@@ -284,11 +324,9 @@ def test_temporal_conv_gradients_match_im2col(width, kw):
     temporal.forward(x, True)
     conv.backward(grad)
     assert temporal.backward(grad) is None
-    for name in ("dw", "db"):
-        ref = getattr(conv, name)
-        assert getattr(temporal, name).shape == ref.shape
-        assert (np.abs(getattr(temporal, name) - ref).max()
-                <= 1e-12 * np.abs(ref).max())
+    assert temporal.dw.shape == conv.dw.shape
+    assert (np.abs(temporal.dw - conv.dw).max()
+            <= 1e-12 * np.abs(conv.dw).max())
 
 
 def test_temporal_conv_forward_is_the_im2col_product_in_float32():
@@ -649,6 +687,50 @@ def test_training_is_deterministic():
     assert params[0].tobytes() == params[1].tobytes()
 
 
+def _per_parameter_adam(slots, step, lr):
+    """train's Adam update as it was before the flat state: one update per
+    parameter array; slots holds (layer, name, m1, m2)."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    for layer, name, m1, m2 in slots:
+        g = getattr(layer, "d" + name).astype(np.float64)
+        m1 *= beta1
+        m1 += (1 - beta1) * g
+        m2 *= beta2
+        m2 += (1 - beta2) * g * g
+        mhat = m1 / (1 - beta1 ** step)
+        vhat = m2 / (1 - beta2 ** step)
+        p = getattr(layer, name)
+        p -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(p.dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_flat_adam_gives_the_per_parameter_bits(dtype, monkeypatch):
+    # 5 steps of a k = 2 network, with a tile that splits parameters
+    # unevenly: the parameters and both float64 moments, bit for bit; a
+    # float64 network keeps every bit of each update
+    monkeypatch.setattr(neural, "ADAM_TILE", 1000)
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal((5, 16, 1, 2, 500)).astype(dtype)
+    labels = np.arange(16) % 4
+    spec = build_model(2, input_samples=500)
+    flat, ref = (Network(spec, seed=8, dtype=dtype) for _ in range(2))
+    adam = neural._Adam(flat, 1e-2)
+    slots = [(layer, name, np.zeros(getattr(layer, name).shape),
+              np.zeros(getattr(layer, name).shape))
+             for layer, name in ref.parameters()]
+    for step, batch in enumerate(x, 1):
+        for net in (flat, ref):
+            net.forward(batch, train=True)
+            net.backward(labels)
+        adam.step()
+        _per_parameter_adam(slots, step, 1e-2)
+        for (a, name), (b, _) in zip(flat.state_arrays(), ref.state_arrays()):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    for i, moment in ((2, adam.m1), (3, adam.m2)):
+        want = np.concatenate([slot[i].ravel() for slot in slots])
+        assert moment.tobytes() == want.tobytes()
+
+
 def test_zero_learning_rate_freezes_parameters():
     # dropout off and one whole-set batch, so with frozen parameters the
     # batch statistics (and hence the loss) repeat exactly across epochs
@@ -832,6 +914,40 @@ def test_checkpoint_with_strides_in_its_layers_loads(tmp_path):
                                            back.state_arrays()):
         np.testing.assert_array_equal(getattr(layer_b, name),
                                       getattr(layer, name))
+
+
+def test_checkpoint_with_conv_biases_loads_them_folded(tmp_path):
+    # checkpoints written while every conv had a bias: each bias moves into
+    # the running mean of the batch norm after it
+    from vmidecode.io import read_container, write_container
+    from vmidecode.neural import Conv
+    windows = _train_windows()
+    net = _small_net(seed=6)
+    train(net, windows, TrainConfig(epochs=2, batch_size=8, seed=6))
+    rng = np.random.default_rng(24)
+    biases = {layer: rng.standard_normal(len(layer.w)).astype(np.float32)
+              for layer in net.layers if isinstance(layer, Conv)}
+    old = [pair for layer, name in net.state_arrays() for pair in (
+        [(layer, name), (layer, "b")] if layer in biases
+        else [(layer, name)])]
+    path = tmp_path / "model.eegb"
+    save_network(net, path)
+    header, _ = read_container(path)
+    write_container(path, header, {
+        f"{i}.{name}": biases[layer] if layer in biases and name == "b"
+        else getattr(layer, name) for i, (layer, name) in enumerate(old)})
+    back = load_network(path)
+    assert not any(hasattr(layer, "b") for layer in back.layers
+                   if isinstance(layer, Conv))
+    x = windows.tensor[:, None]
+    ref = x
+    for layer in net.layers:     # the network the checkpoint describes
+        ref = layer.forward(ref, False)
+        if layer in biases:
+            ref = ref + biases[layer][:, None, None]
+    got = predict_proba(back, windows.tensor)
+    np.testing.assert_allclose(got, ref, rtol=1e-4, atol=1e-6)
+    assert np.abs(got - predict_proba(net, windows.tensor)).max() > 1e-3
 
 
 def test_cnn_classifier_fit_predict():

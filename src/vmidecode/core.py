@@ -274,13 +274,32 @@ def require_finite(samples: np.ndarray, what: str) -> None:
         raise DegenerateInputError(f"{what} hold non-finite samples")
 
 
+def _noise_shape(n: int) -> np.ndarray:
+    """Float32 amplitude of white + 1/f noise on the rfft bins of n samples:
+    1 at DC and sqrt(1 + c/f) elsewhere, f in cycles per sample. c gives the
+    white and 1/f parts equal expected power: c = sum(w) / sum_{k>=1}(w_k /
+    f_k), w_k each bin's two-sided weight (1 at DC and Nyquist, 2 elsewhere).
+    """
+    f = np.fft.rfftfreq(n)
+    w = np.full(f.size, 2.0)
+    w[0] = 1.0
+    if n % 2 == 0:
+        w[-1] = 1.0
+    c = w.sum() / (w[1:] / f[1:]).sum()
+    shape = np.ones(f.size, dtype=np.float32)
+    shape[1:] = np.sqrt(1.0 + c / f[1:])
+    return shape
+
+
 def synth_dataset(spec: SynthSpec) -> EegRecording:
     """Generate a seeded synthetic recording with planted coupled oscillations.
 
     During each trial's imagery phase the class's planted channels carry a
     shared-phase sinusoid at the class carrier frequency; all channels carry
-    pink + white noise (equal power, unit total variance) throughout. Rest
-    and cue phases are noise only. Pairwise PLV of planted channels is
+    white + 1/f noise throughout. Rest and cue phases are noise only. Each
+    trial's noise is one float32 Gaussian spectrum shaped by _noise_shape (the
+    two parts at equal expected power) and inverted by one irfft, then scaled
+    to unit sample std per channel. Pairwise PLV of planted channels is
     controlled through per-channel Gaussian phase jitter: a jitter standard
     deviation of sqrt(-ln c) yields expected PLV c between a jittered pair.
     """
@@ -303,34 +322,21 @@ def synth_dataset(spec: SynthSpec) -> EegRecording:
     data = np.empty((n_ch, trial_len * len(labels)), dtype=np.float32)
     planted_idx = {c: montage.indices(spec.planted_channels[c]) for c in classes}
 
-    f = np.fft.rfftfreq(trial_len)
-    scale = np.zeros_like(f)
-    scale[1:] = 1.0 / np.sqrt(f[1:])  # white -> unit-variance 1/f noise
+    shape = _noise_shape(trial_len)
 
     def fill_block(block):
         # one trial's workspaces, reused by each trial of the block
-        noise, white = np.empty((2, n_ch, trial_len))
-        freq = np.empty((n_ch, f.size), dtype=np.complex128)
-        # freq's memory as (n_ch, trial_len) float64: the std's temporary
-        dev = freq.view(np.float64).reshape(-1)[:white.size].reshape(
-            white.shape)
+        freq = np.empty((n_ch, 2 * shape.size), dtype=np.float32)
+        spectrum = freq.view(np.complex64)
+        noise = np.empty((n_ch, trial_len), dtype=np.float32)
         for i in range(block.start, block.stop):
             rng = child_rng(spec.seed, "trial", i)
-            # pink noise by spectral shaping, scaled to unit std per channel
-            rng.standard_normal(out=white)
-            np.fft.rfft(white, axis=-1, out=freq)
-            freq *= scale
-            pink = np.fft.irfft(freq, n=trial_len, axis=-1, out=white)
-            # pink.std(axis=-1, keepdims=True), numpy's reductions in turn
-            mean = pink.sum(axis=-1, keepdims=True)
-            mean /= trial_len
-            np.square(np.subtract(pink, mean, out=dev), out=dev)
-            sd = np.sqrt(dev.sum(axis=-1, keepdims=True) / trial_len)
-            sd[sd == 0] = 1.0
-            pink /= sd
-            # pink + white noise at equal power, unit total variance
-            np.add(rng.standard_normal(out=noise), pink, out=noise)
-            noise /= np.sqrt(2.0)
+            # the shaped spectrum drawn directly (Timmer & Koenig 1995);
+            # irfft drops the imaginary parts of DC and Nyquist
+            rng.standard_normal(dtype=np.float32, out=freq)
+            spectrum *= shape
+            np.fft.irfft(spectrum, n=trial_len, axis=-1, out=noise)
+            noise /= noise.std(axis=-1, keepdims=True)
             phi0 = rng.uniform(0.0, 2.0 * np.pi)
             carrier = 2.0 * np.pi * spec.carrier_hz[labels[i]] * t + phi0
             for ch in planted_idx[labels[i]]:

@@ -1,6 +1,6 @@
 """Trial-averaged phase-locking-value connectivity and channel selection;
-phase factors and per-trial PLV matrices are formed in byte-bounded blocks
-of trials on the shared thread pool, never for all trials at once."""
+per-trial PLV matrices are formed in byte-bounded blocks of trials on the
+shared thread pool, never for all trials at once."""
 
 from dataclasses import dataclass
 
@@ -63,33 +63,24 @@ class ChannelRanking:
         write_text(path, "\n".join(rows) + "\n")
 
 
-def _trial_blocks(epochs: EpochSet, out: np.ndarray, fn) -> np.ndarray:
-    """out[trials] = fn(the phase factors of trials), block by block."""
+def plv_trial_matrices(epochs: EpochSet) -> np.ndarray:
+    """Per-trial PLV matrices, trials x channels x channels.
+
+    PLV(i, j) = |mean_t e^{i (phi_i(t) - phi_j(t))}| within each trial, from
+    the unit-modulus phase factors e^{i phi} of each block of trials.
+    """
+    out = np.empty(epochs.tensor.shape[:2] + (epochs.n_channels,))
+
     def fill(trials):
         a = analytic_signal(epochs.tensor[trials])
         mag = np.abs(a)
         mag[mag == 0] = 1.0
-        out[trials] = fn(np.divide(a, mag, out=a))
+        z = np.divide(a, mag, out=a)
+        out[trials] = np.abs(z @ z.conj().swapaxes(-1, -2) / epochs.n_samples)
     # a trial's phase factors are complex128
     ordered_map(fill, row_blocks(epochs.n_trials,
                                  16 * epochs.n_channels * epochs.n_samples))
     return out
-
-
-def phase_factors(epochs: EpochSet) -> np.ndarray:
-    """Unit-modulus instantaneous phase factors e^{i phi} per trial/channel."""
-    return _trial_blocks(epochs, np.empty(epochs.tensor.shape, np.complex128),
-                         lambda z: z)
-
-
-def plv_trial_matrices(epochs: EpochSet) -> np.ndarray:
-    """Per-trial PLV matrices, trials x channels x channels.
-
-    PLV(i, j) = |mean_t e^{i (phi_i(t) - phi_j(t))}| within each trial.
-    """
-    return _trial_blocks(
-        epochs, np.empty(epochs.tensor.shape[:2] + (epochs.n_channels,)),
-        lambda z: np.abs(z @ z.conj().swapaxes(-1, -2) / epochs.n_samples))
 
 
 def _mean_plv(trial_plv: np.ndarray, montage: Montage) -> ConnectivityMatrix:

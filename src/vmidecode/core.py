@@ -122,10 +122,12 @@ class EegRecording:
             raise ShapeError(f"data must be {len(self.montage)} x samples, "
                              f"got {self.data.shape}")
         check("fs", self.fs, integer(1))
-        self.events = [(int(s), int(l)) for s, l in self.events]
-        for s, _ in self.events:
-            if not 0 <= s < self.n_samples:
+        for s, l in self.events:
+            check("event sample", s, integer(0))
+            check("event label", l, integer(0))
+            if s >= self.n_samples:
                 raise RangeError(f"event sample {s} outside recording")
+        self.events = [(int(s), int(l)) for s, l in self.events]
 
     @property
     def n_channels(self) -> int:
@@ -155,7 +157,11 @@ class EpochSet:
     montage: Montage = None
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = np.asarray(self.labels)
+        if self.labels.size and self.labels.dtype.kind not in "iu":
+            raise RangeError(f"labels must be integers, got "
+                             f"{self.labels.dtype}")
+        self.labels = self.labels.astype(np.int64, copy=False)
         self.tensor = np.asarray(self.tensor)
         if self.tensor.ndim != 3:
             raise ShapeError("tensor must be trials x channels x samples")
@@ -166,6 +172,7 @@ class EpochSet:
             raise ShapeError(f"montage names {len(self.montage)} channels, "
                              f"tensor holds {self.tensor.shape[1]}")
         check("fs", self.fs, integer(1))
+        check("t0_ms", self.t0_ms, (number, "a finite number"))
         self.source_trials = np.asarray(
             np.arange(self.n_trials) if self.source_trials is None
             else self.source_trials, dtype=np.int64)

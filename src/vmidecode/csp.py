@@ -17,8 +17,8 @@ import numpy as np
 
 from .core import EpochSet
 from .errors import (DegenerateInputError, FormatError, RangeError,
-                     ShapeError, check, integer)
-from .io import read_container, write_container
+                     ShapeError, check, integer, list_rule)
+from .io import read_container, refusing, write_container
 from .pool import row_blocks
 
 RIDGE = 1e-6
@@ -254,8 +254,10 @@ def save_csp_lda(clf: CspLdaClassifier, path) -> None:
 
 
 def load_csp_lda(path) -> CspLdaClassifier:
-    header, arrays = read_container(path)
-    clf = CspLdaClassifier(m=header["m"])
+    header, arrays = read_container(path, "csp-lda-checkpoint")
+    with refusing(path):
+        clf = CspLdaClassifier(m=header["m"])
+        check("classes", header["classes"], list_rule(integer(0)))
     clf.classes_ = np.asarray(header["classes"])
     try:
         for i in range(clf.classes_.size):

@@ -9,9 +9,12 @@ limited to float32, float64 and int64. A recording is one float32 array
 (trials x channels x samples); model checkpoints store their parameters by
 name in their own dtype. Round trips are bit-exact. The payload is written
 from each array's own buffer and read with one copy, the file's, which the
-arrays view.
+arrays view. Each loader reads exactly the layout its writer writes: a
+header without one of its keys is a FormatError, and a value of the wrong
+JSON type, or one that the type owning it refuses, a CorruptionError.
 """
 
+import contextlib
 import json
 import math
 import struct
@@ -67,8 +70,9 @@ def _array_specs(path, header) -> list:
     return [(name, np.dtype(dtype), shape) for name, dtype, shape in specs]
 
 
-def read_container(path):
-    """Read (header, {name: array}) from an EEGB file."""
+def read_container(path, kind=None):
+    """Read (header, {name: array}) from an EEGB file; given a kind, the
+    header's "kind" must be it."""
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < 9 or blob[:4] != MAGIC:
@@ -83,6 +87,8 @@ def read_container(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"{path}: unreadable header: {e}") from e
     specs = _array_specs(path, header)
+    if kind is not None and header.get("kind") != kind:
+        raise FormatError(f"{path}: not a {kind}")
     body = memoryview(blob)[9 + hlen:]
     sizes = [dtype.itemsize * math.prod(shape) for _, dtype, shape in specs]
     if sum(sizes) != len(body):
@@ -93,6 +99,23 @@ def read_container(path):
                                         int(start)).reshape(shape)
                     for (name, dtype, shape), size, start
                     in zip(specs, sizes, starts)}
+
+
+@contextlib.contextmanager
+def refusing(path):
+    """Raise what building an object from path's header raises as a data
+    error that names path: a missing key as a FormatError; a value of the
+    wrong JSON type, or one that the object's type refuses, as a
+    CorruptionError."""
+    try:
+        yield
+    except KeyError as e:
+        raise FormatError(f"{path}: header lacks key {e}") from e
+    except (AttributeError, TypeError) as e:
+        raise CorruptionError(f"{path}: a header value of the wrong type "
+                              f"({e})") from e
+    except ValueError as e:
+        raise CorruptionError(f"{path}: {e}") from e
 
 
 def _array(path, arrays: dict, name: str, ndim: int) -> np.ndarray:
@@ -115,16 +138,11 @@ def save_recording(rec: EegRecording, path) -> None:
 
 def load_recording(path) -> EegRecording:
     header, arrays = read_container(path)
-    for key in ("fs", "channel_names", "events"):
-        if key not in header:
-            raise FormatError(f"{path}: header missing {key!r}")
-    data = _array(path, arrays, "data", 2)
-    events = [(e["sample"], e["label"]) for e in header["events"]]
-    try:
-        return EegRecording(Montage(tuple(header["channel_names"])),
-                            header["fs"], data, events)
-    except ValueError as e:
-        raise CorruptionError(f"{path}: {e}") from e
+    with refusing(path):
+        return EegRecording(
+            Montage(header["channel_names"]), header["fs"],
+            _array(path, arrays, "data", 2),
+            [(e["sample"], e["label"]) for e in header["events"]])
 
 
 def save_epochs(epochs: EpochSet, path) -> None:
@@ -140,19 +158,9 @@ def save_epochs(epochs: EpochSet, path) -> None:
 
 def load_epochs(path) -> EpochSet:
     header, arrays = read_container(path)
-    for key in ("fs", "t0_ms", "labels"):
-        if key not in header:
-            raise FormatError(f"{path}: header missing {key!r}")
     tensor = _array(path, arrays, "tensor", 3)
     require_finite(tensor, f"{path}: epochs")
-    # files of montage-less epochs from before names were always written
-    names = header.get("channel_names")
-    src = header.get("source_trials")
-    try:
-        return EpochSet(
-            np.asarray(header["labels"]), tensor,
-            header["fs"], float(header["t0_ms"]),
-            source_trials=None if src is None else np.asarray(src),
-            montage=None if names is None else Montage(tuple(names)))
-    except ValueError as e:
-        raise CorruptionError(f"{path}: {e}") from e
+    with refusing(path):
+        return EpochSet(header["labels"], tensor, header["fs"],
+                        header["t0_ms"], header.get("source_trials"),
+                        Montage(header["channel_names"]))

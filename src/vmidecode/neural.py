@@ -29,14 +29,14 @@ all parameters and updates it in cache-sized tiles. All stochasticity
 
 import functools
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
 from .core import EpochSet
-from .errors import (POSITIVE, DivergenceError, RangeError, ShapeError,
-                     check, integer, number)
-from .io import read_container, write_container
+from .errors import (POSITIVE, DivergenceError, FormatError, RangeError,
+                     ShapeError, check, integer, number)
+from .io import read_container, refusing, write_container
 from .seeding import child_rng
 
 # sliding-window augmentation: 2 s windows at 50 % overlap
@@ -100,6 +100,10 @@ class ModelSpec:
     n_channels: int
     input_samples: int
 
+    def __post_init__(self):
+        check("n_channels", self.n_channels, integer(1))
+        check("input_samples", self.input_samples, integer(1))
+
     def shape_trace(self):
         """(maps, height, width) after each layer; dense layers yield ints."""
         shape = (1, self.n_channels, self.input_samples)
@@ -129,7 +133,6 @@ def build_model(n_channels: int, input_samples: int = 500,
     pool 1x4. Batch norm follows every conv, ELU follows every
     batch norm, dropout precedes every conv block after the first.
     """
-    check("n_channels", n_channels, integer(1))
     layers = [
         LayerSpec("conv", maps_out=25, kernel=(1, 125)),
         LayerSpec("batchnorm"),
@@ -639,6 +642,7 @@ class Dropout(_Elementwise):
     """
 
     def __init__(self, rate, rng_factory):
+        check("dropout", rate, TRAIN_RULES["dropout"])
         self.rate = rate
         self._rng_factory = rng_factory
         self._calls = 0
@@ -1025,41 +1029,28 @@ def save_network(net: Network, path, config: TrainConfig = None) -> None:
 
 
 def load_network(path) -> Network:
-    """A network from save_network's checkpoint. A checkpoint written while
-    the convs had a bias loads with each bias folded into the running mean
-    of the batch norm after it."""
-    header, arrays = read_container(path)
-    # older checkpoints list each layer's stride, which its kind now implies
-    layers = [LayerSpec(**{k: tuple(v) if k == "kernel" else v
-                           for k, v in d.items() if k != "stride"})
-              for d in header["layers"]]
-    spec = ModelSpec(layers, header["n_channels"], header["input_samples"])
-    net = Network(spec, seed=header["seed"])
-    # older checkpoints list a bias after each conv's weights; with a conv
-    # first, position 1 holds a "b" only then
-    state = list(net.state_arrays())
-    if "1.b" in arrays and isinstance(net.layers[0], Conv):
-        state = [pair for layer, name in state for pair in (
-            [(layer, name), (layer, "b")] if isinstance(layer, Conv)
-            else [(layer, name)])]
-    biases = {}
-    for i, (layer, name) in enumerate(state):
-        key = f"{i}.{name}"
-        bias = isinstance(layer, Conv) and name == "b"
-        arr = (np.empty(len(layer.w), net.dtype) if bias
-               else getattr(layer, name))
-        if key not in arrays or arrays[key].shape != arr.shape:
-            raise ShapeError(f"{path}: checkpoint lacks a {arr.shape} {key!r}")
-        if bias:
-            biases[layer] = arrays[key].astype(arr.dtype)
-        else:
-            setattr(layer, name, arrays[key].astype(arr.dtype))
-    # a conv's bias only shifts the next batch norm's input: at eval,
-    # (x + b - mean) equals x - (mean - b)
-    for conv, bn in zip(net.layers, net.layers[1:]):
-        if conv in biases:
-            if not isinstance(bn, BatchNorm):
-                raise ShapeError(f"{path}: a conv bias that no batch norm "
-                                 f"follows cannot be folded")
-            bn.running_mean = bn.running_mean - biases[conv]
+    """A network from save_network's checkpoint: each layer entry carries
+    exactly LayerSpec's fields, and the arrays are exactly those of
+    state_arrays(), by name and shape."""
+    header, arrays = read_container(path, "cnn-checkpoint")
+    with refusing(path):
+        names = {f.name for f in fields(LayerSpec)}
+        if any(d.keys() != names for d in header["layers"]):
+            raise FormatError(f"{path}: a layer entry's fields are not "
+                              f"{sorted(names)}")
+        spec = ModelSpec([LayerSpec(**{**d, "kernel": tuple(d["kernel"])})
+                          for d in header["layers"]],
+                         header["n_channels"], header["input_samples"])
+        net = Network(spec, seed=header["seed"])
+        state = {f"{i}.{name}": (layer, name)
+                 for i, (layer, name) in enumerate(net.state_arrays())}
+        want = {key: getattr(*pair).shape for key, pair in state.items()}
+        got = {key: a.shape for key, a in arrays.items()}
+        odd = sorted(k for k in want.keys() | got.keys()
+                     if want.get(k) != got.get(k))
+        if odd:
+            raise FormatError(f"{path}: arrays {odd} are not the network's "
+                              f"by name and shape")
+        for key, pair in state.items():
+            setattr(*pair, arrays[key].astype(getattr(*pair).dtype))
     return net

@@ -8,12 +8,13 @@ path.
 
 from pathlib import Path
 
-from vmidecode import TrainConfig, harness
+from vmidecode import TrainConfig, harness, slide_windows
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_benchmark_configs_validate_and_its_calls_run(monkeypatch):
+def test_benchmark_configs_validate_and_its_calls_run(monkeypatch,
+                                                      small_imagery):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import replica
     import workloads
@@ -25,3 +26,6 @@ def test_benchmark_configs_validate_and_its_calls_run(monkeypatch):
         assert TrainConfig(**tc.__dict__) == tc  # as the replica rebuilds it
     # 16 windows x 2 channels x 376 positions x (125 taps + 25 maps) floats
     assert replica.conv0_bytes(2) == 4 * 16 * 2 * 376 * (125 + 25)
+    # the layer-by-layer loop gives Network's forward and backward bits
+    _, same = replica.layer_step(slide_windows(small_imagery), 2, 1)
+    assert same

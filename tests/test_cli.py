@@ -86,6 +86,24 @@ def test_stats_on_nan_recording_is_data_error(tmp_path):
     assert not stat_map.exists() or ",1\n" not in stat_map.read_text()
 
 
+@pytest.mark.parametrize("command", ["preprocess", "report"])
+def test_recording_with_a_malformed_event_is_data_error(tmp_path, capsys,
+                                                        command):
+    # an event without a label ended in a KeyError traceback
+    from vmidecode.io import write_container
+    src = tmp_path / "bad.eegb"
+    write_container(src, {"fs": 250, "channel_names": ["Cz", "Pz"],
+                          "unit": "uV", "events": [{"sample": 0}]},
+                    {"data": np.zeros((2, 500), np.float32)})
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({**json.loads(TINY.read_text()),
+                               "input": str(src)}))
+    assert run("--config", cfg, "--out", tmp_path, command) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"data error: {src}: ") and "'label'" in err
+
+
 # ---------------------------------------------------------------------------
 # Subcommand artifacts
 

@@ -936,8 +936,8 @@ def test_any_json_value_validates_or_names_its_key(name, value):
 
 def _tiny_pairs():
     rng = np.random.default_rng(0)
-    return [EpochSet(np.zeros(4), rng.standard_normal((4, 2, 500)), 250, t0)
-            for t0 in (500.0, -4500.0)]
+    return [EpochSet(np.zeros(4, int), rng.standard_normal((4, 2, 500)),
+                     250, t0) for t0 in (500.0, -4500.0)]
 
 
 _IMAGERY, _REST = _tiny_pairs()
@@ -1046,8 +1046,9 @@ def test_each_owner_refuses_exactly_what_its_config_key_refuses(name):
     pytest.param(lambda: epoch_recording(_RECORDING, "imagery",
                                          (float("nan"), 500)),
                  id="window_ms=(nan, 500)"),
-    *(pytest.param(lambda fs=fs: EpochSet(np.zeros(2), np.zeros((2, 1, 500)),
-                                          fs, 0.0), id=f"EpochSet fs={fs}")
+    *(pytest.param(lambda fs=fs: EpochSet(np.zeros(2, int),
+                                          np.zeros((2, 1, 500)), fs, 0.0),
+                   id=f"EpochSet fs={fs}")
       for fs in (0, 250.5, True)),
 ])
 def test_library_calls_refuse_what_the_config_refuses(call):

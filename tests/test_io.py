@@ -7,8 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vmidecode import (EegRecording, EpochSet, Montage, load_epochs,
-                       load_recording, save_epochs, save_recording)
+from vmidecode import (CspLdaClassifier, EegRecording, EpochSet, Montage,
+                       Network, TrainConfig, load_epochs, load_network,
+                       load_recording, save_epochs, save_network,
+                       save_recording)
+from vmidecode.csp import load_csp_lda, save_csp_lda
 from vmidecode.errors import (CorruptionError, DegenerateInputError,
                               FormatError)
 from vmidecode.io import (DTYPES, MAGIC, VERSION, read_container,
@@ -141,14 +144,6 @@ def test_epochs_dims_mismatch(tmp_path):
         load_epochs(path)
 
 
-def test_epochs_without_channel_names_load_numbered(tmp_path):
-    # montage-less epochs used to be saved without names
-    path = tmp_path / "e.eegb"
-    write_container(path, {"fs": 250, "t0_ms": 0.0, "labels": [0, 1]},
-                    {"tensor": np.zeros((2, 3, 50), dtype=np.float32)})
-    assert load_epochs(path).montage.channel_names == ("ch0", "ch1", "ch2")
-
-
 def test_epochs_channel_names_must_match_the_tensor(tmp_path):
     path = tmp_path / "e.eegb"
     header = {"fs": 250, "t0_ms": 0.0, "labels": [0, 1],
@@ -174,7 +169,8 @@ def test_a_file_whose_fs_is_not_an_integer_is_corruption(tmp_path, fs):
     rec, ep = tmp_path / "r.eegb", tmp_path / "e.eegb"
     write_container(rec, {"fs": fs, "channel_names": ["Cz"], "events": []},
                     {"data": np.zeros((1, 50), dtype=np.float32)})
-    write_container(ep, {"fs": fs, "t0_ms": 0.0, "labels": [0]},
+    write_container(ep, {"fs": fs, "t0_ms": 0.0, "labels": [0],
+                         "channel_names": ["Cz"]},
                     {"tensor": np.zeros((1, 1, 50), dtype=np.float32)})
     for load, path in ((load_recording, rec), (load_epochs, ep)):
         with pytest.raises(CorruptionError, match="fs must be an integer"):
@@ -183,7 +179,8 @@ def test_a_file_whose_fs_is_not_an_integer_is_corruption(tmp_path, fs):
 
 def test_epochs_labels_tensor_mismatch(tmp_path):
     path = tmp_path / "e.eegb"
-    header = {"fs": 250, "t0_ms": 0.0, "labels": [0, 1, 2]}
+    header = {"fs": 250, "t0_ms": 0.0, "labels": [0, 1, 2],
+              "channel_names": list(SMALL_CHANNELS)}
     write_container(path, header,
                     {"tensor": np.zeros((2, 8, 50), dtype=np.float32)})
     with pytest.raises(CorruptionError):
@@ -318,3 +315,161 @@ def test_version1_file_is_cli_data_error(tmp_path):
     cfg.write_text(json.dumps({"seed": 1}))
     assert main(["--config", str(cfg), "--out", str(tmp_path),
                  "preprocess"]) == 3
+
+
+# ---------------------------------------------------------------------------
+# Each loader reads exactly its writer's layout
+
+def _recording_file(path):
+    save_recording(_recording(), path)
+
+
+def _epochs_file(path):
+    rng = np.random.default_rng(2)
+    save_epochs(EpochSet(np.arange(8) % 4,
+                         rng.standard_normal((8, 8, 50)).astype(np.float32),
+                         250, -500.0, montage=Montage(SMALL_CHANNELS)), path)
+
+
+def _network_file(path):
+    from conftest import reduced_model_spec
+    save_network(Network(reduced_model_spec(dropout=0.25), seed=6), path,
+                 TrainConfig(epochs=2, seed=6))
+
+
+def _csp_file(path):
+    rng = np.random.default_rng(3)
+    windows = EpochSet(np.arange(16) % 4, rng.standard_normal((16, 3, 100)),
+                       250, 0.0)
+    save_csp_lda(CspLdaClassifier(m=1).fit(windows), path)
+
+
+KINDS = {"recording": (_recording_file, load_recording),
+         "epochs": (_epochs_file, load_epochs),
+         "network": (_network_file, load_network),
+         "csp": (_csp_file, load_csp_lda)}
+REQUIRED = {"recording": ("fs", "channel_names", "events"),
+            "epochs": ("fs", "t0_ms", "labels", "channel_names"),
+            "network": ("kind", "seed", "n_channels", "input_samples",
+                        "layers"),
+            "csp": ("kind", "m", "classes")}
+
+
+def _set(key, value):
+    return lambda header, arrays: header.update({key: value})
+
+
+def _set_layer(kind, field, value):
+    def mutate(header, arrays):
+        next(d for d in header["layers"] if d["kind"] == kind)[field] = value
+    return mutate
+
+
+def _add_strides(header, arrays):
+    # LayerSpec had a stride field before the kind implied it
+    for d in header["layers"]:
+        d["stride"] = d["kernel"] if d["kind"] == "avgpool" else [1, 1]
+
+
+def _add_conv_biases(header, arrays):
+    # every conv had a bias "b" after its weights "w", shifting the
+    # positions of the arrays after it
+    named = []
+    for key, a in arrays.items():
+        named.append((key.partition(".")[2], a))
+        if named[-1][0] == "w" and a.ndim == 4:
+            named.append(("b", np.zeros(len(a), np.float32)))
+    arrays.clear()
+    arrays.update({f"{i}.{name}": a for i, (name, a) in enumerate(named)})
+
+
+def _refusals():
+    """(loaded kind, the kind of file it is given, the case, how the file is
+    changed, the error) for every other layout."""
+    rows = [(kind, other, f"given-{other}", None, FormatError)
+            for kind in KINDS for other in KINDS if other != kind]
+    rows += [(kind, kind, f"without-{key}",
+              lambda header, arrays, key=key: header.pop(key), FormatError)
+             for kind, keys in REQUIRED.items() for key in keys]
+    corrupt = {
+        "recording": {
+            "fs-a-string": _set("fs", "250"),
+            "channel_names-a-string": _set("channel_names", "abcdefgh"),
+            "events-a-string": _set("events", "x"),
+            "events-pairs": _set("events", [[0, 1]]),
+            "event-sample-not-an-integer": _set(
+                "events", [{"sample": 10.7, "label": 1}]),
+            "event-label-not-an-integer": _set(
+                "events", [{"sample": 10, "label": 1.9}]),
+        },
+        "epochs": {
+            "fs-a-string": _set("fs", "250"),
+            "t0_ms-a-string": _set("t0_ms", "-500"),
+            "labels-not-integers": _set("labels", [0.5, 1.9] * 4),
+            "labels-a-string": _set("labels", "x"),
+            "channel_names-a-string": _set("channel_names", "abcdefgh"),
+            "source_trials-a-string": _set("source_trials", "x"),
+        },
+        "network": {
+            "seed-a-string": _set("seed", "x"),
+            "n_channels-a-string": _set("n_channels", "x"),
+            "input_samples-a-string": _set("input_samples", "x"),
+            "layers-a-string": _set("layers", "x"),
+            "a-layer-a-number": lambda header, arrays: header["layers"]
+            .insert(0, 5),
+            "a-kernel-a-string": _set_layer("conv", "kernel", "x"),
+            "a-rate-a-string": _set_layer("dropout", "rate", "x"),
+        },
+        "csp": {
+            "m-a-string": _set("m", "x"),
+            "classes-a-string": _set("classes", "x"),
+            "classes-not-integers": _set("classes", [0.5, 1, 2, 3]),
+        },
+    }
+    rows += [(kind, kind, name, mutate, CorruptionError)
+             for kind, cases in corrupt.items()
+             for name, mutate in cases.items()]
+    rows += [
+        ("recording", "recording", "an-event-without-a-label",
+         _set("events", [{"sample": 10}]), FormatError),
+        ("network", "network", "layers-with-strides", _add_strides,
+         FormatError),
+        ("network", "network", "conv-biases", _add_conv_biases, FormatError),
+        ("network", "network", "a-leftover-bias",
+         lambda header, arrays: arrays.update(
+             {"1.b": np.zeros(8, np.float32)}), FormatError),
+        ("network", "network", "an-array-missing",
+         lambda header, arrays: arrays.pop("0.w"), FormatError),
+        ("network", "network", "an-array-of-another-shape",
+         lambda header, arrays: arrays.update({"0.w": arrays["0.w"][:-1]}),
+         FormatError),
+    ]
+    return [pytest.param(*row, id=f"{row[0]}-{row[2]}") for row in rows]
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """One file of each kind, as its writer writes it."""
+    folder = tmp_path_factory.mktemp("written")
+    for kind, (write, _) in KINDS.items():
+        write(folder / f"{kind}.eegb")
+    return folder
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_each_loader_reads_what_its_writer_writes(written, kind):
+    KINDS[kind][1](written / f"{kind}.eegb")
+
+
+@pytest.mark.parametrize("kind,source,case,mutate,error", _refusals())
+def test_each_loader_refuses_any_other_layout(written, tmp_path, kind, source,
+                                              case, mutate, error):
+    header, arrays = read_container(written / f"{source}.eegb")
+    if mutate is not None:
+        arrays = dict(arrays)
+        mutate(header, arrays)
+    path = tmp_path / "x.eegb"
+    write_container(path, header, arrays)
+    with pytest.raises(error) as e:
+        KINDS[kind][1](path)
+    assert str(path) in str(e.value)

@@ -3,6 +3,7 @@ when the recording is transformed. A relation holds whatever the accuracy,
 so it can fail where the byte checks and the saturated demo cells cannot.
 """
 
+import numpy as np
 import pytest
 
 from vmidecode import (EegRecording, Montage, epoch_recording,
@@ -54,3 +55,30 @@ def test_scaling_the_recording_by_a_power_of_two_leaves_the_analysis(
     for entry, s_entry in zip(report.entries, s_report.entries, strict=True):
         assert s_entry.fold_accuracies == entry.fold_accuracies
         assert s_entry.confusion.tobytes() == entry.confusion.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_permuting_the_montage_permutes_preprocess_plv_and_t(reference,
+                                                             seed):
+    """Each channel is filtered alone, PLV pairs channels whatever their
+    positions, and t reads one channel's band powers, so a permuted montage
+    permutes these bit for bit. p is left out: each channel's permutation
+    test draws its stream from the channel's position (ROADMAP item 3), so
+    it moves with the permutation (by up to 0.159 on these four)."""
+    rec, (pre, plv, _, smap, _) = reference
+    perm = np.random.default_rng(seed).permutation(rec.n_channels)
+    permuted = EegRecording(
+        Montage([rec.montage.channel_names[i] for i in perm]), rec.fs,
+        rec.data[perm], rec.events)
+    p_pre = preprocess_recording(permuted)
+    imagery = epoch_recording(p_pre, "imagery", (500, 4500))
+    rest = epoch_recording(p_pre, "rest", (-4500, -500))
+    p_plv = per_class_plv(imagery)
+    p_smap = stat_map(imagery, rest, n_perm=200)
+    assert p_pre.data.tobytes() == pre.data[perm].tobytes()
+    assert p_pre.events == pre.events
+    assert list(p_plv) == list(plv)
+    for c in plv:
+        assert (p_plv[c].values.tobytes()
+                == plv[c].values[np.ix_(perm, perm)].tobytes())
+    assert p_smap.t_values.tobytes() == smap.t_values[perm].tobytes()

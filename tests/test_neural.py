@@ -897,59 +897,6 @@ def test_checkpoint_with_an_optimizer_in_its_config_loads(tmp_path):
                                       getattr(layer, name))
 
 
-def test_checkpoint_with_strides_in_its_layers_loads(tmp_path):
-    # checkpoints written while LayerSpec still had a stride field
-    from vmidecode.io import read_container, write_container
-    net = _small_net(seed=6)
-    path = tmp_path / "model.eegb"
-    save_network(net, path, config=TrainConfig(epochs=2, seed=6))
-    header, arrays = read_container(path)
-    for d in header["layers"]:
-        assert "stride" not in d
-        d["stride"] = d["kernel"] if d["kind"] == "avgpool" else [1, 1]
-    write_container(path, header, arrays)
-    back = load_network(path)
-    assert back.spec == net.spec
-    for (layer, name), (layer_b, _) in zip(net.state_arrays(),
-                                           back.state_arrays()):
-        np.testing.assert_array_equal(getattr(layer_b, name),
-                                      getattr(layer, name))
-
-
-def test_checkpoint_with_conv_biases_loads_them_folded(tmp_path):
-    # checkpoints written while every conv had a bias: each bias moves into
-    # the running mean of the batch norm after it
-    from vmidecode.io import read_container, write_container
-    from vmidecode.neural import Conv
-    windows = _train_windows()
-    net = _small_net(seed=6)
-    train(net, windows, TrainConfig(epochs=2, batch_size=8, seed=6))
-    rng = np.random.default_rng(24)
-    biases = {layer: rng.standard_normal(len(layer.w)).astype(np.float32)
-              for layer in net.layers if isinstance(layer, Conv)}
-    old = [pair for layer, name in net.state_arrays() for pair in (
-        [(layer, name), (layer, "b")] if layer in biases
-        else [(layer, name)])]
-    path = tmp_path / "model.eegb"
-    save_network(net, path)
-    header, _ = read_container(path)
-    write_container(path, header, {
-        f"{i}.{name}": biases[layer] if layer in biases and name == "b"
-        else getattr(layer, name) for i, (layer, name) in enumerate(old)})
-    back = load_network(path)
-    assert not any(hasattr(layer, "b") for layer in back.layers
-                   if isinstance(layer, Conv))
-    x = windows.tensor[:, None]
-    ref = x
-    for layer in net.layers:     # the network the checkpoint describes
-        ref = layer.forward(ref, False)
-        if layer in biases:
-            ref = ref + biases[layer][:, None, None]
-    got = predict_proba(back, windows.tensor)
-    np.testing.assert_allclose(got, ref, rtol=1e-4, atol=1e-6)
-    assert np.abs(got - predict_proba(net, windows.tensor)).max() > 1e-3
-
-
 def test_cnn_classifier_fit_predict():
     ep = _epochs(n_trials=8, n_ch=2, n_samples=1000)
     windows = slide_windows(ep)

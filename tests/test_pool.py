@@ -10,7 +10,7 @@ import pytest
 
 from vmidecode import (EegRecording, EpochSet, Montage, band_power, pool,
                        preprocess_recording, stat_map, synth_dataset)
-from vmidecode.connectivity import phase_factors, plv_trial_matrices
+from vmidecode.connectivity import plv_trial_matrices
 from vmidecode.errors import DegenerateInputError, RangeError
 
 from conftest import small_spec
@@ -38,7 +38,6 @@ STAGES = {
     "synth_dataset": lambda: synth_dataset(
         small_spec(n_trials_per_class=2)).data,
     "preprocess_recording": lambda: preprocess_recording(_recording()).data,
-    "phase_factors": lambda: phase_factors(_epochs()),
     "plv_trial_matrices": lambda: plv_trial_matrices(_epochs()),
     "band_power": lambda: band_power(_epochs(), (0.5, 13.0)),
     "stat_map": lambda: _stat_values(

@@ -138,6 +138,15 @@ class EegRecording:
         return self.data.shape[1]
 
 
+def _int64s(name: str, values) -> np.ndarray:
+    """values as an int64 array; RangeError unless they are integers (no
+    values at all are)."""
+    a = np.asarray(values)
+    if a.size and a.dtype.kind not in "iu":
+        raise RangeError(f"{name} must be integers, got {a.dtype}")
+    return a.astype(np.int64, copy=False)
+
+
 @dataclass
 class EpochSet:
     """Labeled trials x channels x samples tensor cut from a recording.
@@ -157,11 +166,7 @@ class EpochSet:
     montage: Montage = None
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels)
-        if self.labels.size and self.labels.dtype.kind not in "iu":
-            raise RangeError(f"labels must be integers, got "
-                             f"{self.labels.dtype}")
-        self.labels = self.labels.astype(np.int64, copy=False)
+        self.labels = _int64s("labels", self.labels)
         self.tensor = np.asarray(self.tensor)
         if self.tensor.ndim != 3:
             raise ShapeError("tensor must be trials x channels x samples")
@@ -173,9 +178,9 @@ class EpochSet:
                              f"tensor holds {self.tensor.shape[1]}")
         check("fs", self.fs, integer(1))
         check("t0_ms", self.t0_ms, (number, "a finite number"))
-        self.source_trials = np.asarray(
-            np.arange(self.n_trials) if self.source_trials is None
-            else self.source_trials, dtype=np.int64)
+        self.source_trials = _int64s(
+            "source_trials", np.arange(self.n_trials)
+            if self.source_trials is None else self.source_trials)
         if len(self.source_trials) != self.n_trials:
             raise ShapeError("source_trials length must equal trial count")
 

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EpochSet
-from .errors import (DegenerateInputError, FormatError, RangeError,
-                     ShapeError, check, integer, list_rule)
-from .io import read_container, refusing, write_container
+from .errors import (DegenerateInputError, RangeError, ShapeError, check,
+                     integer, list_rule)
+from .io import check_arrays, read_container, refusing, write_container
 from .pool import row_blocks
 
 RIDGE = 1e-6
@@ -254,19 +254,27 @@ def save_csp_lda(clf: CspLdaClassifier, path) -> None:
 
 
 def load_csp_lda(path) -> CspLdaClassifier:
+    """An OVR CSP-LDA model from save_csp_lda's file: for each header class
+    exactly the six arrays of one model, shaped as a fit with the header's m
+    on n >= 2 channels shapes them, with the same n for every model."""
     header, arrays = read_container(path, "csp-lda-checkpoint")
     with refusing(path):
         clf = CspLdaClassifier(m=header["m"])
         check("classes", header["classes"], list_rule(integer(0)))
     clf.classes_ = np.asarray(header["classes"])
-    try:
-        for i in range(clf.classes_.size):
-            csp = {f: arrays[f"{i}.{f}"] for f in _CSP_FIELDS}
-            lda = {f: arrays[f"{i}.{f}"] for f in _LDA_FIELDS}
-            clf.models_.append((
-                CspModel(**csp, n_channels=csp["filters"].shape[1],
-                         m=csp["filters"].shape[0] // 2),
-                LdaModel(**lda)))
-    except KeyError as e:
-        raise FormatError(f"{path}: checkpoint lacks array {e}") from e
+    # the channel count of model 0's filters, at least 2: a file on fewer
+    # channels cannot have the shapes that follow
+    first = arrays["0.filters"].shape if "0.filters" in arrays else ()
+    n = max(2, first[1] if len(first) == 2 else 0)
+    k = 2 * min(clf.m, n // 2)
+    shapes = {"filters": (k, n), "eigenvalues": (k,), "weights": (2, k),
+              "biases": (2,), "classes": (2,), "priors": (2,)}
+    check_arrays(path, arrays, {f"{i}.{f}": shape
+                                for i in range(clf.classes_.size)
+                                for f, shape in shapes.items()})
+    for i in range(clf.classes_.size):
+        csp = {f: arrays[f"{i}.{f}"] for f in _CSP_FIELDS}
+        lda = {f: arrays[f"{i}.{f}"] for f in _LDA_FIELDS}
+        clf.models_.append((CspModel(**csp, n_channels=n, m=k // 2),
+                            LdaModel(**lda)))
     return clf

@@ -126,6 +126,17 @@ def _array(path, arrays: dict, name: str, ndim: int) -> np.ndarray:
     return arrays[name]
 
 
+def check_arrays(path, arrays: dict, shapes: dict) -> None:
+    """Raise a FormatError naming path unless arrays are exactly those of
+    shapes, {name: shape}, by name and shape."""
+    got = {name: a.shape for name, a in arrays.items()}
+    odd = sorted(k for k in shapes.keys() | got.keys()
+                 if shapes.get(k) != got.get(k))
+    if odd:
+        raise FormatError(f"{path}: arrays {odd} are not the layout's by "
+                          f"name and shape")
+
+
 def save_recording(rec: EegRecording, path) -> None:
     header = {
         "fs": int(rec.fs),

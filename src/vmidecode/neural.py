@@ -16,15 +16,16 @@ chunk temporaries. Batch norm's reductions stay whole-array passes. A
 layer's own forward/backward is the run of that layer alone and gives the
 same bits. Only a train-mode forward keeps what the backward pass needs
 (the first conv's row blocks, the later convs' im2col matrices, centred
-batch-norm input, ELU output, dropout masks). Arrays of BUFFER_MIN_BYTES or
-more go into buffers the layer keeps; an output is valid until the next
-call of the layer or run that made it. Backward may overwrite what its
-forward kept and its incoming gradient, never its forward input. The
-architecture is a temporal convolution, a spatial convolution collapsing
-the channel axis, and two further conv + average-pool stages, ending in a
-softmax with one output per class. train's Adam keeps one flat state for
-all parameters and updates it in cache-sized tiles. All stochasticity
-(init, dropout masks, shuffling) derives from a single seed.
+batch-norm input, ELU output, dropout masks). Every scratch array a layer
+asks for is the start of a buffer it keeps, which grows for a larger
+request; an output is valid until the next call of the layer or run that
+made it. Backward may overwrite what its forward kept and its incoming
+gradient, never its forward input. The architecture is a temporal
+convolution, a spatial convolution collapsing the channel axis, and two
+further conv + average-pool stages, ending in a softmax with one output per
+class. train's Adam keeps one flat state for all parameters and updates it
+in cache-sized tiles. All stochasticity (init, dropout masks, shuffling)
+derives from a single seed.
 """
 
 import functools
@@ -36,7 +37,7 @@ import numpy as np
 from .core import EpochSet
 from .errors import (POSITIVE, DivergenceError, FormatError, RangeError,
                      ShapeError, check, integer, number)
-from .io import read_container, refusing, write_container
+from .io import check_arrays, read_container, refusing, write_container
 from .seeding import child_rng
 
 # sliding-window augmentation: 2 s windows at 50 % overlap
@@ -46,11 +47,6 @@ OVERLAP = 0.5
 MIN_DELTA = 1e-4
 # output positions per row block of the first conv: 376 = 8 x 47
 BLOCK = 47
-# arrays this large live in a buffer their layer keeps: glibc maps them
-# afresh on each allocation. Smaller ones are left to malloc, which serves
-# them from its heap only once the free of a larger mapped block has raised
-# its mmap threshold (128 KiB at start, 32 MiB at most)
-BUFFER_MIN_BYTES = 32 << 20
 # elements per tile of the Adam update: its five float64/float32 tile
 # arrays stay within a core's L2
 ADAM_TILE = 1 << 14
@@ -166,13 +162,12 @@ class _Layer:
     params = ()
 
     def _scratch(self, name, shape, dtype):
-        """The start of the layer's buffer `name` as a C-contiguous array; the
-        buffer grows for a large request, a small one gets a fresh array."""
+        """The start of the layer's buffer `name` as a C-contiguous array,
+        valid until the layer's next call; the buffer grows for a larger
+        request."""
         n = math.prod(shape)
         buf = vars(self).setdefault("_buffers", {}).get(name)
         if buf is None or buf.size < n or buf.dtype != dtype:
-            if n * np.dtype(dtype).itemsize < BUFFER_MIN_BYTES:
-                return np.empty(shape, dtype)
             buf = self._buffers[name] = np.empty(n, dtype)
         return buf[:n].reshape(shape)
 
@@ -1044,13 +1039,8 @@ def load_network(path) -> Network:
         net = Network(spec, seed=header["seed"])
         state = {f"{i}.{name}": (layer, name)
                  for i, (layer, name) in enumerate(net.state_arrays())}
-        want = {key: getattr(*pair).shape for key, pair in state.items()}
-        got = {key: a.shape for key, a in arrays.items()}
-        odd = sorted(k for k in want.keys() | got.keys()
-                     if want.get(k) != got.get(k))
-        if odd:
-            raise FormatError(f"{path}: arrays {odd} are not the network's "
-                              f"by name and shape")
+        check_arrays(path, arrays, {key: getattr(*pair).shape
+                                    for key, pair in state.items()})
         for key, pair in state.items():
             setattr(*pair, arrays[key].astype(getattr(*pair).dtype))
     return net

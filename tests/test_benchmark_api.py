@@ -8,7 +8,8 @@ path.
 
 from pathlib import Path
 
-from vmidecode import TrainConfig, harness, slide_windows
+from vmidecode import (TrainConfig, epoch_recording, harness, slide_windows,
+                       stats)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -29,3 +30,35 @@ def test_benchmark_configs_validate_and_its_calls_run(monkeypatch,
     # the layer-by-layer loop gives Network's forward and backward bits
     _, same = replica.layer_step(slide_windows(small_imagery), 2, 1)
     assert same
+
+
+def test_the_benchmark_stat_map_gives_the_package_bytes(monkeypatch,
+                                                        small_recording,
+                                                        small_imagery):
+    # the trace-mode replica spans each channel's tests; its t and p must
+    # stay those of stats.stat_map
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import replica
+    import tracing
+    import workloads
+    cfg = workloads.pipeline_config(next(iter(workloads.WORKLOADS.values())),
+                                    1)
+    cfg["stats"]["n_perm"] = 200
+    st = cfg["stats"]
+    rest = epoch_recording(small_recording, "rest",
+                           cfg["epoch"]["rest_window_ms"])
+    got = replica.stat_map(tracing.NullTracer(), small_imagery, rest, cfg)
+    want = stats.stat_map(small_imagery, rest, band=tuple(st["band"]),
+                          n_perm=st["n_perm"], seed=cfg["seed"],
+                          alpha=st["alpha"])
+    assert got.t_values.tobytes() == want.t_values.tobytes()
+    assert got.p_values.tobytes() == want.p_values.tobytes()
+
+
+def test_the_benchmark_fft_kernels_run(monkeypatch, small_imagery):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import replica
+    times, mflop = replica.fft_kernels(small_imagery)
+    assert times.keys() == {"dsp.fft.n1000_s", "dsp.fft.n250_s",
+                            "dsp.fft.n256_s"}
+    assert mflop > 0

@@ -339,7 +339,8 @@ def _network_file(path):
 
 def _csp_file(path):
     rng = np.random.default_rng(3)
-    windows = EpochSet(np.arange(16) % 4, rng.standard_normal((16, 3, 100)),
+    # 4 channels, so that another header m changes the models' shapes
+    windows = EpochSet(np.arange(16) % 4, rng.standard_normal((16, 4, 100)),
                        250, 0.0)
     save_csp_lda(CspLdaClassifier(m=1).fit(windows), path)
 
@@ -383,6 +384,15 @@ def _add_conv_biases(header, arrays):
     arrays.update({f"{i}.{name}": a for i, (name, a) in enumerate(named)})
 
 
+def _one_channel_models(header, arrays):
+    # models on one channel, whose m would clamp to 1 // 2 = 0 filters;
+    # a fit refuses them, and so must the loader
+    for i in range(len(header["classes"])):
+        arrays.update({f"{i}.filters": np.zeros((0, 1)),
+                       f"{i}.eigenvalues": np.zeros(0),
+                       f"{i}.weights": np.zeros((2, 0))})
+
+
 def _refusals():
     """(loaded kind, the kind of file it is given, the case, how the file is
     changed, the error) for every other layout."""
@@ -409,6 +419,8 @@ def _refusals():
             "labels-a-string": _set("labels", "x"),
             "channel_names-a-string": _set("channel_names", "abcdefgh"),
             "source_trials-a-string": _set("source_trials", "x"),
+            "source_trials-not-integers": _set("source_trials",
+                                               [0.5, 1.9] * 4),
         },
         "network": {
             "seed-a-string": _set("seed", "x"),
@@ -444,6 +456,21 @@ def _refusals():
          lambda header, arrays: arrays.update({"0.w": arrays["0.w"][:-1]}),
          FormatError),
     ]
+    csp = {
+        "another-m": _set("m", 3),
+        "filters-without-a-column": lambda header, arrays: arrays.update(
+            {"0.filters": arrays["0.filters"][:, :-1].copy()}),
+        "a-model-on-other-channels": lambda header, arrays: arrays.update(
+            {"1.filters": arrays["1.filters"][:, :-1].copy()}),
+        "weights-cut-to-one-column": lambda header, arrays: arrays.update(
+            {"0.weights": arrays["0.weights"][:, :1].copy()}),
+        "models-on-one-channel": _one_channel_models,
+        "an-array-missing": lambda header, arrays: arrays.pop("3.priors"),
+        "a-stray-array": lambda header, arrays: arrays.update(
+            {"9.extra": np.zeros(2)}),
+    }
+    rows += [("csp", "csp", name, mutate, FormatError)
+             for name, mutate in csp.items()]
     return [pytest.param(*row, id=f"{row[0]}-{row[2]}") for row in rows]
 
 

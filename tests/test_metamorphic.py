@@ -82,3 +82,29 @@ def test_permuting_the_montage_permutes_preprocess_plv_and_t(reference,
         assert (p_plv[c].values.tobytes()
                 == plv[c].values[np.ix_(perm, perm)].tobytes())
     assert p_smap.t_values.tobytes() == smap.t_values[perm].tobytes()
+
+
+@pytest.mark.parametrize("perm", [(1, 0, 2, 3), (1, 2, 0, 3), (1, 2, 3, 0),
+                                  (3, 2, 1, 0), (1, 0, 3, 2)])
+def test_relabelling_the_classes_permutes_the_class_plv(reference, perm):
+    """Class c relabelled perm[c]: each class's PLV matrix is the mean over
+    the same trials, so it moves to its new label bit for bit. The ranking's
+    scores are means over classes taken in label order, so they may differ
+    in the last bits and are pinned to 1e-12 relative; its order is left
+    out, as a tie broken by those bits could swap two channels. The CV
+    entries are left out: stratified_folds draws its one stream class by
+    class in id order, so relabelling gives other folds."""
+    rec, (_, plv, ranking, _, _) = reference
+    relabelled = EegRecording(rec.montage, rec.fs, rec.data,
+                              [(s, perm[l]) for s, l in rec.events])
+    imagery = epoch_recording(preprocess_recording(relabelled), "imagery",
+                              (500, 4500))
+    p_plv = per_class_plv(imagery)
+    assert sorted(p_plv) == sorted(plv)
+    for c in plv:
+        assert p_plv[perm[c]].values.tobytes() == plv[c].values.tobytes()
+    scores = dict(ranking.order)
+    p_scores = dict(rank_channels(p_plv.values()).order)
+    assert p_scores.keys() == scores.keys()
+    np.testing.assert_allclose([p_scores[i] for i in scores],
+                               list(scores.values()), rtol=1e-12, atol=0)

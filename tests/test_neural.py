@@ -467,15 +467,18 @@ def test_first_conv_returns_no_input_gradient():
     assert conv0.dw.shape == conv0.w.shape
 
 
-def _buffer_sizes(net):
-    return {(i, name): buf.size for i, layer in enumerate(net.layers)
+def _buffers(net):
+    return {(i, name): buf for i, layer in enumerate(net.layers)
             for name, buf in vars(layer).get("_buffers", {}).items()}
 
 
-def test_eval_forward_keeps_no_training_caches(monkeypatch):
+def _buffer_sizes(net):
+    return {key: buf.size for key, buf in _buffers(net).items()}
+
+
+def test_eval_forward_keeps_no_training_caches():
     # the layers keep their buffers across calls by design; what must not
     # outlive an eval forward is any array a backward pass would read
-    monkeypatch.setattr(neural, "BUFFER_MIN_BYTES", 0)
     net = Network(reduced_model_spec(dropout=0.5), seed=0)
     x = np.random.default_rng(11).standard_normal((16, 1, 2, 40))
     caches = ("_xc", "_ivar", "_y", "_keep", "_cols", "_blocks", "_x")
@@ -498,21 +501,38 @@ def test_eval_forward_keeps_no_training_caches(monkeypatch):
         assert _buffer_sizes(net) == sizes
 
 
-def test_arrays_below_the_buffer_size_get_no_buffer():
-    # malloc recycles them still in cache, where a buffer per layer would not
+def test_every_scratch_array_is_a_buffer_its_layer_keeps():
+    # at k = 8 every array is far below any mmap threshold: a buffer is kept
+    # all the same, and later steps and eval chunks reuse it as it is
     net = Network(build_model(8, input_samples=500), seed=0)
-    net.forward(np.zeros((16, 1, 8, 500), np.float32), train=True)
-    net.backward(np.arange(16) % 4)
-    assert not _buffer_sizes(net)
+    x = np.random.default_rng(23).standard_normal(
+        (16, 1, 8, 500)).astype(np.float32)
+    labels = np.arange(16) % 4
+    net.forward(x, train=True)
+    net.backward(labels)
+    kept = _buffers(net)
+    kinds = [ls.kind for ls in net.spec.layers]
+    want = {(0, "product"), (0, "out")}
+    want |= {(i, "xc") for i, kind in enumerate(kinds) if kind == "batchnorm"}
+    want |= {(i, "y") for i, kind in enumerate(kinds) if kind == "activation"}
+    assert want <= kept.keys()
+    sizes = _buffer_sizes(net)
+    net.forward(x, train=True)
+    net.backward(labels)
+    for n in (16, 5):
+        net.forward(x[:n], train=False)
+        now = _buffers(net)
+        assert now.keys() == kept.keys()
+        assert all(now[key] is kept[key] for key in kept)
+        assert _buffer_sizes(net) == sizes
 
 
 @pytest.mark.parametrize("spec", [reduced_model_spec(dropout=0.5),
                                   build_model(2, input_samples=500)])
-def test_a_step_does_not_depend_on_what_its_buffers_held(spec, monkeypatch):
+def test_a_step_does_not_depend_on_what_its_buffers_held(spec):
     # net 1's second step reuses buffers a 16-window step filled, net 2's
     # grows them from a 7-window step; dropout masks follow the call count
     # and train mode reads no running statistic, so both steps must agree
-    monkeypatch.setattr(neural, "BUFFER_MIN_BYTES", 0)
     rng = np.random.default_rng(21)
     shape = (1, spec.n_channels, spec.input_samples)
     x16, x7, batch = (rng.standard_normal((n,) + shape).astype(np.float32)
@@ -532,14 +552,12 @@ def test_a_step_does_not_depend_on_what_its_buffers_held(spec, monkeypatch):
 
 
 def test_a_repeated_train_step_allocates_no_activation_afresh():
-    # at k = 64 a first-block array (38.5 MB) is above BUFFER_MIN_BYTES
     import tracemalloc
     net = Network(build_model(64, input_samples=500), seed=0)
     x = np.random.default_rng(22).standard_normal(
         (16, 1, 64, 500)).astype(np.float32)
     labels = np.arange(16) % 4
     activation = x.itemsize * 16 * 25 * 64 * 376
-    assert activation >= neural.BUFFER_MIN_BYTES
     net.forward(x, train=True)
     net.backward(labels)
     tracemalloc.start()

@@ -13,6 +13,7 @@ import os
 import sys
 
 from . import harness, io
+from .connectivity import K_RULE
 from .errors import ConfigError, DataError, DivergenceError, PipelineError
 
 EXIT_OK = 0
@@ -57,6 +58,8 @@ def _out_dir(args, cfg) -> str:
 
 
 def _run(args) -> int:
+    if args.command == "select" and not K_RULE[0](args.k):
+        raise ConfigError("-k", f"-k must be {K_RULE[1]}, got {args.k}")
     cfg = _load_cfg(args)
     out = _out_dir(args, cfg)
     cmd = args.command

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (POSITIVE, DegenerateInputError, EmptyInputError,
                      RangeError, ShapeError, check, integer, list_of,
-                     nonempty_str, number, pair)
+                     list_rule, nonempty_str, number, pair)
 from .pool import ordered_map, row_blocks
 from .seeding import child_rng
 
@@ -39,8 +39,7 @@ CHANNEL_NAME = (lambda v: isinstance(v, str) and v != ""
                 and not set(v) & set(',"\r\n'),
                 "a non-empty string without a comma, quote or line break")
 # Montage's channel_names
-CHANNELS_RULE = (lambda v: list_of(CHANNEL_NAME[0])(v)
-                 and len(set(v)) == len(v),
+CHANNELS_RULE = (list_rule(CHANNEL_NAME)[0],
                  "a non-empty list of distinct channel names")
 # SynthSpec's value rules, and those of each class's value in its dicts
 SYNTH_RULES = {"n_trials_per_class": integer(1), "fs": integer(1),
@@ -197,17 +196,16 @@ class EpochSet:
         return self.tensor.shape[2]
 
     def select(self, trial_idx=None, channel_idx=None) -> "EpochSet":
-        """Subset by trial and/or channel indices, keeping provenance."""
-        t, labels, src = self.tensor, self.labels, self.source_trials
-        montage = self.montage
-        if trial_idx is not None:
-            trial_idx = np.asarray(trial_idx)
-            t, labels, src = t[trial_idx], labels[trial_idx], src[trial_idx]
-        if channel_idx is not None:
-            channel_idx = list(channel_idx)
-            t = t[:, channel_idx, :]
-            montage = Montage([montage.channel_names[i] for i in channel_idx])
-        return EpochSet(labels, t, self.fs, self.t0_ms, src, montage)
+        """Subset by trial and/or channel indices, keeping provenance; the
+        tensor is gathered in one copy."""
+        trials = (np.arange(self.n_trials) if trial_idx is None
+                  else np.asarray(trial_idx))
+        channels = (np.arange(self.n_channels) if channel_idx is None
+                    else np.asarray(channel_idx))
+        return EpochSet(
+            self.labels[trials], self.tensor[np.ix_(trials, channels)],
+            self.fs, self.t0_ms, self.source_trials[trials],
+            Montage([self.montage.channel_names[i] for i in channels]))
 
 
 @dataclass

@@ -73,8 +73,9 @@ def _plural(wanted: str) -> str:
 
 
 def list_rule(rule: tuple) -> tuple:
-    """The rule of a non-empty list whose items each pass rule."""
-    return list_of(rule[0]), "a non-empty list of " + _plural(rule[1])
+    """The rule of a non-empty list of distinct items that each pass rule."""
+    return (lambda v: list_of(rule[0])(v) and len(set(v)) == len(v),
+            "a non-empty list of distinct " + _plural(rule[1]))
 
 
 def pair(lo: float, hi: float = math.inf) -> tuple:

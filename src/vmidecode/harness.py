@@ -112,7 +112,7 @@ def stratified_folds(labels, n_folds: int, seed: int = 0) -> list:
 
 
 # method name -> classifier of (seed, csp_m, train_config); the order is
-# _run_cells' scheduling order, costliest fit first.
+# _evaluate's scheduling order, costliest fit first.
 CLASSIFIERS = {
     "cnn": lambda seed, csp_m, tc: CnnClassifier(
         replace(tc or TrainConfig(), seed=seed)),
@@ -132,15 +132,17 @@ def fold_channel_ranking(train_epochs: EpochSet):
 
 def _evaluate(dataset: EpochSet, cells: list, folds: int, seeds, csp_m: int,
               train_config: TrainConfig, trial_plv=None) -> list:
-    """One EvalEntry per (method, k_channels) cell, all on the same folds.
+    """One EvalEntry per distinct (method, k_channels) cell, all on the same
+    folds of distinct seeds.
 
     k_channels None means the full montage. The per-trial PLV matrices
     (trial_plv, plv_trial_matrices(dataset) when not given) are computed once;
     each fold's channel ranking is the ranking of its training rows, in
-    ascending trial order, and is shared by every cell. Every (seed, fold,
-    cell) fit is one task for _run_cells; the entries are built from the
-    tasks' predictions in task order, so they do not depend on the worker
-    count.
+    ascending trial order, and is shared by every cell. Every (split, cell)
+    fit is one task on the shared pool, submitted longest first (methods in
+    CLASSIFIERS order, then larger k first) so that no long fit starts last;
+    the entries are built from the tasks' predictions in task order, so they
+    do not depend on the worker count.
     """
     unknown = [m for m, _ in cells if not METHOD_RULE[0](m)]
     if unknown:
@@ -158,10 +160,13 @@ def _evaluate(dataset: EpochSet, cells: list, folds: int, seeds, csp_m: int,
     if any(k > n_ch for _, k in cells):
         raise RangeError(f"k_channels {max(k for _, k in cells)} "
                          f"exceeds montage")
+    for name, items in (("cells", cells), ("seeds", list(seeds))):
+        if len(set(items)) < len(items):
+            raise RangeError(f"{name} must be distinct, got {items}")
     ranked = any(k < n_ch for _, k in cells)
     if ranked and trial_plv is None:
         trial_plv = conn_mod.plv_trial_matrices(dataset)
-    splits, truths = [], []
+    splits = []
     for seed in seeds:
         for fold, test_idx in enumerate(
                 stratified_folds(dataset.labels, folds, seed=seed)):
@@ -170,46 +175,37 @@ def _evaluate(dataset: EpochSet, cells: list, folds: int, seeds, csp_m: int,
                 trial_plv[train_idx], dataset.labels[train_idx],
                 dataset.montage).values()) if ranked else None)
             splits.append((seed, fold, train_idx, test_idx, ranking))
-            truths.append(dataset.labels[test_idx])
-    plan = _CvPlan(dataset, splits, cells, csp_m, train_config)
-    tasks = [(s, c) for s in range(len(splits)) for c in range(len(cells))]
-    accs = [[] for _ in cells]
-    confusion = [np.zeros((classes.size,) * 2, dtype=np.int64) for _ in cells]
-    for (s, c), preds in zip(tasks, _run_cells(plan, tasks)):
-        accs[c].append(np.mean(preds == truths[s]))
-        np.add.at(confusion[c], (truths[s], preds), 1)
+    tasks = [(split, cell) for split in splits for cell in cells]
+    rank = {m: i for i, m in enumerate(CLASSIFIERS)}
+    predictions = ordered_map(
+        lambda task: _fit_cell(dataset, *task, csp_m, train_config), tasks,
+        key=lambda task: (rank[task[1][0]], -task[1][1]))
+    accs = {cell: [] for cell in cells}
+    confusion = {cell: np.zeros((classes.size,) * 2, dtype=np.int64)
+                 for cell in cells}
+    for (split, cell), preds in zip(tasks, predictions):
+        truth = dataset.labels[split[3]]
+        accs[cell].append(np.mean(preds == truth))
+        np.add.at(confusion[cell], (truth, preds), 1)
     config = {"folds": folds, "seeds": list(seeds), "csp_m": csp_m,
               "win_s": WIN_S, "overlap": OVERLAP}
-    return [EvalEntry(m, int(k), a, c, config=dict(config))
-            for (m, k), a, c in zip(cells, accs, confusion)]
+    return [EvalEntry(m, int(k), accs[m, k], confusion[m, k],
+                      config=dict(config)) for m, k in cells]
 
 
-# ---------------------------------------------------------------------------
-# Cross-validation tasks and the thread pool that runs them
-
-@dataclass(frozen=True)
-class _CvPlan:
-    """What every task reads: the epochs, the (seed, fold, train_idx,
-    test_idx, ranking) splits, the (method, k) cells and the fit settings."""
-    dataset: EpochSet
-    splits: list
-    cells: list
-    csp_m: int
-    train_config: TrainConfig
-
-
-def _fit_cell(plan: _CvPlan, task: tuple) -> np.ndarray:
-    """Task (split, cell): fit on the split's training trials, restricted to
-    the cell's top-k channels; return each test trial's class, in order."""
-    s, c = task
-    seed, fold, train_idx, test_idx, ranking = plan.splits[s]
-    method, k = plan.cells[c]
+def _fit_cell(dataset: EpochSet, split: tuple, cell: tuple, csp_m: int,
+              train_config: TrainConfig) -> np.ndarray:
+    """Fit cell (method, k) on the training trials of split (seed, fold,
+    train_idx, test_idx, ranking), restricted to the top-k channels; return
+    each test trial's class, in order."""
+    seed, fold, train_idx, test_idx, ranking = split
+    method, k = cell
     sel = (conn_mod.select_channels(ranking, k)
-           if k < plan.dataset.n_channels else None)
+           if k < dataset.n_channels else None)
     train_w, test_w = (
-        slide_windows(plan.dataset.select(trial_idx=idx, channel_idx=sel))
+        slide_windows(dataset.select(trial_idx=idx, channel_idx=sel))
         for idx in (train_idx, test_idx))
-    clf = CLASSIFIERS[method](seed, plan.csp_m, plan.train_config)
+    clf = CLASSIFIERS[method](seed, csp_m, train_config)
     try:
         scores = clf.fit(train_w).predict_scores(test_w)
     except DivergenceError as e:
@@ -217,17 +213,6 @@ def _fit_cell(plan: _CvPlan, task: tuple) -> np.ndarray:
         raise
     # test_w is trial-major: each test trial's windows are one block
     return predict_trial(scores.reshape(len(test_idx), -1, scores.shape[1]))
-
-
-def _run_cells(plan: _CvPlan, tasks: list) -> list:
-    """_fit_cell(plan, task) for every task, in task order, on the shared
-    pool, whatever the methods. Tasks are submitted longest first (methods in
-    CLASSIFIERS order, then larger k first) so that no long fit starts
-    last."""
-    rank = {m: i for i, m in enumerate(CLASSIFIERS)}
-    return ordered_map(
-        lambda task: _fit_cell(plan, task), tasks,
-        key=lambda t: (rank[plan.cells[t[1]][0]], -plan.cells[t[1]][1]))
 
 
 def cross_validate(dataset: EpochSet, method: str, k_channels: int = None,

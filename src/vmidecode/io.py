@@ -10,8 +10,9 @@ limited to float32, float64 and int64. A recording is one float32 array
 name in their own dtype. Round trips are bit-exact. The payload is written
 from each array's own buffer and read with one copy, the file's, which the
 arrays view. Each loader reads exactly the layout its writer writes: a
-header without one of its keys is a FormatError, and a value of the wrong
-JSON type, or one that the type owning it refuses, a CorruptionError.
+header without one of its keys, or arrays of other names, shapes or dtypes,
+is a FormatError, and a header value of the wrong JSON type, or one that
+the type owning it refuses, a CorruptionError.
 """
 
 import contextlib
@@ -118,23 +119,19 @@ def refusing(path):
         raise CorruptionError(f"{path}: {e}") from e
 
 
-def _array(path, arrays: dict, name: str, ndim: int) -> np.ndarray:
-    if name not in arrays:
-        raise FormatError(f"{path}: no array {name!r}")
-    if arrays[name].ndim != ndim:
-        raise FormatError(f"{path}: array {name!r} must be {ndim}-D")
-    return arrays[name]
-
-
-def check_arrays(path, arrays: dict, shapes: dict) -> None:
+def check_arrays(path, arrays: dict, shapes: dict, dtype=None) -> None:
     """Raise a FormatError naming path unless arrays are exactly those of
-    shapes, {name: shape}, by name and shape."""
-    got = {name: a.shape for name, a in arrays.items()}
-    odd = sorted(k for k in shapes.keys() | got.keys()
-                 if shapes.get(k) != got.get(k))
+    shapes, {name: shape}, by name and shape (an axis None in a shape may
+    have any length) and, given a dtype, are all of it."""
+    def fits(name):
+        a, want = arrays.get(name), shapes.get(name)
+        return (a is not None and want is not None and a.ndim == len(want)
+                and all(w in (None, n) for n, w in zip(a.shape, want))
+                and (dtype is None or a.dtype == dtype))
+    odd = sorted(k for k in shapes.keys() | arrays.keys() if not fits(k))
     if odd:
         raise FormatError(f"{path}: arrays {odd} are not the layout's by "
-                          f"name and shape")
+                          f"name, shape and dtype")
 
 
 def save_recording(rec: EegRecording, path) -> None:
@@ -149,10 +146,10 @@ def save_recording(rec: EegRecording, path) -> None:
 
 def load_recording(path) -> EegRecording:
     header, arrays = read_container(path)
+    check_arrays(path, arrays, {"data": (None, None)}, np.float32)
     with refusing(path):
         return EegRecording(
-            Montage(header["channel_names"]), header["fs"],
-            _array(path, arrays, "data", 2),
+            Montage(header["channel_names"]), header["fs"], arrays["data"],
             [(e["sample"], e["label"]) for e in header["events"]])
 
 
@@ -169,7 +166,8 @@ def save_epochs(epochs: EpochSet, path) -> None:
 
 def load_epochs(path) -> EpochSet:
     header, arrays = read_container(path)
-    tensor = _array(path, arrays, "tensor", 3)
+    check_arrays(path, arrays, {"tensor": (None, None, None)}, np.float32)
+    tensor = arrays["tensor"]
     require_finite(tensor, f"{path}: epochs")
     with refusing(path):
         return EpochSet(header["labels"], tensor, header["fs"],

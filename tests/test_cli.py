@@ -130,6 +130,23 @@ def test_select_emits_ranking_and_channel_list(tiny_out):
     assert len(ranking) == 9  # 8 channels
 
 
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_select_k_below_1_is_config_error_before_any_file_is_read(
+        tmp_path, capsys, k):
+    # it was a data error (exit 3) after loading preprocessed.eegb, and in
+    # an empty --out directory the missing file was reported instead
+    assert run("--seed", 1, "--out", tmp_path, "select", "-k", k) == 2
+    assert capsys.readouterr().err == (f"config error: -k must be an integer "
+                                       f">= 1, got {k}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_select_k_above_the_montage_is_data_error(tiny_out, capsys):
+    # the montage is the file's: 8 channels
+    assert run("--config", TINY, "--out", tiny_out, "select", "-k", "9") == 3
+    assert capsys.readouterr().err.startswith("data error: k=9 outside 1..8")
+
+
 def test_stats_emits_stat_map(tiny_out):
     assert run("--config", TINY, "--out", tiny_out, "stats") == 0
     lines = (tiny_out / "stat_map.csv").read_text().strip().split("\n")
@@ -452,7 +469,11 @@ def test_threads_flag_is_gone(tmp_path):
     ("epoch", {"imagery_window_ms": [0, 12]}),
     # a name no CSV field can hold: report wrote rows one field short
     ("synth", {"channels": ["Fp1", "Fp2", "Cz", "Pz", "O1", "O2", "Oz",
-                            "Iz", "P,z"]})])
+                            "Iz", "P,z"]}),
+    # a repeated seed or cell was fitted again, and a repeated count gave
+    # sweep.csv a second column of that count
+    ("cv", {"seeds": [0, 1, 0]}), ("sweep", {"channel_counts": [2, 2]}),
+    ("sweep", {"methods": ["cnn", "cnn"]})])
 def test_bad_section_value_exits_2_before_any_stage(tmp_path, capsys, section,
                                                    value):
     # these ended in a traceback, in exit 3 after the earlier stages, in exit

@@ -229,6 +229,20 @@ def test_epochset_select_keeps_alignment():
     np.testing.assert_array_equal(sub.tensor[0], ep.tensor[3][[0, 4]])
 
 
+@pytest.mark.parametrize("trial_idx, channel_idx", [
+    ([3, 1], [4, 0, 2]), (None, [5, 1]), ([2, 0], None), (range(4), range(8))])
+def test_epochset_select_gathers_the_tensor_in_one_c_order_copy(trial_idx,
+                                                                channel_idx):
+    tensor = np.random.default_rng(1).standard_normal((4, 8, 100))
+    ep = EpochSet(np.arange(4), tensor.astype(np.float32), 250, 0.0)
+    want = ep.tensor if trial_idx is None else ep.tensor[list(trial_idx)]
+    if channel_idx is not None:
+        want = want[:, list(channel_idx)]
+    got = ep.select(trial_idx=trial_idx, channel_idx=channel_idx).tensor
+    assert got.dtype == np.float32 and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
 def test_epochset_montage_names_every_channel():
     tensor = np.zeros((2, 3, 10))
     assert EpochSet([0, 1], tensor, 250, 0.0).montage == Montage.numbered(3)

@@ -213,9 +213,9 @@ def test_cross_validate_refuses_class_ids_other_than_0_to_n(classes,
                                                             monkeypatch):
     # the confusion matrix is indexed by class id: {0, 1, 3} overran it,
     # and CSP-LDA's column indices turned every class-3 trial into a "2"
-    def no_fit(plan, tasks):
+    def no_fit(*args):
         raise AssertionError("a fit ran")
-    monkeypatch.setattr(harness, "_run_cells", no_fit)
+    monkeypatch.setattr(harness, "_fit_cell", no_fit)
     ep = _noise_epochs(8, np.repeat(classes, 4))
     with pytest.raises(RangeError, match="^class ids must be 0..[23], got "):
         cross_validate(ep, "csp_lda", folds=2)
@@ -224,22 +224,36 @@ def test_cross_validate_refuses_class_ids_other_than_0_to_n(classes,
 @pytest.mark.parametrize("folds", [2, 5])
 def test_fold_rankings_match_rankings_of_the_selected_training_trials(
         small_imagery, folds, monkeypatch):
-    plans = []
+    splits = []
 
-    def no_fit(plan, tasks):
-        plans.append(plan)
-        return [np.zeros(len(plan.splits[s][3]), dtype=np.int64)
-                for s, _ in tasks]
-    monkeypatch.setattr(harness, "_run_cells", no_fit)
+    def no_fit(dataset, split, cell, csp_m, train_config):
+        splits.append(split)
+        return np.zeros(len(split[3]), dtype=np.int64)
+    monkeypatch.setattr(harness, "_fit_cell", no_fit)
     sweep(small_imagery, methods=("csp_lda",), channel_counts=(2,),
           folds=folds, seeds=(0, 1))
-    (plan,) = plans
-    assert len(plan.splits) == 2 * folds
-    for _, _, train_idx, _, ranking in plan.splits:
+    assert len(splits) == 2 * folds
+    for _, _, train_idx, _, ranking in splits:
         want = harness.fold_channel_ranking(
             small_imagery.select(trial_idx=train_idx))
         assert ranking.order == want.order
         assert ranking.montage == want.montage
+
+
+@pytest.mark.parametrize("repeat", [
+    {"channel_counts": (2, 4, 2)}, {"methods": ("csp_lda", "csp_lda")},
+    {"seeds": (0, 1, 0)}])
+def test_sweep_refuses_repeated_cells_and_seeds_before_any_fit(
+        small_imagery, monkeypatch, repeat):
+    # each repeat was fitted again: (2, 4, 2) gave a third entry, and a
+    # second 2ch column in sweep.csv
+    def no_fit(*args):
+        raise AssertionError("a fit ran")
+    monkeypatch.setattr(harness, "_fit_cell", no_fit)
+    with pytest.raises(RangeError, match="^(cells|seeds) must be distinct"):
+        sweep(small_imagery, **{"methods": ("csp_lda",),
+                                "channel_counts": (2, 4), "folds": 2,
+                                **repeat})
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +483,9 @@ def test_sweep_report_is_byte_identical_for_1_and_2_workers(
 
 def test_sweep_on_more_threads_than_cpus_matches_one_worker(small_imagery,
                                                           monkeypatch):
-    # every thread reads the same plan; a fit that wrote to shared state
-    # would show with more threads than CPUs and frequent thread switches
+    # every thread reads the same epochs and splits; a fit that wrote to
+    # shared state would show with more threads than CPUs and frequent
+    # thread switches
     _force_workers(monkeypatch, 1)
     want = _pool_sweep(small_imagery)
     _force_workers(monkeypatch, 8)
@@ -499,7 +514,12 @@ def test_pool_divergence_names_the_earliest_task_and_leaves_no_workers(
     assert threading.enumerate() == threads
 
 
-def _fail_earliest_task_last(plan, task):
+def _fail_earliest_task_last(dataset, split, cell, csp_m, train_config):
+    # task (split, cell) by index: _pool_sweep's cells are cnn then csp_lda,
+    # at k = 2 then 8
+    task = (2 * split[0] + split[1],
+            [("cnn", 2), ("cnn", 8), ("csp_lda", 2), ("csp_lda", 8)]
+            .index(cell))
     if task == (0, 0):
         time.sleep(0.5)
     raise RangeError(f"task {task}")
@@ -722,7 +742,7 @@ def test_config_error_from_a_pool_worker_keeps_key_and_message(
         small_imagery, monkeypatch):
     # an unknown method used to be refused by its own task, after the
     # split's cnn fit; now no fit starts
-    def no_fit(plan, task):
+    def no_fit(*args):
         raise AssertionError("a fit ran")
     _force_workers(monkeypatch, 2)
     monkeypatch.setattr(harness, "_fit_cell", no_fit)

@@ -436,11 +436,21 @@ def _refusals():
             "m-a-string": _set("m", "x"),
             "classes-a-string": _set("classes", "x"),
             "classes-not-integers": _set("classes", [0.5, 1, 2, 3]),
+            "classes-repeated": _set("classes", [0, 1, 1, 3]),
         },
     }
     rows += [(kind, kind, name, mutate, CorruptionError)
              for kind, cases in corrupt.items()
              for name, mutate in cases.items()]
+    # the writers write one float32 array; a stray array or a float64
+    # payload was loaded
+    rows += [(kind, kind, case, mutate, FormatError)
+             for kind, name in (("recording", "data"), ("epochs", "tensor"))
+             for case, mutate in (
+                 ("a-stray-array", lambda header, arrays: arrays.update(
+                     {"extra": np.zeros(2, np.float32)})),
+                 (f"{name}-float64", lambda header, arrays, name=name:
+                  arrays.update({name: arrays[name].astype(np.float64)})))]
     rows += [
         ("recording", "recording", "an-event-without-a-label",
          _set("events", [{"sample": 10}]), FormatError),

@@ -57,6 +57,18 @@ def test_scaling_the_recording_by_a_power_of_two_leaves_the_analysis(
         assert s_entry.confusion.tobytes() == entry.confusion.tobytes()
 
 
+def _permuted(rec, seed):
+    """(perm, preprocessed, imagery, rest) of rec with its montage permuted
+    by perm, a permutation drawn from seed."""
+    perm = np.random.default_rng(seed).permutation(rec.n_channels)
+    permuted = EegRecording(
+        Montage([rec.montage.channel_names[i] for i in perm]), rec.fs,
+        rec.data[perm], rec.events)
+    pre = preprocess_recording(permuted)
+    return (perm, pre, epoch_recording(pre, "imagery", (500, 4500)),
+            epoch_recording(pre, "rest", (-4500, -500)))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_permuting_the_montage_permutes_preprocess_plv_and_t(reference,
                                                              seed):
@@ -66,13 +78,7 @@ def test_permuting_the_montage_permutes_preprocess_plv_and_t(reference,
     test draws its stream from the channel's position (ROADMAP item 3), so
     it moves with the permutation (by up to 0.159 on these four)."""
     rec, (pre, plv, _, smap, _) = reference
-    perm = np.random.default_rng(seed).permutation(rec.n_channels)
-    permuted = EegRecording(
-        Montage([rec.montage.channel_names[i] for i in perm]), rec.fs,
-        rec.data[perm], rec.events)
-    p_pre = preprocess_recording(permuted)
-    imagery = epoch_recording(p_pre, "imagery", (500, 4500))
-    rest = epoch_recording(p_pre, "rest", (-4500, -500))
+    perm, p_pre, imagery, rest = _permuted(rec, seed)
     p_plv = per_class_plv(imagery)
     p_smap = stat_map(imagery, rest, n_perm=200)
     assert p_pre.data.tobytes() == pre.data[perm].tobytes()
@@ -82,6 +88,25 @@ def test_permuting_the_montage_permutes_preprocess_plv_and_t(reference,
         assert (p_plv[c].values.tobytes()
                 == plv[c].values[np.ix_(perm, perm)].tobytes())
     assert p_smap.t_values.tobytes() == smap.t_values[perm].tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_permuting_the_montage_leaves_csp_lda_with_selection(reference,
+                                                             seed):
+    """The folds read only the labels, and each fold's ranking permutes
+    with the PLV matrices; selection lists the top k channels in rank
+    order, so at k = 4 and 8 CSP-LDA is fitted on the same bytes and its
+    entries are bit-equal. k = 16 is left out: with no selection CSP runs
+    on the montage's own order, permuted, so its covariances sum in
+    another order and may differ in the last bits."""
+    rec, (_, _, _, _, report) = reference
+    _, _, imagery, _ = _permuted(rec, seed)
+    p_report = sweep(imagery, methods=("csp_lda",), channel_counts=(4, 8),
+                     folds=2, seeds=(0, 1))
+    for p_entry in p_report.entries:
+        entry = report.entry("csp_lda", p_entry.k_channels)
+        assert p_entry.fold_accuracies == entry.fold_accuracies
+        assert p_entry.confusion.tobytes() == entry.confusion.tobytes()
 
 
 @pytest.mark.parametrize("perm", [(1, 0, 2, 3), (1, 2, 0, 3), (1, 2, 3, 0),
